@@ -6,9 +6,10 @@ K(gamma) - k^2 M(q) with K the coefficient-weighted stiffness and M the
 consistent mass. Coefficients enter by nodal averaging per element (one-point
 centroid quadrature), which is adequate for the piecewise-constant phantoms
 used here. Dirichlet data is enforced by row elimination with the symmetric
-column correction; Neumann data adds consistent edge loads. Solves use a
-sparse direct factorization and are checked against a relative residual of
-1e-10.
+column correction (eliminate_dirichlet, shared by the forward problem and the
+reconstruction's stacked corrector blocks); Neumann data adds consistent edge
+loads. Every linear solve goes through factor_solve: a sparse LU in the
+common dtype of matrix and rhs, checked against a relative residual of 1e-10.
 """
 
 import math
@@ -214,24 +215,42 @@ def assemble(
     return SparseSystem(mesh=mesh, matrix=matrix, rhs=rhs)
 
 
+def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray,
+                        values: Optional[np.ndarray] = None
+                        ) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """Eliminate the boundary rows and columns of every stacked nodal block.
+
+    The matrix holds one or more nodal blocks (matrix.shape[0] is a multiple
+    of mesh.n_nodes); boundary rows and columns become identity, and the
+    known values move to the rhs so the pattern stays symmetric. values
+    covers the boundary nodes of all blocks in order; without it the data is
+    homogeneous and the rhs keeps its dtype.
+    """
+    n = matrix.shape[0]
+    bnodes = np.concatenate([mesh.boundary_nodes + offset
+                             for offset in range(0, n, mesh.n_nodes)])
+    interior = np.ones(n)
+    interior[bnodes] = 0.0
+    if values is None:
+        rhs = rhs * interior
+    else:
+        u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
+        u_bc[bnodes] = values
+        rhs = rhs - matrix @ u_bc
+        rhs[bnodes] = values
+    d_int = sp.diags(interior)
+    d_bd = sp.diags(1.0 - interior)
+    return (d_int @ matrix @ d_int + d_bd).tocsr(), rhs
+
+
 def apply_dirichlet(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
     """Eliminate boundary rows and columns, keeping the pattern symmetric."""
     if bc.kind != "dirichlet":
         raise ValueError("apply_dirichlet requires a Dirichlet boundary condition")
     mesh = system.mesh
-    bnodes = mesh.boundary_nodes
-    if bc.data.shape != (len(bnodes),):
+    if bc.data.shape != (len(mesh.boundary_nodes),):
         raise ValueError("boundary data must match the boundary node count")
-    n = system.dimension
-    u_bc = np.zeros(n, dtype=np.complex128)
-    u_bc[bnodes] = bc.data
-    rhs = system.rhs - system.matrix @ u_bc
-    interior = np.ones(n)
-    interior[bnodes] = 0.0
-    d_int = sp.diags(interior)
-    d_bd = sp.diags(1.0 - interior)
-    matrix = (d_int @ system.matrix @ d_int + d_bd).tocsr()
-    rhs[bnodes] = bc.data
+    matrix, rhs = eliminate_dirichlet(mesh, system.matrix, system.rhs, bc.data)
     return SparseSystem(mesh=mesh, matrix=matrix, rhs=rhs)
 
 
@@ -257,19 +276,33 @@ def apply_neumann(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
     return SparseSystem(mesh=mesh, matrix=system.matrix, rhs=rhs)
 
 
-def solve(system: SparseSystem) -> ComplexField:
-    matrix = system.matrix.tocsc().astype(np.complex128)
+def factor_solve(matrix: sp.spmatrix, rhs: np.ndarray,
+                 gate: bool = True) -> Tuple[np.ndarray, float]:
+    """Sparse LU solve; returns the solution and its relative residual.
+
+    Factors in the common dtype of matrix and rhs, so a real system stays in
+    real arithmetic. Raises SingularSystem on breakdown and, when gate is
+    set, NonConvergence above RESIDUAL_RTOL.
+    """
+    dtype = np.result_type(matrix.dtype, rhs.dtype)
+    matrix = matrix.tocsc().astype(dtype, copy=False)
+    rhs = rhs.astype(dtype, copy=False)
     try:
-        lu = spla.splu(matrix)
-        x = lu.solve(system.rhs)
+        x = spla.splu(matrix).solve(rhs)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("factorization produced non-finite values")
-    rhs_norm = float(np.linalg.norm(system.rhs))
-    residual = float(np.linalg.norm(system.matrix @ x - system.rhs))
-    if residual > RESIDUAL_RTOL * max(rhs_norm, np.finfo(float).tiny):
+    rhs_norm = float(np.linalg.norm(rhs))
+    residual = float(np.linalg.norm(matrix @ x - rhs))
+    rel = residual / max(rhs_norm, np.finfo(float).tiny)
+    if gate and rel > RESIDUAL_RTOL:
         raise NonConvergence(residual, rhs_norm)
+    return x, rel
+
+
+def solve(system: SparseSystem) -> ComplexField:
+    x, _ = factor_solve(system.matrix, system.rhs)
     return ComplexField(mesh=system.mesh, values=x)
 
 

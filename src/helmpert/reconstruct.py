@@ -35,9 +35,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from . import fem
+from . import fem, kernels
 from .fem import (BoundaryCondition, CoefficientField, ComplexField,
                   NonConvergence, SingularSystem)
 from .forward import boundary_phase
@@ -185,41 +184,6 @@ def compute_q_error(
     return eps0, linf
 
 
-def _dirichlet_homogeneous(mesh: TriangleMesh, matrix: sp.spmatrix,
-                           rhs: np.ndarray) -> Tuple[sp.csc_matrix, np.ndarray]:
-    """Zero-boundary elimination keeping the symmetric pattern."""
-    n = matrix.shape[0] // mesh.n_nodes  # 1 or 2 stacked nodal blocks
-    keep = np.ones(mesh.n_nodes, dtype=np.float64)
-    keep[mesh.boundary_nodes] = 0.0
-    keep_full = np.tile(keep, n)
-    d_int = sp.diags(keep_full)
-    d_bd = sp.diags(1.0 - keep_full)
-    mat = d_int @ matrix @ d_int + d_bd
-    out = rhs * keep_full
-    return mat.tocsc(), out
-
-
-def _splu_solve(matrix: sp.csc_matrix, rhs: np.ndarray):
-    """(solution, relative residual); raises only on outright breakdown."""
-    try:
-        lu = spla.splu(matrix)
-        x = lu.solve(rhs)
-    except RuntimeError as err:
-        raise SingularSystem(str(err)) from err
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("solution contains non-finite entries")
-    rhs_norm = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(matrix @ x - rhs))
-    return x, residual / max(rhs_norm, np.finfo(float).tiny)
-
-
-def _direct_solve(matrix: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    x, rel = _splu_solve(matrix, rhs)
-    if rel > fem.RESIDUAL_RTOL:
-        raise NonConvergence(rel, 1.0)
-    return x
-
-
 def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
                              q: CoefficientField, k: float,
                              bc: BoundaryCondition):
@@ -231,8 +195,7 @@ def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
     """
     system = fem.assemble(mesh, gamma, q, k)
     system = fem.apply_dirichlet(system, bc)
-    x, rel = _splu_solve(system.matrix.tocsc().astype(np.complex128),
-                         system.rhs)
+    x, rel = fem.factor_solve(system.matrix, system.rhs, gate=False)
     return ComplexField(mesh, x), rel
 
 
@@ -252,21 +215,14 @@ def solve_gamma_corrector(
     """
     mesh = u0.mesh
     matrix = fem.assemble_operator(mesh, gamma0.values - E0.values,
-                                   (k1 ** 2) * q0.values).astype(np.complex128)
-    area, b, c = mesh.geometry
+                                   (k1 ** 2) * q0.values)
+    _, b, c = mesh.geometry
     e0_elem = E0.values[mesh.triangles].mean(axis=1)
     grads = fem.gradient(u0).tri_values
-    rhs = kernels_gradient_load(e0_elem, grads, mesh, b, c)
-    mat, rhs = _dirichlet_homogeneous(mesh, matrix.tocsc(), rhs)
-    values = _direct_solve(mat, rhs)
+    rhs = kernels.gradient_load(e0_elem, grads, mesh.triangles, b, c,
+                                mesh.n_nodes)
+    values, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
     return ComplexField(mesh, values)
-
-
-def kernels_gradient_load(weight_elem, grads, mesh, b, c):
-    from . import kernels
-    return kernels.gradient_load(np.ascontiguousarray(weight_elem, dtype=np.float64),
-                                 np.ascontiguousarray(grads),
-                                 mesh.triangles, b, c, mesh.n_nodes)
 
 
 def solve_q_corrector(
@@ -306,8 +262,7 @@ def solve_q_corrector(
 
     rhs = np.concatenate([k_sq * fem.load_vector(mesh, eps0.values * re),
                           k_sq * fem.load_vector(mesh, eps0.values * im)])
-    mat, rhs = _dirichlet_homogeneous(mesh, matrix, rhs)
-    sol = _direct_solve(mat, rhs)
+    sol, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
     n = mesh.n_nodes
     return ComplexField(mesh, sol[:n] + 1j * sol[n:])
 
@@ -334,10 +289,11 @@ def update_gamma(
 ) -> Tuple[CoefficientField, int]:
     """Corrected quotient update of the conductivity guess."""
     mesh = u0.mesh
-    grad_sq = fem.gradient(u0).node_magnitude_squared()
+    grad0 = fem.gradient(u0)
+    grad_sq = grad0.node_magnitude_squared()
     cross = np.zeros(mesh.n_nodes)
     if u1_tilde is not None:
-        g0 = fem.gradient(u0).node_values
+        g0 = grad0.node_values
         g1 = fem.gradient(u1_tilde).node_values
         cross = (g0.real * g1.real).sum(axis=1) + (g0.imag * g1.imag).sum(axis=1)
     proposed = (J - 2.0 * gamma0.values * cross) / grad_sq

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helmpert import fem
 from helmpert import mesh as hm
@@ -240,8 +241,6 @@ def test_incompatible_flux_at_zero_k_is_detected(disk50):
 
 
 def test_solve_identity_system_returns_rhs(disk50):
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(disk50.n_nodes) + 1j * rng.standard_normal(disk50.n_nodes)
     system = fem.SparseSystem(mesh=disk50,
@@ -256,6 +255,60 @@ def test_nonconvergence_reports_residual():
     assert exc.residual == 3.0
     assert exc.rhs_norm == 5.0
     assert "residual" in str(exc)
+
+
+def test_factor_solve_keeps_real_systems_real(disk50, truth50):
+    gamma, q = truth50
+    matrix = fem.assemble_operator(disk50, gamma.values, q.values)
+    rng = np.random.default_rng(12)
+    rhs = rng.standard_normal(disk50.n_nodes)
+    x, rel = fem.factor_solve(matrix, rhs)
+    assert x.dtype == np.float64
+    assert rel <= fem.RESIDUAL_RTOL
+    xc, _ = fem.factor_solve(matrix, rhs + 0j)
+    assert xc.dtype == np.complex128
+    np.testing.assert_allclose(xc.real, x, rtol=1e-12, atol=0.0)
+
+
+def test_factor_solve_singular_matrix_raises():
+    matrix = sp.diags([1.0, 0.0, 1.0]).tocsr()
+    with pytest.raises(fem.SingularSystem):
+        fem.factor_solve(matrix, np.ones(3))
+
+
+def test_factor_solve_gates_on_residual():
+    # the 12x12 Hilbert matrix (condition ~1e16): LU is backward stable but
+    # the residual relative to |rhs| lands far above RESIDUAL_RTOL
+    idx = np.arange(12)
+    matrix = sp.csr_matrix(1.0 / (idx[:, None] + idx[None, :] + 1.0))
+    rhs = np.random.default_rng(0).standard_normal(12)
+    _, rel = fem.factor_solve(matrix, rhs, gate=False)
+    assert rel > fem.RESIDUAL_RTOL
+    with pytest.raises(fem.NonConvergence) as info:
+        fem.factor_solve(matrix, rhs)
+    assert info.value.residual / info.value.rhs_norm == pytest.approx(rel)
+
+
+def test_eliminate_dirichlet_two_blocks(disk50, truth50):
+    gamma, q = truth50
+    a = fem.assemble_operator(disk50, gamma.values, -q.values)
+    coupling = fem.mass_matrix(disk50, q.values)
+    matrix = sp.bmat([[a, coupling], [coupling, 2.0 * a]], format="csr")
+    n = disk50.n_nodes
+    rhs = np.random.default_rng(13).standard_normal(2 * n)
+    mat, out = fem.eliminate_dirichlet(disk50, matrix, rhs)
+
+    bnodes = np.concatenate([disk50.boundary_nodes, disk50.boundary_nodes + n])
+    interior = np.setdiff1d(np.arange(2 * n), bnodes)
+    dense = mat.toarray()
+    np.testing.assert_array_equal(dense[bnodes][:, bnodes], np.eye(len(bnodes)))
+    np.testing.assert_array_equal(dense[bnodes][:, interior], 0.0)
+    np.testing.assert_array_equal(dense[interior][:, bnodes], 0.0)
+    np.testing.assert_array_equal(dense[np.ix_(interior, interior)],
+                                  matrix.toarray()[np.ix_(interior, interior)])
+    assert out.dtype == rhs.dtype
+    np.testing.assert_array_equal(out[bnodes], 0.0)
+    np.testing.assert_array_equal(out[interior], rhs[interior])
 
 
 def test_resonance_shows_up_as_amplification():

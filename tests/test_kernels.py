@@ -1,105 +1,87 @@
-"""Compiled assembly kernels against the numpy fallback, on real mesh data."""
+"""Assembly kernels against independent per-element references, on real mesh data.
 
-import os
-import subprocess
-import sys
+Single-triangle K/M and the exact gradient of a linear field are covered in
+test_fem.py; these tests hold the vectorized kernels to plain loops over the
+element formulas and to the assembled stiffness matrix.
+"""
 
 import numpy as np
 import pytest
 
-from helmpert import _kernels_py, kernels
-
-needs_compiled = pytest.mark.skipif(
-    kernels.BACKEND != "compiled",
-    reason="compiled extension not active in this environment",
-)
-
-
-def _geometry(mesh):
-    return _kernels_py.element_geometry(mesh.nodes, mesh.triangles)
+from helmpert import fem, kernels
 
 
 def test_backend_reports_known_name():
-    assert kernels.BACKEND in {"compiled", "python"}
+    assert kernels.BACKEND == "python"
     for name in ("element_geometry", "local_matrices", "triangle_gradients",
                  "nodal_average", "gradient_load"):
         assert callable(getattr(kernels, name))
 
 
-def test_env_var_forces_python_backend():
-    env = dict(os.environ, HELMPERT_KERNELS="python")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from helmpert import kernels; print(kernels.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_parity_element_geometry(disk50):
-    area_c, b_c, c_c = kernels.element_geometry(disk50.nodes, disk50.triangles)
-    area_p, b_p, c_p = _kernels_py.element_geometry(disk50.nodes, disk50.triangles)
-    np.testing.assert_allclose(area_c, area_p, rtol=1e-14, atol=0.0)
-    np.testing.assert_array_equal(b_c, b_p)
-    np.testing.assert_array_equal(c_c, c_p)
-
-
-@needs_compiled
-def test_parity_local_matrices(disk50):
-    area, b, c = _geometry(disk50)
+def test_local_matrices_match_per_element_loop(disk50):
+    area, b, c = kernels.element_geometry(disk50.nodes, disk50.triangles)
     rng = np.random.default_rng(3)
     stiff = rng.uniform(0.5, 4.0, size=area.size)
-    mass = rng.uniform(-2.0, 2.0, size=area.size)
+    mass = rng.uniform(-2.0, 2.0, size=area.size)  # signed, like -k^2 q
     got = kernels.local_matrices(area, b, c, stiff, mass)
-    ref = _kernels_py.local_matrices(area, b, c, stiff, mass)
     assert got.shape == (area.size, 3, 3)
-    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
+    for e in range(area.size):
+        ref = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                k_ij = (b[e, i] * b[e, j] + c[e, i] * c[e, j]) / (4.0 * area[e])
+                m_ij = area[e] / 12.0 * (2.0 if i == j else 1.0)
+                ref[i, j] = stiff[e] * k_ij + mass[e] * m_ij
+        np.testing.assert_allclose(got[e], ref, rtol=1e-13, atol=1e-15)
 
 
-@needs_compiled
-@pytest.mark.parametrize("complex_values", [False, True])
-def test_parity_triangle_gradients(disk50, complex_values):
-    area, b, c = _geometry(disk50)
-    rng = np.random.default_rng(4)
-    values = rng.standard_normal(disk50.n_nodes)
-    if complex_values:
-        values = values + 1j * rng.standard_normal(disk50.n_nodes)
-    got = kernels.triangle_gradients(values, disk50.triangles, b, c, area)
-    ref = _kernels_py.triangle_gradients(values, disk50.triangles, b, c, area)
-    assert got.dtype == ref.dtype
-    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
-
-
-@needs_compiled
 @pytest.mark.parametrize("shape", ["flat-real", "flat-complex", "stacked"])
-def test_parity_nodal_average(disk50, shape):
-    area, _, _ = _geometry(disk50)
+def test_nodal_average_matches_loop_and_keeps_constants(disk50, shape):
+    area, _, _ = kernels.element_geometry(disk50.nodes, disk50.triangles)
+    tris = disk50.triangles
+    n_tris = tris.shape[0]
     rng = np.random.default_rng(5)
-    n_tris = disk50.triangles.shape[0]
     if shape == "flat-real":
         tri_values = rng.standard_normal(n_tris)
+        const = np.full(n_tris, 2.5)
     elif shape == "flat-complex":
         tri_values = rng.standard_normal(n_tris) + 1j * rng.standard_normal(n_tris)
+        const = np.full(n_tris, 2.5 - 1.5j)
     else:
-        tri_values = rng.standard_normal((n_tris, 2)) + 1j * rng.standard_normal((n_tris, 2))
-    got = kernels.nodal_average(tri_values, disk50.triangles, area, disk50.n_nodes)
-    ref = _kernels_py.nodal_average(tri_values, disk50.triangles, area, disk50.n_nodes)
+        tri_values = (rng.standard_normal((n_tris, 2))
+                      + 1j * rng.standard_normal((n_tris, 2)))
+        const = np.tile([2.5 - 1.5j, -0.5 + 4.0j], (n_tris, 1))
+
+    got = kernels.nodal_average(tri_values, tris, area, disk50.n_nodes)
+    num = np.zeros((disk50.n_nodes,) + tri_values.shape[1:], dtype=tri_values.dtype)
+    den = np.zeros(disk50.n_nodes)
+    for e in range(n_tris):
+        for v in tris[e]:
+            num[v] += area[e] * tri_values[e]
+            den[v] += area[e]
+    ref = num / den.reshape((-1,) + (1,) * (num.ndim - 1))
     assert got.shape == ref.shape
-    assert np.iscomplexobj(got) == np.iscomplexobj(ref)
+    assert np.iscomplexobj(got) == np.iscomplexobj(tri_values)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
+    flat = kernels.nodal_average(const, tris, area, disk50.n_nodes)
+    np.testing.assert_allclose(flat, np.broadcast_to(const[0], flat.shape),
+                               rtol=1e-14, atol=0.0)
 
-@needs_compiled
-@pytest.mark.parametrize("complex_grads", [False, True])
-def test_parity_gradient_load(disk50, complex_grads):
-    area, b, c = _geometry(disk50)
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_gradient_load_is_the_stiffness_action(disk50, complex_values):
+    area, b, c = disk50.geometry
     rng = np.random.default_rng(6)
-    n_tris = disk50.triangles.shape[0]
-    weight = rng.uniform(0.1, 3.0, size=n_tris)
-    grads = rng.standard_normal((n_tris, 2))
-    if complex_grads:
-        grads = grads + 1j * rng.standard_normal((n_tris, 2))
-    got = kernels.gradient_load(weight, grads, disk50.triangles, b, c, disk50.n_nodes)
-    ref = _kernels_py.gradient_load(weight, grads, disk50.triangles, b, c, disk50.n_nodes)
-    assert np.iscomplexobj(got) == np.iscomplexobj(ref)
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+    weight = rng.uniform(0.1, 3.0, size=area.size)
+    u = rng.standard_normal(disk50.n_nodes)
+    if complex_values:
+        u = u + 1j * rng.standard_normal(disk50.n_nodes)
+    grads = kernels.triangle_gradients(u, disk50.triangles, b, c, area)
+    got = kernels.gradient_load(weight, grads, disk50.triangles, b, c,
+                                disk50.n_nodes)
+    ref = fem.assemble_operator_elementwise(disk50, weight,
+                                            np.zeros(area.size)) @ u
+    assert np.iscomplexobj(got) == complex_values
+    err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+    assert err <= 1e-12
