@@ -14,13 +14,14 @@ import copy
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import diagnostics, disentangle, forward
+from . import diagnostics, disentangle, fem, forward
 from . import mesh as meshmod
 from . import reconstruct
 from .fem import BoundaryCondition, NonConvergence, SingularSystem
@@ -134,7 +135,7 @@ def resolve_frequencies(cfg: dict) -> Tuple[float, float]:
     if isinstance(m, (list, tuple)):
         raise ConfigError("frequencies.m must be a single exponent here; "
                           "lists are only valid for the sweep command")
-    return math.pi * 10.0 ** float(m), math.pi * 10.0 ** -float(m)
+    return diagnostics.frequency_pair(float(m))
 
 
 def phantom_from_config(cfg: dict) -> PhantomSpec:
@@ -265,8 +266,8 @@ def cmd_forward(cfg: dict, out_dir: Path, jobs: int) -> int:
             "constant")
         return _solver_failure(out_dir, "forward", err, artifacts)
     try:
-        u1 = forward.solve_unperturbed(mesh_obj, gamma, q, k1, bc)
-        u2 = forward.solve_unperturbed(mesh_obj, gamma, q, k2, bc)
+        u1 = fem.solve_bvp(mesh_obj, gamma, q, k1, bc)
+        u2 = fem.solve_bvp(mesh_obj, gamma, q, k2, bc)
     except (SingularSystem, NonConvergence) as err:
         return _solver_failure(out_dir, "forward", err, artifacts)
     data1 = forward.internal_data(u1, gamma, q, k1)
@@ -295,8 +296,8 @@ def _probe_centers(cfg: dict, mesh_radius: float) -> List[Tuple[float, float]]:
     if s <= 0:
         raise ConfigError("probes.grid_spacing must be positive")
     # probes must fit strictly inside the interior disk used by the
-    # measurement check (3/4 of the mesh radius)
-    limit = 0.75 * mesh_radius - max(radii)
+    # measurement check
+    limit = forward.DEFAULT_INTERIOR_FRACTION * mesh_radius - max(radii)
     if limit <= 0:
         raise ConfigError("probe radii leave no room for grid centers")
     steps = int(limit // s)
@@ -329,7 +330,7 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
 
     artifacts = [_echo_config(out_dir, cfg)]
     try:
-        u = forward.solve_unperturbed(mesh_obj, gamma, q, k, bc)
+        u = fem.solve_bvp(mesh_obj, gamma, q, k, bc)
         measurements = forward.probe_sweep(mesh_obj, gamma, q, k, bc, probes,
                                            jobs=jobs)
     except (SingularSystem, NonConvergence) as err:
@@ -387,7 +388,7 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
         artifacts.append("recover.csv")
 
     _write_manifest(out_dir, "probe", artifacts,
-                    {"n_probes": len(probes), "k": k,
+                    {"n_probes": len(probes), "k": k, "jobs": jobs,
                      "n_recovered": len(recover_rows),
                      "n_recover_failed": n_recover_failed})
     print(f"probe: {len(probes)} measurements, {len(recover_rows)} "
@@ -464,8 +465,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
 
     ph = phantom_from_config(cfg)
     # base frequencies are placeholders: the sweep replaces them per cell
-    base_cfg = _reconstruction_config(cfg, None, ph, math.pi * 10.0,
-                                      math.pi / 10.0)
+    base_cfg = _reconstruction_config(cfg, None, ph,
+                                      *diagnostics.frequency_pair(1))
 
     artifacts = [_echo_config(out_dir, cfg)]
     sweep = diagnostics.frequency_sweep(base_cfg, exponents, mesh_points,
@@ -480,7 +481,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     statuses = sweep.statuses()
     _write_manifest(out_dir, "sweep", artifacts,
                     {"statuses": statuses,
-                     "all_converged": sweep.all_converged()})
+                     "all_converged": sweep.all_converged(), "jobs": jobs})
     for entry in sweep.entries:
         print(f"{entry.key}: {entry.status} ({entry.n_iterations} iterations)")
     return EXIT_OK if sweep.all_converged() else EXIT_NOT_CONVERGED
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides output.directory)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel runs inside sweeps")
+                       help="parallel runs inside sweeps (at most the CPU count)")
         p.add_argument("--mesh-points", dest="mesh_points", type=int,
                        default=None,
                        help="override mesh.n_boundary_points")
@@ -530,7 +531,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         apply_flag_overrides(cfg, args)
         out_dir = _prepare_out(cfg)
-        return command(cfg, out_dir, max(1, int(args.jobs)))
+        # more threads than CPUs only adds contention to the same work
+        jobs = min(max(1, int(args.jobs)), os.cpu_count() or 1)
+        return command(cfg, out_dir, jobs)
     except (ConfigError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,8 @@ import numpy as np
 from . import fem, forward
 from . import mesh as meshmod
 from .mesh import PhantomSpec, TriangleMesh
-from .reconstruct import ReconstructionConfig, ReconstructionTrace, run
+from .reconstruct import (ReconstructionConfig, ReconstructionTrace,
+                          dirichlet_condition, run)
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,9 @@ def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
     ph = phantom if phantom is not None else PhantomSpec()
     gamma_true = meshmod.coefficient_from_phantom(mesh, ph, "conductivity")
     q_true = meshmod.coefficient_from_phantom(mesh, ph, "permittivity")
-    if config.boundary_data is not None:
-        bc = config.boundary_data
-    else:
-        bc = fem.BoundaryCondition(
-            "dirichlet", forward.boundary_phase(mesh, config.phase_convention))
-    u1 = forward.solve_unperturbed(mesh, gamma_true, q_true, config.k1, bc)
-    u2 = forward.solve_unperturbed(mesh, gamma_true, q_true, config.k2, bc)
+    bc = dirichlet_condition(mesh, config)
+    u1 = fem.solve_bvp(mesh, gamma_true, q_true, config.k1, bc)
+    u2 = fem.solve_bvp(mesh, gamma_true, q_true, config.k2, bc)
     data1 = forward.internal_data(u1, gamma_true, q_true, config.k1)
     data2 = forward.internal_data(u2, gamma_true, q_true, config.k2)
     return run(mesh, data1.J, data2.j, (gamma_true, q_true), config)
@@ -166,6 +163,11 @@ def _failed_entry(m: int, n: int, err: Exception) -> SweepEntry:
         series={q: np.empty(0, dtype=np.float64) for q in SERIES_QUANTITIES})
 
 
+def frequency_pair(m: float) -> Tuple[float, float]:
+    """The frequency pair of exponent m: k1 = pi*10^m, k2 = pi*10^-m."""
+    return math.pi * 10.0 ** m, math.pi * 10.0 ** -m
+
+
 def frequency_sweep(
     base_config: ReconstructionConfig,
     exponents: Sequence[int],
@@ -173,7 +175,7 @@ def frequency_sweep(
     jobs: int = 1,
     phantom: Optional[PhantomSpec] = None,
 ) -> SweepResult:
-    """Reconstruction grid over k1 = pi*10^m, k2 = pi*10^-m and mesh sizes.
+    """Reconstruction grid over the pairs frequency_pair(m) and mesh sizes.
 
     Cells run independently (in parallel when ``jobs`` > 1); the returned
     entries are sorted by (m, mesh points) regardless of completion order.
@@ -184,8 +186,8 @@ def frequency_sweep(
     def run_cell(cell: Tuple[int, int]):
         m, n = cell
         try:
-            cfg = dataclasses.replace(
-                base_config, k1=math.pi * 10.0 ** m, k2=math.pi * 10.0 ** -m)
+            k1, k2 = frequency_pair(m)
+            cfg = dataclasses.replace(base_config, k1=k1, k2=k2)
             mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
             entry = _entry_from_trace(m, n, synthetic_run(mesh_obj, cfg, ph))
         except Exception as err:

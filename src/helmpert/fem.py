@@ -254,6 +254,14 @@ def apply_dirichlet(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem
     return SparseSystem(mesh=mesh, matrix=matrix, rhs=rhs)
 
 
+def _boundary_segments(mesh: TriangleMesh) -> Tuple[np.ndarray, np.ndarray]:
+    """Successor of each boundary node along the loop, and segment lengths."""
+    pts = mesh.nodes[mesh.boundary_nodes]
+    nxt = np.roll(np.arange(len(pts)), -1)
+    seg = pts[nxt] - pts
+    return nxt, np.hypot(seg[:, 0], seg[:, 1])
+
+
 def apply_neumann(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
     """Add the consistent boundary load (flux, phi_i) along the loop."""
     if bc.kind != "neumann":
@@ -263,10 +271,7 @@ def apply_neumann(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
     if bc.data.shape != (len(bnodes),):
         raise ValueError("boundary data must match the boundary node count")
     rhs = system.rhs.copy()
-    pts = mesh.nodes[bnodes]
-    nxt = np.roll(np.arange(len(bnodes)), -1)
-    seg = pts[nxt] - pts
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    nxt, lengths = _boundary_segments(mesh)
     phi_a = bc.data
     phi_b = bc.data[nxt]
     contrib_a = lengths / 6.0 * (2.0 * phi_a + phi_b)
@@ -348,10 +353,7 @@ def boundary_integral(f: Union[ComplexField, np.ndarray], g: Union[ComplexField,
             raise ValueError("g must match f in shape")
     bnodes = mesh.boundary_nodes
     vals = fv[bnodes] * np.conj(gv[bnodes])
-    pts = mesh.nodes[bnodes]
-    nxt = np.roll(np.arange(len(bnodes)), -1)
-    seg = pts[nxt] - pts
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    nxt, lengths = _boundary_segments(mesh)
     return complex(np.sum(0.5 * lengths * (vals + vals[nxt])))
 
 

@@ -106,16 +106,6 @@ def boundary_phase(mesh: TriangleMesh, convention: str = "xy") -> np.ndarray:
     return np.exp(1j * angle)
 
 
-def solve_unperturbed(
-    mesh: TriangleMesh,
-    gamma: CoefficientField,
-    q: CoefficientField,
-    k: float,
-    bc: BoundaryCondition,
-) -> ComplexField:
-    return fem.solve_bvp(mesh, gamma, q, k, bc)
-
-
 def _check_probe_inside(mesh: TriangleMesh, probe: PerturbationProbe,
                         interior_radius: Optional[float]) -> float:
     if interior_radius is None:

@@ -29,6 +29,7 @@ low-frequency signal always fires first on the meshes studied here.
 """
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -38,7 +39,7 @@ import scipy.sparse as sp
 
 from . import fem, kernels
 from .fem import (BoundaryCondition, CoefficientField, ComplexField,
-                  NonConvergence, SingularSystem)
+                  GradientField, NonConvergence, SingularSystem)
 from .forward import boundary_phase
 from .mesh import TriangleMesh
 
@@ -96,25 +97,16 @@ class ReconstructionConfig:
 
 
 @dataclass
-class ReconstructionState:
-    gamma0: CoefficientField
-    q0: CoefficientField
-    iteration: int = 0
-    last_E: float = math.inf
-    last_eps: float = math.inf
-
-
-@dataclass
 class IterationRecord:
     iteration: int
-    misfit_J_linf: float
-    misfit_J_l2: float
-    misfit_j_linf: float
-    misfit_j_l2: float
-    min_grad_sq: float
-    min_u_sq: float
-    max_corr_gamma_sq: float
-    max_corr_q_sq: float
+    misfit_J_linf: float = math.nan
+    misfit_J_l2: float = math.nan
+    misfit_j_linf: float = math.nan
+    misfit_j_l2: float = math.nan
+    min_grad_sq: float = math.nan
+    min_u_sq: float = math.nan
+    max_corr_gamma_sq: float = 0.0
+    max_corr_q_sq: float = 0.0
     gamma_err_linf: float = math.nan
     gamma_err_l1: float = math.nan
     gamma_err_l2: float = math.nan
@@ -137,30 +129,41 @@ class ReconstructionTrace:
     final_q: Optional[CoefficientField] = None
 
 
-def _region_norms(mesh: TriangleMesh, values: np.ndarray, mask: np.ndarray):
-    """(linf, l1, l2) over the masked region; same quadrature as diagnostics."""
-    return fem.masked_field_norms(mesh, values, mask)
+def dirichlet_condition(mesh: TriangleMesh,
+                        config: ReconstructionConfig) -> BoundaryCondition:
+    """The configured Dirichlet data, or the unit phase profile by default."""
+    if config.boundary_data is not None:
+        return config.boundary_data
+    return BoundaryCondition("dirichlet",
+                             boundary_phase(mesh, config.phase_convention))
+
+
+def _quotient_misfit(data: np.ndarray, energy: np.ndarray,
+                     guess: CoefficientField, floor_rel: float,
+                     region_mask: Optional[np.ndarray],
+                     which: str) -> Tuple[CoefficientField, float]:
+    """data / energy - guess and its region sup, after the relative floor check."""
+    mesh = guess.mesh
+    if region_mask is None:
+        region_mask = np.ones(mesh.n_nodes, dtype=bool)
+    floor = floor_rel * energy.max()
+    minimum = float(energy[region_mask].min())
+    if minimum < floor:
+        raise FloorViolation(which, minimum, floor)
+    misfit = CoefficientField(mesh, data / energy - guess.values)
+    return misfit, float(np.max(np.abs(misfit.values[region_mask])))
 
 
 def compute_gamma_error(
     J: np.ndarray,
-    u0: ComplexField,
+    grad0: GradientField,
     gamma0: CoefficientField,
     floor_grad: float = 1e-60,
     region_mask: Optional[np.ndarray] = None,
 ) -> Tuple[CoefficientField, float]:
-    """Quotient misfit of the gradient-energy data against the current guess."""
-    mesh = u0.mesh
-    if region_mask is None:
-        region_mask = np.ones(mesh.n_nodes, dtype=bool)
-    grad_sq = fem.gradient(u0).node_magnitude_squared()
-    floor = floor_grad * grad_sq.max()
-    min_grad = float(grad_sq[region_mask].min())
-    if min_grad < floor:
-        raise FloorViolation("|grad u|^2", min_grad, floor)
-    E0 = CoefficientField(mesh, J / grad_sq - gamma0.values)
-    linf = float(np.max(np.abs(E0.values[region_mask])))
-    return E0, linf
+    """E0 = J / |grad u0|^2 - gamma0 and its sup norm; grad0 is grad u0."""
+    return _quotient_misfit(J, grad0.node_magnitude_squared(), gamma0,
+                            floor_grad, region_mask, "|grad u|^2")
 
 
 def compute_q_error(
@@ -170,18 +173,9 @@ def compute_q_error(
     floor_u: float = 1e-12,
     region_mask: Optional[np.ndarray] = None,
 ) -> Tuple[CoefficientField, float]:
-    """Quotient misfit of the mass-energy data against the current guess."""
-    mesh = u0.mesh
-    if region_mask is None:
-        region_mask = np.ones(mesh.n_nodes, dtype=bool)
-    val_sq = np.abs(u0.values) ** 2
-    floor = floor_u * val_sq.max()
-    min_val = float(val_sq[region_mask].min())
-    if min_val < floor:
-        raise FloorViolation("|u|^2", min_val, floor)
-    eps0 = CoefficientField(mesh, j / val_sq - q0.values)
-    linf = float(np.max(np.abs(eps0.values[region_mask])))
-    return eps0, linf
+    """eps0 = j / |u0|^2 - q0 and its sup norm."""
+    return _quotient_misfit(j, np.abs(u0.values) ** 2, q0, floor_u,
+                            region_mask, "|u|^2")
 
 
 def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
@@ -200,7 +194,7 @@ def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
 
 
 def solve_gamma_corrector(
-    u0: ComplexField,
+    grad0: GradientField,
     E0: CoefficientField,
     gamma0: CoefficientField,
     q0: CoefficientField,
@@ -211,16 +205,15 @@ def solve_gamma_corrector(
     Real and imaginary parts each satisfy the same scalar problem: principal
     part weighted by (gamma0 - E0) (the misfit flips sign against the
     principal coefficient), plus-signed mass term, driven in weak form by the
-    misfit-weighted gradient of u0 and homogeneous dirichlet walls.
+    misfit-weighted gradient ``grad0`` of u0 and homogeneous dirichlet walls.
     """
-    mesh = u0.mesh
+    mesh = grad0.mesh
     matrix = fem.assemble_operator(mesh, gamma0.values - E0.values,
                                    (k1 ** 2) * q0.values)
     _, b, c = mesh.geometry
     e0_elem = E0.values[mesh.triangles].mean(axis=1)
-    grads = fem.gradient(u0).tri_values
-    rhs = kernels.gradient_load(e0_elem, grads, mesh.triangles, b, c,
-                                mesh.n_nodes)
+    rhs = kernels.gradient_load(e0_elem, grad0.tri_values, mesh.triangles, b,
+                                c, mesh.n_nodes)
     values, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
     return ComplexField(mesh, values)
 
@@ -267,40 +260,50 @@ def solve_q_corrector(
     return ComplexField(mesh, sol[:n] + 1j * sol[n:])
 
 
+def _bounded_corrector(cap: float, solve, *args
+                       ) -> Tuple[Optional[ComplexField], float, int]:
+    """Solve a corrector: (u1 or None, max |u1|^2, failures). Past the cap
+    u1 is no first-order term, so the update gets None (the plain quotient)."""
+    try:
+        u1 = solve(*args)
+    except (SingularSystem, NonConvergence):
+        return None, 0.0, 1
+    size = float(np.max(np.abs(u1.values) ** 2))
+    if size > cap:
+        u1 = None
+    return u1, size, 0
+
+
 def _apply_update(current: CoefficientField, proposed: np.ndarray,
-                  annulus_mask: np.ndarray, annulus_values: np.ndarray,
+                  annulus_mask: Optional[np.ndarray],
+                  annulus_values: Optional[np.ndarray],
                   damping: float) -> Tuple[CoefficientField, int]:
-    mesh = current.mesh
+    """Damped step, clamp, annulus reset (to the current values by default)."""
     new = current.values + damping * (proposed - current.values)
     clamped = int(np.count_nonzero(new < GAMMA_VALUE_FLOOR))
     new = np.maximum(new, GAMMA_VALUE_FLOOR)
-    new[annulus_mask] = annulus_values[annulus_mask]
-    return CoefficientField(mesh, new), clamped
+    if annulus_mask is not None:
+        known = current.values if annulus_values is None else annulus_values
+        new[annulus_mask] = known[annulus_mask]
+    return CoefficientField(current.mesh, new), clamped
 
 
 def update_gamma(
     J: np.ndarray,
-    u0: ComplexField,
+    grad0: GradientField,
     u1_tilde: Optional[ComplexField],
     gamma0: CoefficientField,
     annulus_mask: Optional[np.ndarray] = None,
     annulus_values: Optional[np.ndarray] = None,
     damping: float = 1.0,
 ) -> Tuple[CoefficientField, int]:
-    """Corrected quotient update of the conductivity guess."""
-    mesh = u0.mesh
-    grad0 = fem.gradient(u0)
-    grad_sq = grad0.node_magnitude_squared()
-    cross = np.zeros(mesh.n_nodes)
+    """Corrected quotient update of the conductivity guess; grad0 is grad u0."""
+    cross = 0.0
     if u1_tilde is not None:
         g0 = grad0.node_values
         g1 = fem.gradient(u1_tilde).node_values
         cross = (g0.real * g1.real).sum(axis=1) + (g0.imag * g1.imag).sum(axis=1)
-    proposed = (J - 2.0 * gamma0.values * cross) / grad_sq
-    if annulus_mask is None:
-        annulus_mask = np.zeros(mesh.n_nodes, dtype=bool)
-    if annulus_values is None:
-        annulus_values = gamma0.values
+    proposed = (J - 2.0 * gamma0.values * cross) / grad0.node_magnitude_squared()
     return _apply_update(gamma0, proposed, annulus_mask, annulus_values, damping)
 
 
@@ -314,17 +317,11 @@ def update_q(
     damping: float = 1.0,
 ) -> Tuple[CoefficientField, int]:
     """Corrected quotient update of the permittivity guess."""
-    mesh = u0.mesh
-    val_sq = np.abs(u0.values) ** 2
-    cross = np.zeros(mesh.n_nodes)
+    cross = 0.0
     if u1_tilde is not None:
         cross = (u0.values.real * u1_tilde.values.real
                  + u0.values.imag * u1_tilde.values.imag)
-    proposed = (j - 2.0 * q0.values * cross) / val_sq
-    if annulus_mask is None:
-        annulus_mask = np.zeros(mesh.n_nodes, dtype=bool)
-    if annulus_values is None:
-        annulus_values = q0.values
+    proposed = (j - 2.0 * q0.values * cross) / np.abs(u0.values) ** 2
     return _apply_update(q0, proposed, annulus_mask, annulus_values, damping)
 
 
@@ -336,102 +333,71 @@ def run(
     config: ReconstructionConfig,
 ) -> ReconstructionTrace:
     """Alternating outer loop over the high- and low-frequency passes."""
-    radii = mesh.node_radii()
-    annulus_mask = radii >= config.known_annulus_radius
+    annulus_mask = mesh.node_radii() >= config.known_annulus_radius
     unknown_mask = ~annulus_mask
-
-    gamma_vals = np.full(mesh.n_nodes, float(config.gamma_guess))
-    q_vals = np.full(mesh.n_nodes, float(config.q_guess))
-    if truth is not None:
-        gamma_true, q_true = truth
-        gamma_vals[annulus_mask] = gamma_true.values[annulus_mask]
-        q_vals[annulus_mask] = q_true.values[annulus_mask]
-        gamma_annulus = gamma_true.values
-        q_annulus = q_true.values
+    gamma_guess, q_guess = float(config.gamma_guess), float(config.q_guess)
+    if truth is None:
+        gamma_annulus = np.full(mesh.n_nodes, gamma_guess)
+        q_annulus = np.full(mesh.n_nodes, q_guess)
     else:
-        gamma_annulus = gamma_vals.copy()
-        q_annulus = q_vals.copy()
-    state = ReconstructionState(gamma0=CoefficientField(mesh, gamma_vals),
-                                q0=CoefficientField(mesh, q_vals))
-
-    bc = config.boundary_data
-    if bc is None:
-        bc = BoundaryCondition("dirichlet",
-                               boundary_phase(mesh, config.phase_convention))
+        gamma_annulus, q_annulus = truth[0].values, truth[1].values
+    gamma0 = CoefficientField(mesh, np.where(annulus_mask, gamma_annulus,
+                                             gamma_guess))
+    q0 = CoefficientField(mesh, np.where(annulus_mask, q_annulus, q_guess))
+    bc = dirichlet_condition(mesh, config)
 
     trace = ReconstructionTrace()
     best_corr = math.inf
     stall_streak = 0
 
     for it in range(1, config.max_outer_iterations + 1):
-        state.iteration = it
-        rec = IterationRecord(iteration=it, misfit_J_linf=math.nan,
-                              misfit_J_l2=math.nan, misfit_j_linf=math.nan,
-                              misfit_j_l2=math.nan, min_grad_sq=math.nan,
-                              min_u_sq=math.nan, max_corr_gamma_sq=0.0,
-                              max_corr_q_sq=0.0)
+        rec = IterationRecord(iteration=it)
         try:
             # high-frequency pass: conductivity test and update
             u0, rec.forward_residual_k1 = _forward_solve_monitored(
-                mesh, state.gamma0, state.q0, config.k1, bc)
-            grad_sq = fem.gradient(u0).node_magnitude_squared()
-            rec.min_grad_sq = float(grad_sq[unknown_mask].min())
-            E0, e_linf = compute_gamma_error(J, u0, state.gamma0,
-                                             floor_grad=config.floor_grad,
-                                             region_mask=unknown_mask)
-            state.last_E = e_linf
-            rec.misfit_J_linf = e_linf
-            _, _, rec.misfit_J_l2 = _region_norms(mesh, E0.values, unknown_mask)
-            gamma_ok = e_linf < config.eps_precision
+                mesh, gamma0, q0, config.k1, bc)
+            grad0 = fem.gradient(u0)
+            rec.min_grad_sq = float(
+                grad0.node_magnitude_squared()[unknown_mask].min())
+            E0, rec.misfit_J_linf = compute_gamma_error(
+                J, grad0, gamma0, floor_grad=config.floor_grad,
+                region_mask=unknown_mask)
+            _, _, rec.misfit_J_l2 = fem.masked_field_norms(mesh, E0.values,
+                                                           unknown_mask)
+            gamma_ok = rec.misfit_J_linf < config.eps_precision
             if not gamma_ok:
-                u1g = None
-                try:
-                    u1g = solve_gamma_corrector(u0, E0, state.gamma0, state.q0,
-                                                config.k1)
-                    rec.max_corr_gamma_sq = float(np.max(np.abs(u1g.values) ** 2))
-                except (SingularSystem, NonConvergence):
-                    rec.corrector_failed += 1
-                if rec.max_corr_gamma_sq > config.corrector_cap:
-                    u1g = None  # too large to be a first-order term
-                state.gamma0, rec.n_gamma_clamped = update_gamma(
-                    J, u0, u1g, state.gamma0, annulus_mask, gamma_annulus,
+                u1g, rec.max_corr_gamma_sq, failed = _bounded_corrector(
+                    config.corrector_cap, solve_gamma_corrector,
+                    grad0, E0, gamma0, q0, config.k1)
+                rec.corrector_failed += failed
+                gamma0, rec.n_gamma_clamped = update_gamma(
+                    J, grad0, u1g, gamma0, annulus_mask, gamma_annulus,
                     config.damping)
 
             # low-frequency pass: permittivity test and update
             u0b, rec.forward_residual_k2 = _forward_solve_monitored(
-                mesh, state.gamma0, state.q0, config.k2, bc)
-            val_sq = np.abs(u0b.values) ** 2
-            rec.min_u_sq = float(val_sq[unknown_mask].min())
-            eps0, eps_linf = compute_q_error(j, u0b, state.q0,
-                                             floor_u=config.floor_u,
-                                             region_mask=unknown_mask)
-            state.last_eps = eps_linf
-            rec.misfit_j_linf = eps_linf
-            _, _, rec.misfit_j_l2 = _region_norms(mesh, eps0.values, unknown_mask)
-            q_ok = eps_linf < config.eps_precision
+                mesh, gamma0, q0, config.k2, bc)
+            rec.min_u_sq = float((np.abs(u0b.values) ** 2)[unknown_mask].min())
+            eps0, rec.misfit_j_linf = compute_q_error(
+                j, u0b, q0, floor_u=config.floor_u, region_mask=unknown_mask)
+            _, _, rec.misfit_j_l2 = fem.masked_field_norms(mesh, eps0.values,
+                                                           unknown_mask)
+            q_ok = rec.misfit_j_linf < config.eps_precision
             if not q_ok:
-                u1q = None
-                try:
-                    u1q = solve_q_corrector(u0b, eps0, j, state.gamma0,
-                                            state.q0, config.k2)
-                    rec.max_corr_q_sq = float(np.max(np.abs(u1q.values) ** 2))
-                except (SingularSystem, NonConvergence):
-                    rec.corrector_failed += 1
-                if rec.max_corr_q_sq > config.corrector_cap:
-                    u1q = None
-                state.q0, rec.n_q_clamped = update_q(
-                    j, u0b, u1q, state.q0, annulus_mask, q_annulus,
-                    config.damping)
+                u1q, rec.max_corr_q_sq, failed = _bounded_corrector(
+                    config.corrector_cap, solve_q_corrector,
+                    u0b, eps0, j, gamma0, q0, config.k2)
+                rec.corrector_failed += failed
+                q0, rec.n_q_clamped = update_q(
+                    j, u0b, u1q, q0, annulus_mask, q_annulus, config.damping)
         except (FloorViolation, SingularSystem, ValueError) as err:
-            _record_truth_errors(rec, state, truth, mesh, unknown_mask)
-            trace.records.append(rec)
             trace.status = STATUS_DIVERGED
             trace.detail = str(err)
-            break
 
-        _record_truth_errors(rec, state, truth, mesh, unknown_mask)
+        _record_truth_errors(rec, gamma0, q0, truth, unknown_mask)
         trace.records.append(rec)
-
+        if trace.status == STATUS_DIVERGED:
+            break
         if gamma_ok and q_ok:
             trace.status = STATUS_CONVERGED
             trace.detail = f"both misfits below {config.eps_precision:g}"
@@ -452,30 +418,26 @@ def run(
         trace.status = STATUS_ITERATION_CAP
         trace.detail = f"no convergence in {config.max_outer_iterations} iterations"
 
-    trace.final_gamma = state.gamma0
-    trace.final_q = state.q0
+    trace.final_gamma = gamma0
+    trace.final_q = q0
     return trace
 
 
-def _record_truth_errors(rec: IterationRecord, state: ReconstructionState,
-                         truth, mesh: TriangleMesh, mask: np.ndarray) -> None:
+def _record_truth_errors(rec: IterationRecord, gamma0: CoefficientField,
+                         q0: CoefficientField, truth,
+                         mask: np.ndarray) -> None:
     if truth is None:
         return
     gamma_true, q_true = truth
-    g = state.gamma0.values - gamma_true.values
-    qv = state.q0.values - q_true.values
-    rec.gamma_err_linf, rec.gamma_err_l1, rec.gamma_err_l2 = _region_norms(mesh, g, mask)
-    rec.q_err_linf, rec.q_err_l1, rec.q_err_l2 = _region_norms(mesh, qv, mask)
+    mesh = gamma0.mesh
+    rec.gamma_err_linf, rec.gamma_err_l1, rec.gamma_err_l2 = \
+        fem.masked_field_norms(mesh, gamma0.values - gamma_true.values, mask)
+    rec.q_err_linf, rec.q_err_l1, rec.q_err_l2 = \
+        fem.masked_field_norms(mesh, q0.values - q_true.values, mask)
 
 
-TRACE_COLUMNS = [
-    "iteration", "misfit_J_linf", "misfit_J_l2", "misfit_j_linf", "misfit_j_l2",
-    "min_grad_sq", "min_u_sq", "max_corr_gamma_sq", "max_corr_q_sq",
-    "gamma_err_linf", "gamma_err_l1", "gamma_err_l2",
-    "q_err_linf", "q_err_l1", "q_err_l2",
-    "n_gamma_clamped", "n_q_clamped", "corrector_failed",
-    "forward_residual_k1", "forward_residual_k2", "status",
-]
+# one column per IterationRecord field, in declaration order, then the status
+TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)] + ["status"]
 
 
 def save_trace_csv(path, trace: ReconstructionTrace) -> None:

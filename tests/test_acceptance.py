@@ -57,7 +57,7 @@ def probe_setup(disk200):
     gamma = fem.CoefficientField(disk200, np.full(n, 1.0))
     q = fem.CoefficientField(disk200, np.full(n, 3.0))
     bc = fem.BoundaryCondition("neumann", forward.boundary_phase(disk200))
-    u = forward.solve_unperturbed(disk200, gamma, q, 0.35, bc)
+    u = fem.solve_bvp(disk200, gamma, q, 0.35, bc)
     return gamma, q, bc, u
 
 
@@ -219,8 +219,8 @@ def test_criterion_6_invariant_suites(disk50, disk100, disk200, phantom,
     gamma_t, q_t = truth50
     bc50 = fem.BoundaryCondition(
         "dirichlet", forward.boundary_phase(disk50, "xy"))
-    u1 = forward.solve_unperturbed(disk50, gamma_t, q_t, K1_CONVERGENT, bc50)
-    u2 = forward.solve_unperturbed(disk50, gamma_t, q_t, K2_CONVERGENT, bc50)
+    u1 = fem.solve_bvp(disk50, gamma_t, q_t, K1_CONVERGENT, bc50)
+    u2 = fem.solve_bvp(disk50, gamma_t, q_t, K2_CONVERGENT, bc50)
     data1 = forward.internal_data(u1, gamma_t, q_t, K1_CONVERGENT)
     data2 = forward.internal_data(u2, gamma_t, q_t, K2_CONVERGENT)
     gamma_c, q_c, bc_c, u_c = probe_setup

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +170,7 @@ def test_probe_compare_has_one_row_per_probe(tmp_path):
     assert manifest["summary"]["n_probes"] == 4  # 1 center x 1 radius x 4 amps
     assert len(table["D"]) == 4
     assert manifest["summary"]["k"] == pytest.approx(0.35)
+    assert manifest["summary"]["jobs"] == 1
     recovered = manifest["summary"]["n_recovered"]
     failed = manifest["summary"]["n_recover_failed"]
     assert recovered + failed == 1  # one (center, radius) group either way
@@ -270,6 +272,18 @@ def test_sweep_mixed_statuses_exit_nonzero(tmp_path, capsys):
     assert manifest["summary"]["all_converged"] is False
     for name in manifest["artifacts"]:
         assert (out / name).exists()
+
+
+def test_sweep_caps_jobs_at_cpu_count(tmp_path):
+    # one cell runs serially, so asking for more jobs starts no threads
+    out = tmp_path / "out"
+    cpus = os.cpu_count() or 1
+    cfg = write_config(tmp_path, {"frequencies": {"m": [3]},
+                                  "mesh": {"n_boundary_points": [50]}})
+    assert run_cli("sweep", "--config", cfg, "--out", out,
+                   "--jobs", cpus + 1) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"]["jobs"] == cpus
 
 
 def test_sweep_rejects_explicit_frequencies(tmp_path, capsys):

@@ -207,7 +207,7 @@ def test_noop_probe_measures_nothing(disk50, truth50):
     probe = forward.PerturbationProbe(center=(5.0, 0.0), radius=0.5,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
     meas = forward.measure_probe(disk50, gamma, q, k, bc, probe)
-    u0 = forward.solve_unperturbed(disk50, gamma, q, k, bc)
+    u0 = fem.solve_bvp(disk50, gamma, q, k, bc)
     phi = np.zeros(disk50.n_nodes, dtype=np.complex128)
     phi[disk50.boundary_nodes] = bc.data
     scale = abs(fem.boundary_integral(u0, phi)) / probe.area
@@ -224,7 +224,7 @@ def test_value_channel_probe_matches_prediction(disk100):
     probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.2,
                                       amplitude=2.0, gamma_tilde=0.5, q_tilde=3.0)
     meas = forward.measure_probe(disk100, gamma, q, k, bc, probe)
-    u = forward.solve_unperturbed(disk100, gamma, q, k, bc)
+    u = fem.solve_bvp(disk100, gamma, q, k, bc)
     val, grad = forward.sample_field(u, (2.3, 1.1))
     pred = forward.predict_probe(1.0, 3.0, grad, val, k, probe)
     assert pred < 0.0
@@ -300,8 +300,8 @@ def test_boundary_phase_conventions(disk50):
         forward.boundary_phase(disk50, "polar")
 
 
-def test_solve_unperturbed_default_phantom_finite(disk50, truth50):
+def test_solve_bvp_default_phantom_finite(disk50, truth50):
     gamma, q = truth50
-    u = forward.solve_unperturbed(disk50, gamma, q, math.pi * 10.0, phase_bc(disk50))
+    u = fem.solve_bvp(disk50, gamma, q, math.pi * 10.0, phase_bc(disk50))
     assert np.all(np.isfinite(u.values))
     assert np.max(np.abs(u.values)) > 0.0

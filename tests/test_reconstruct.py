@@ -63,7 +63,7 @@ def test_gamma_misfit_vanishes_on_truth(disk50, truth50):
     gamma, q = truth50
     u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     J = gamma.values * fem.gradient(u0).node_magnitude_squared()
-    E0, linf = rc.compute_gamma_error(J, u0, gamma)
+    E0, linf = rc.compute_gamma_error(J, fem.gradient(u0), gamma)
     assert linf < 1e-12
     assert np.max(np.abs(E0.values)) < 1e-10
 
@@ -73,7 +73,7 @@ def test_gamma_misfit_of_constant_guess_is_the_contrast(disk50, truth50):
     u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     J = gamma.values * fem.gradient(u0).node_magnitude_squared()
     guess = constant_field(disk50, 3.5)
-    E0, linf = rc.compute_gamma_error(J, u0, guess)
+    E0, linf = rc.compute_gamma_error(J, fem.gradient(u0), guess)
     np.testing.assert_allclose(E0.values, gamma.values - 3.5, rtol=0.0, atol=1e-10)
     assert linf == pytest.approx(2.5, abs=1e-10)
 
@@ -83,8 +83,8 @@ def test_gamma_misfit_is_linear_in_data(disk50, truth50):
     u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     grad_sq = fem.gradient(u0).node_magnitude_squared()
     J = gamma.values * grad_sq
-    E1, _ = rc.compute_gamma_error(J, u0, gamma)
-    E2, _ = rc.compute_gamma_error(2.0 * J, u0, gamma)
+    E1, _ = rc.compute_gamma_error(J, fem.gradient(u0), gamma)
+    E2, _ = rc.compute_gamma_error(2.0 * J, fem.gradient(u0), gamma)
     np.testing.assert_allclose(E2.values - E1.values, J / grad_sq, rtol=1e-12)
 
 
@@ -93,7 +93,8 @@ def test_gamma_floor_violation(disk50):
     u0 = fem.ComplexField(disk50, x ** 2 + 0j)  # gradient dies along x = 0
     gamma = constant_field(disk50, 1.0)
     with pytest.raises(rc.FloorViolation) as err:
-        rc.compute_gamma_error(np.ones(disk50.n_nodes), u0, gamma, floor_grad=1e-2)
+        rc.compute_gamma_error(np.ones(disk50.n_nodes), fem.gradient(u0), gamma,
+                               floor_grad=1e-2)
     assert "grad" in str(err.value)
 
 
@@ -123,7 +124,8 @@ def test_gamma_corrector_of_zero_misfit_is_zero(disk50, truth50):
     gamma, q = truth50
     u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     zero = fem.CoefficientField(disk50, np.zeros(disk50.n_nodes))
-    corr = rc.solve_gamma_corrector(u0, zero, gamma, q, K1_DEFAULT)
+    corr = rc.solve_gamma_corrector(fem.gradient(u0), zero, gamma, q,
+                                    K1_DEFAULT)
     assert np.max(np.abs(corr.values)) == 0.0
 
 
@@ -132,9 +134,9 @@ def test_gamma_corrector_conjugation(disk50, truth50):
     u0 = fem.solve_bvp(disk50, gamma, q, K2_DEFAULT, phase_dirichlet(disk50))
     rng = np.random.default_rng(2)
     E0 = fem.CoefficientField(disk50, rng.uniform(-0.3, 0.3, disk50.n_nodes))
-    c1 = rc.solve_gamma_corrector(u0, E0, gamma, q, K1_DEFAULT)
+    c1 = rc.solve_gamma_corrector(fem.gradient(u0), E0, gamma, q, K1_DEFAULT)
     u0c = fem.ComplexField(disk50, np.conj(u0.values))
-    c2 = rc.solve_gamma_corrector(u0c, E0, gamma, q, K1_DEFAULT)
+    c2 = rc.solve_gamma_corrector(fem.gradient(u0c), E0, gamma, q, K1_DEFAULT)
     scale = np.max(np.abs(c1.values))
     assert np.max(np.abs(c2.values - np.conj(c1.values))) < 1e-12 * scale
 
@@ -169,10 +171,12 @@ def test_update_gamma_plain_quotient(disk50):
     u0 = fem.ComplexField(disk50, x + 1j * y)
     grad_sq = fem.gradient(u0).node_magnitude_squared()
     gamma0 = constant_field(disk50, 1.0)
-    new, clamped = rc.update_gamma(2.0 * grad_sq, u0, None, gamma0)
+    new, clamped = rc.update_gamma(2.0 * grad_sq, fem.gradient(u0), None,
+                                   gamma0)
     np.testing.assert_allclose(new.values, 2.0, rtol=1e-12)
     assert clamped == 0
-    half, _ = rc.update_gamma(2.0 * grad_sq, u0, None, gamma0, damping=0.5)
+    half, _ = rc.update_gamma(2.0 * grad_sq, fem.gradient(u0), None, gamma0,
+                              damping=0.5)
     np.testing.assert_allclose(half.values, 1.5, rtol=1e-12)
 
 
@@ -181,7 +185,8 @@ def test_update_gamma_fixed_point(disk50, truth50):
     x, y = disk50.nodes[:, 0], disk50.nodes[:, 1]
     u0 = fem.ComplexField(disk50, x + 1j * y)
     grad_sq = fem.gradient(u0).node_magnitude_squared()
-    new, clamped = rc.update_gamma(gamma.values * grad_sq, u0, None, gamma)
+    new, clamped = rc.update_gamma(gamma.values * grad_sq, fem.gradient(u0),
+                                   None, gamma)
     np.testing.assert_allclose(new.values, gamma.values, rtol=1e-12)
     assert clamped == 0
 
@@ -191,8 +196,8 @@ def test_update_gamma_annulus_reset_and_clamp(disk50, truth50):
     x, y = disk50.nodes[:, 0], disk50.nodes[:, 1]
     u0 = fem.ComplexField(disk50, x + 1j * y)
     annulus = disk50.node_radii() >= 6.0
-    new, clamped = rc.update_gamma(np.zeros(disk50.n_nodes), u0, None,
-                                   constant_field(disk50, 1.0),
+    new, clamped = rc.update_gamma(np.zeros(disk50.n_nodes), fem.gradient(u0),
+                                   None, constant_field(disk50, 1.0),
                                    annulus_mask=annulus,
                                    annulus_values=gamma.values)
     np.testing.assert_array_equal(new.values[annulus], gamma.values[annulus])
@@ -296,6 +301,27 @@ def test_run_corrector_cap_gates_but_still_records(disk50, truth50, truth_data50
     assert max(recorded) > 1e-30
 
 
+def test_run_differentiates_each_high_frequency_field_once(
+        disk50, truth50, truth_data50, monkeypatch):
+    # with every corrector over the cap, the only field to differentiate is
+    # the high-frequency forward field of each record
+    gamma, q = truth50
+    J, j = truth_data50
+    calls = []
+    gradient = fem.gradient
+
+    def counting(u):
+        calls.append(u)
+        return gradient(u)
+
+    monkeypatch.setattr(fem, "gradient", counting)
+    cfg = rc.ReconstructionConfig(k1=K1_DEFAULT, k2=K2_DEFAULT,
+                                  max_outer_iterations=3, corrector_cap=1e-30)
+    trace = rc.run(disk50, J, j, (gamma, q), cfg)
+    assert len(trace.records) == 3
+    assert len(calls) == len(trace.records)
+
+
 def test_save_trace_csv_round_trip(disk50, truth50, truth_data50, tmp_path):
     gamma, q = truth50
     J, j = truth_data50
@@ -304,6 +330,15 @@ def test_save_trace_csv_round_trip(disk50, truth50, truth_data50, tmp_path):
     trace = rc.run(disk50, J, j, (gamma, q), cfg)
     path = tmp_path / "trace.csv"
     rc.save_trace_csv(path, trace)
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == [
+        "iteration", "misfit_J_linf", "misfit_J_l2", "misfit_j_linf",
+        "misfit_j_l2", "min_grad_sq", "min_u_sq", "max_corr_gamma_sq",
+        "max_corr_q_sq", "gamma_err_linf", "gamma_err_l1", "gamma_err_l2",
+        "q_err_linf", "q_err_l1", "q_err_l2", "n_gamma_clamped",
+        "n_q_clamped", "corrector_failed", "forward_residual_k1",
+        "forward_residual_k2", "status"]
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(trace.records)
