@@ -24,7 +24,8 @@ import numpy as np
 from . import diagnostics, disentangle, fem, forward
 from . import mesh as meshmod
 from . import reconstruct
-from .fem import BoundaryCondition, NonConvergence, SingularSystem
+from .fem import (BoundaryCondition, CoefficientField, NonConvergence,
+                  SingularSystem)
 from .forward import PerturbationProbe
 from .mesh import PhantomSpec, RegionTag, TriangleMesh
 
@@ -169,6 +170,17 @@ def _require_scalar_mesh_points(cfg: dict) -> int:
     return int(n)
 
 
+def _medium(cfg: dict) -> Tuple[PhantomSpec, TriangleMesh, CoefficientField,
+                                CoefficientField]:
+    """The configured phantom, its disk mesh and its true coefficients."""
+    n = _require_scalar_mesh_points(cfg)
+    ph = phantom_from_config(cfg)
+    mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
+    gamma = meshmod.coefficient_from_phantom(mesh_obj, ph, "conductivity")
+    q = meshmod.coefficient_from_phantom(mesh_obj, ph, "permittivity")
+    return ph, mesh_obj, gamma, q
+
+
 def boundary_from_config(cfg: dict, mesh_obj: TriangleMesh) -> BoundaryCondition:
     b = cfg["boundary"]
     if b["condition"] not in ("dirichlet", "neumann"):
@@ -250,11 +262,7 @@ def cmd_mesh(cfg: dict, out_dir: Path, jobs: int) -> int:
 
 
 def cmd_forward(cfg: dict, out_dir: Path, jobs: int) -> int:
-    n = _require_scalar_mesh_points(cfg)
-    ph = phantom_from_config(cfg)
-    mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
-    gamma = meshmod.coefficient_from_phantom(mesh_obj, ph, "conductivity")
-    q = meshmod.coefficient_from_phantom(mesh_obj, ph, "permittivity")
+    _, mesh_obj, gamma, q = _medium(cfg)
     bc = boundary_from_config(cfg, mesh_obj)
     k1, k2 = resolve_frequencies(cfg)
     artifacts = [_echo_config(out_dir, cfg)]
@@ -309,11 +317,7 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
     if cfg["boundary"]["condition"] != "neumann":
         raise ConfigError("probe measurements need flux data; set "
                           "boundary.condition to 'neumann'")
-    n = _require_scalar_mesh_points(cfg)
-    ph = phantom_from_config(cfg)
-    mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
-    gamma = meshmod.coefficient_from_phantom(mesh_obj, ph, "conductivity")
-    q = meshmod.coefficient_from_phantom(mesh_obj, ph, "permittivity")
+    ph, mesh_obj, gamma, q = _medium(cfg)
     bc = boundary_from_config(cfg, mesh_obj)
     k, _ = resolve_frequencies(cfg)
 
@@ -420,9 +424,7 @@ def _reconstruction_config(cfg: dict, mesh_obj: Optional[TriangleMesh],
 
 
 def cmd_reconstruct(cfg: dict, out_dir: Path, jobs: int) -> int:
-    n = _require_scalar_mesh_points(cfg)
-    ph = phantom_from_config(cfg)
-    mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
+    ph, mesh_obj, gamma_true, q_true = _medium(cfg)
     k1, k2 = resolve_frequencies(cfg)
     rc_cfg = _reconstruction_config(cfg, mesh_obj, ph, k1, k2)
     artifacts = [_echo_config(out_dir, cfg)]
@@ -432,8 +434,6 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, jobs: int) -> int:
         return _solver_failure(out_dir, "reconstruct", err, artifacts)
 
     reconstruct.save_trace_csv(out_dir / "trace.csv", trace)
-    gamma_true = meshmod.coefficient_from_phantom(mesh_obj, ph, "conductivity")
-    q_true = meshmod.coefficient_from_phantom(mesh_obj, ph, "permittivity")
     _field_csv(out_dir / "fields_final.csv", mesh_obj,
                {"gamma": trace.final_gamma.values,
                 "q": trace.final_q.values,
@@ -457,6 +457,10 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     if freq["m"] is None:
         raise ConfigError("the sweep needs frequencies.m")
     exponents = freq["m"] if isinstance(freq["m"], (list, tuple)) else [freq["m"]]
+    for m in exponents:
+        if not float(m).is_integer():
+            raise ConfigError(f"frequencies.m must hold whole exponents in the "
+                              f"sweep; got {m!r}")
     n = cfg["mesh"]["n_boundary_points"]
     mesh_points = n if isinstance(n, (list, tuple)) else [n]
     if cfg["boundary"]["profile"] != "phase":

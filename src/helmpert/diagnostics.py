@@ -1,11 +1,9 @@
-"""Norms, per-run extrema series, and frequency/mesh sweep summaries.
+"""Per-run extrema series, synthetic runs and frequency/mesh sweep summaries.
 
-Every reported norm uses one discrete measure: nodal max for the sup norm,
-mass-lumped element quadrature for the integral norms, restricted to the
-region where the coefficients are actually unknown (including the exactly
-known annulus would deflate the errors). Sweeps rerun the two-frequency
-reconstruction over a grid of frequency exponents and mesh resolutions;
-a failed cell is recorded with its error message and never aborts the grid.
+Sweeps rerun the two-frequency reconstruction over a grid of frequency
+exponents and mesh resolutions; a failed cell is recorded with its error
+message and never aborts the grid. The error norms in the sweep series are
+the trace's own (``fem.masked_field_norms`` over the unknown region).
 """
 
 import csv
@@ -22,28 +20,6 @@ from . import mesh as meshmod
 from .mesh import PhantomSpec, TriangleMesh
 from .reconstruct import (ReconstructionConfig, ReconstructionTrace,
                           dirichlet_condition, run)
-
-
-@dataclass(frozen=True)
-class FieldNorms:
-    """Sup / integral / quadratic norms of a field over the unknown region."""
-
-    l_inf: float
-    l1: float
-    l2: float
-
-
-def field_norms(f, region_mask) -> FieldNorms:
-    """Discrete norms of a nodal field over a node mask.
-
-    ``f`` is any nodal field carrying its mesh (coefficient or solution
-    field). The sup norm is the max over masked nodes; the integral norms
-    use mass-lumped quadrature over the elements whose vertices all lie in
-    the mask, so a single measure backs both. Raises on an empty mask.
-    """
-    mask = np.asarray(region_mask, dtype=bool)
-    linf, l1, l2 = fem.masked_field_norms(f.mesh, f.values, mask)
-    return FieldNorms(l_inf=linf, l1=l1, l2=l2)
 
 
 @dataclass(frozen=True)

@@ -7,34 +7,37 @@ A probe datum at amplitude lam follows the model
 with F the gradient energy, G the (negated, frequency-scaled) mass energy,
 and (a, b) the material contrast ratios inside the probe. The affine G-term
 is annihilated by the second-order divided-difference d, which factors as
-F times a rational function Q of the amplitudes and a alone. The ratio of
-two such d values therefore depends only on a; it is solved by bracketed
-bisection on its monotone branch, after which F, G, b follow by exact
-elimination. Four distinct amplitudes are exactly enough.
+F times a rational function Q of the amplitudes and a alone. Because
+f(x) = (x-1)^2/(x+1) = x - 3 + 4/(x+1), the ratio of two such d values is
+a Moebius function of a, so a has a closed form, after which F, G, b follow
+by exact elimination. Four distinct amplitudes are exactly enough.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .forward import InternalData
 from .mesh import TriangleMesh
 
-DEFAULT_BRACKET = (1e-3, 1e3)
+# contrast ratios a the recovery accepts; a fit outside is NoRoot
+CONTRAST_RANGE = (1e-3, 1e3)
 # |d| below this times max|D| means the gradient channel is invisible
 DEGENERACY_RTOL = 1e-12
-BISECTION_RTOL = 1e-12
 
 
 class DegenerateData(Exception):
-    """The divided differences vanish: no gradient-channel signal."""
+    """The divided differences vanish: no gradient-channel signal.
+
+    ``recover`` never raises it (it returns the F = 0 fit instead); callers
+    still list it among the recovery outcomes they catch.
+    """
 
 
 class NoRoot(Exception):
-    """The contrast-ratio equation has no sign change in the bracket."""
+    """No contrast ratio in CONTRAST_RANGE fits the data."""
 
 
 @dataclass(frozen=True)
@@ -100,43 +103,38 @@ def d_triple(pairs: Sequence[Tuple[float, float]]) -> float:
 
 def q_rational(x1: float, x2: float, x3: float, a: float) -> float:
     """The amplitude-only factor Q with d = F * Q; symmetric in x1, x2."""
-    num = 4.0 * a * a * (x3 * (x3 - x1 - x2) + x1 * x2)
-    den = (a ** 3 * x3 * x1 * x2 + a * a * (x3 * (x1 + x2) + x1 * x2)
-           + a * (x1 + x2 + x3) + 1.0)
-    return num / den
+    return (4.0 * a * a * (x3 - x1) * (x3 - x2)
+            / ((a * x1 + 1.0) * (a * x2 + 1.0) * (a * x3 + 1.0)))
 
 
-def _affine_fit(pairs) -> Tuple[float, float]:
-    """(G, b) from D(lam) = G*(b*lam - 1) through the first two points."""
-    (x1, d1), (x2, d2) = pairs[0], pairs[1]
-    slope = (d2 - d1) / (x2 - x1)
-    intercept = d1 - slope * x1
-    G = -intercept
-    b = slope / G if G != 0.0 else math.nan
-    return G, b
+def _fit(pairs, F: float, a: float) -> RecoveredPoint:
+    """(G, b) and the residual from what the gradient channel leaves over.
+
+    The remainder F*f(a*lam) - D is affine in lam, G - G*b*lam; the widest
+    amplitude pair fixes it with the least error amplification in the slope.
+    """
+    # F = 0 comes with a = nan: no gradient channel to subtract
+    rest = [(lam, (F * f_contrast(a * lam) if F else 0.0) - d)
+            for lam, d in pairs]
+    (x1, n1), (x4, n4) = rest[0], rest[-1]
+    slope = (n4 - n1) / (x4 - x1)
+    G = n1 - slope * x1
+    b = -slope / G if G != 0.0 else math.nan
+    residual = max(abs(n - slope * lam - G) for lam, n in rest)
+    return RecoveredPoint(F=F, G=G, a=a, b=b, residual=residual)
 
 
-def _residual(pairs, F: float, G: float, a: float, b: float) -> float:
-    worst = 0.0
-    for lam, d in pairs:
-        if F == 0.0:
-            model = G * (b * lam - 1.0) if not math.isnan(b) else 0.0
-        else:
-            model = model_datum(F, G, a, b, lam)
-        worst = max(worst, abs(model - d))
-    return worst
-
-
-def recover(measurements: Sequence[Tuple[float, float]],
-            a_bracket: Tuple[float, float] = DEFAULT_BRACKET) -> RecoveredPoint:
+def recover(measurements: Sequence[Tuple[float, float]]) -> RecoveredPoint:
     """Invert four (amplitude, datum) pairs into (F, G, a, b).
 
-    The ratio d3/d4 of the two canonical divided differences depends on a
-    alone; a comes from bisection in log-amplitude, F from the factorization
-    of d, and (G, b) from the exact affine remainder. When the divided
-    differences vanish (no gradient-channel signal) the affine-only fallback
-    returns F = 0 with a undefined instead of raising; NoRoot is raised when
-    the bracket shows no sign change.
+    With amplitudes x1 < x2 < x3 < x4, the ratio r = d3/d4 of the two
+    canonical divided differences is c*(a*x4 + 1)/(a*x3 + 1), where
+    c = (x3-x1)(x3-x2) / ((x4-x1)(x4-x2)); so a = (c - r)/(r*x3 - c*x4).
+    F follows from the factorization of d3, and (G, b) from the affine
+    remainder. When the divided differences vanish (no gradient-channel
+    signal) the affine-only fit returns F = 0 with a undefined instead of
+    raising. NoRoot is raised when a is not finite or lies outside
+    CONTRAST_RANGE, ValueError when the fit has a negative F.
     """
     pairs = sorted((float(l), float(d)) for l, d in measurements)
     if len(pairs) != 4:
@@ -152,59 +150,18 @@ def recover(measurements: Sequence[Tuple[float, float]],
     scale = max(abs(d) for _, d in pairs)
     if abs(d3) < DEGENERACY_RTOL * scale or abs(d4) < DEGENERACY_RTOL * scale:
         # pure-q point: the model degenerates to the affine term
-        G, b = _affine_fit(pairs)
-        return RecoveredPoint(F=0.0, G=G, a=math.nan, b=b,
-                              residual=_residual(pairs, 0.0, G, math.nan, b))
+        return _fit(pairs, 0.0, math.nan)
 
-    target = d3 / d4
     x1, x2, x3, x4 = lams
-
-    def ratio_gap(a: float) -> float:
-        return q_rational(x1, x2, x3, a) / q_rational(x1, x2, x4, a) - target
-
-    lo, hi = a_bracket
-    if not (0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    glo, ghi = ratio_gap(lo), ratio_gap(hi)
-    if glo == 0.0:
-        a = lo
-    elif ghi == 0.0:
-        a = hi
-    elif glo * ghi > 0:
-        raise NoRoot(f"no sign change of the ratio equation on {a_bracket}")
-    else:
-        llo, lhi = math.log(lo), math.log(hi)
-        for _ in range(200):
-            lmid = 0.5 * (llo + lhi)
-            if ratio_gap(math.exp(lmid)) * glo <= 0:
-                lhi = lmid
-            else:
-                llo = lmid
-            if lhi - llo <= BISECTION_RTOL:
-                break
-        a = math.exp(0.5 * (llo + lhi))
-        # secant polish: the bracket is already tight, this just drives the
-        # root to machine precision so downstream F, G, b stay conditioned
-        a_prev = math.exp(llo)
-        g_cur, g_prev = ratio_gap(a), ratio_gap(a_prev)
-        for _ in range(4):
-            if g_cur == g_prev or g_cur == 0.0:
-                break
-            a_next = a - g_cur * (a - a_prev) / (g_cur - g_prev)
-            if not (lo <= a_next <= hi):
-                break
-            a_prev, g_prev = a, g_cur
-            a, g_cur = a_next, ratio_gap(a_next)
-
-    F = d3 / q_rational(x1, x2, x3, a)
-    affine = [(lam, F * f_contrast(a * lam) - d) for lam, d in pairs]
-    # widest amplitude pair for the least error amplification in the slope
-    (x1n, n1), (x2n, n2) = affine[0], affine[3]
-    slope = (n2 - n1) / (x2n - x1n)
-    G = n1 - slope * x1n
-    b = -slope / G if G != 0.0 else math.nan
-    return RecoveredPoint(F=F, G=G, a=a, b=b,
-                          residual=_residual(pairs, F, G, a, b))
+    r = d3 / d4
+    c = (x3 - x1) * (x3 - x2) / ((x4 - x1) * (x4 - x2))
+    den = r * x3 - c * x4
+    a = (c - r) / den if den != 0.0 else math.inf
+    lo, hi = CONTRAST_RANGE
+    if not lo <= a <= hi:  # also catches nan
+        raise NoRoot(f"no contrast ratio in {CONTRAST_RANGE} fits the data "
+                     f"(closed form gives a = {a:g})")
+    return _fit(pairs, d3 / q_rational(x1, x2, x3, a), a)
 
 
 def recover_internal_data(mesh: TriangleMesh,
@@ -219,41 +176,3 @@ def recover_internal_data(mesh: TriangleMesh,
         J[node] = rec.F
         j[node] = -rec.G / k ** 2
     return InternalData(mesh=mesh, J=J, j=j, k=k)
-
-
-def save_amplitude_csv(path, pairs: Sequence[Tuple[float, float]]) -> None:
-    """One probe point's (lambda, D) table."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "D"])
-        for lam, d in pairs:
-            writer.writerow([repr(float(lam)), repr(float(d))])
-
-
-def load_amplitude_csv(path) -> List[Tuple[float, float]]:
-    with open(path, newline="") as fh:
-        return [(float(row["lambda"]), float(row["D"]))
-                for row in csv.DictReader(fh)]
-
-
-def save_recovered_csv(path, rows: Sequence[Tuple[float, float, RecoveredPoint]]) -> None:
-    """Recovered-point table over probe locations (x, y)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "F", "G", "a", "b", "residual"])
-        for x, y, rec in rows:
-            writer.writerow([repr(float(x)), repr(float(y)),
-                             repr(float(rec.F)), repr(float(rec.G)),
-                             repr(float(rec.a)), repr(float(rec.b)),
-                             repr(float(rec.residual))])
-
-
-def load_recovered_csv(path) -> List[Tuple[float, float, RecoveredPoint]]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rec = RecoveredPoint(F=float(row["F"]), G=float(row["G"]),
-                                 a=float(row["a"]), b=float(row["b"]),
-                                 residual=float(row["residual"]))
-            out.append((float(row["x"]), float(row["y"]), rec))
-    return out

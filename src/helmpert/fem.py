@@ -355,32 +355,3 @@ def boundary_integral(f: Union[ComplexField, np.ndarray], g: Union[ComplexField,
     vals = fv[bnodes] * np.conj(gv[bnodes])
     nxt, lengths = _boundary_segments(mesh)
     return complex(np.sum(0.5 * lengths * (vals + vals[nxt])))
-
-
-def save_field(field: ComplexField, path) -> None:
-    """Plain-text nodal table: node index, real part, imaginary part."""
-    with open(path, "w") as fh:
-        fh.write("# node re im\n")
-        for i, v in enumerate(field.values):
-            fh.write(f"{i} {float(v.real)!r} {float(v.imag)!r}\n")
-
-
-def save_field_vtk(field: ComplexField, path, name: str = "field") -> None:
-    """Legacy-VTK unstructured grid (cells + nodal re/im), for ParaView etc."""
-    mesh = field.mesh
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{name}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r} 0.0\n")
-        fh.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"3 {i} {j} {k}\n")
-        fh.write(f"CELL_TYPES {mesh.n_triangles}\n")
-        fh.write("\n".join(["5"] * mesh.n_triangles) + "\n")
-        fh.write(f"POINT_DATA {mesh.n_nodes}\n")
-        fh.write(f"SCALARS {name}_re double 1\nLOOKUP_TABLE default\n")
-        fh.write("\n".join(repr(float(v)) for v in field.values.real) + "\n")
-        fh.write(f"SCALARS {name}_im double 1\nLOOKUP_TABLE default\n")
-        fh.write("\n".join(repr(float(v)) for v in field.values.imag) + "\n")

@@ -10,19 +10,15 @@ the mass energy q*|u|^2 at the probe center; collecting it at several
 amplitudes is what makes those interior quantities recoverable from the
 boundary.
 
-Two membership rules coexist on purpose. ``perturb_coefficients`` switches
-whole nodes, which is the natural nodal-field description and is exact once
-the probe covers a few elements. ``measure_probe`` instead blends element
-coefficients with the exactly clipped covered-area fraction, so that probes
-smaller than the local element size still displace the correct amount of
-material; with full coverage the two rules coincide.
+The perturbed medium blends element coefficients with the exactly clipped
+covered-area fraction, so that probes smaller than the local element size
+still displace the correct amount of material.
 """
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -106,37 +102,13 @@ def boundary_phase(mesh: TriangleMesh, convention: str = "xy") -> np.ndarray:
     return np.exp(1j * angle)
 
 
-def _check_probe_inside(mesh: TriangleMesh, probe: PerturbationProbe,
-                        interior_radius: Optional[float]) -> float:
-    if interior_radius is None:
-        interior_radius = DEFAULT_INTERIOR_FRACTION * mesh.radius
+def _check_probe_inside(mesh: TriangleMesh, probe: PerturbationProbe) -> None:
+    limit = DEFAULT_INTERIOR_FRACTION * mesh.radius
     dist = math.hypot(probe.center.x, probe.center.y)
-    if dist + probe.radius > interior_radius:
+    if dist + probe.radius > limit:
         raise ValueError(
             f"probe disk (|z|={dist:.3f}, r={probe.radius:.3f}) reaches past the "
-            f"interior region of radius {interior_radius:.3f}")
-    return interior_radius
-
-
-def perturb_coefficients(
-    gamma: CoefficientField,
-    q: CoefficientField,
-    probe: PerturbationProbe,
-    interior_radius: Optional[float] = None,
-) -> Tuple[CoefficientField, CoefficientField]:
-    """Nodal piecewise redefinition: amplitude * inclusion value inside w."""
-    mesh = gamma.mesh
-    if q.mesh is not mesh:
-        raise ValueError("coefficient fields must share a mesh")
-    _check_probe_inside(mesh, probe, interior_radius)
-    dx = mesh.nodes[:, 0] - probe.center.x
-    dy = mesh.nodes[:, 1] - probe.center.y
-    inside = dx * dx + dy * dy < probe.radius ** 2
-    gw = gamma.values.copy()
-    qw = q.values.copy()
-    gw[inside] = probe.amplitude * probe.gamma_tilde
-    qw[inside] = probe.amplitude * probe.q_tilde
-    return (CoefficientField(mesh, gw), CoefficientField(mesh, qw))
+            f"interior region of radius {limit:.3f}")
 
 
 def internal_data(u: ComplexField, gamma: CoefficientField, q: CoefficientField,
@@ -260,7 +232,6 @@ def measure_probe(
     k: float,
     bc: BoundaryCondition,
     probe: PerturbationProbe,
-    interior_radius: Optional[float] = None,
 ) -> ProbeMeasurement:
     """Solve with and without the probe and form the rescaled datum.
 
@@ -274,7 +245,7 @@ def measure_probe(
         raise ValueError("probe measurements need flux (neumann) data")
     if gamma.mesh is not mesh or q.mesh is not mesh:
         raise ValueError("coefficient fields must live on the given mesh")
-    _check_probe_inside(mesh, probe, interior_radius)
+    _check_probe_inside(mesh, probe)
 
     u = fem.solve_bvp(mesh, gamma, q, k, bc)
 
@@ -364,25 +335,3 @@ def probe_sweep(
         futures = [pool.submit(measure_probe, mesh, gamma, q, k, bc, p)
                    for p in probes]
         return [f.result() for f in futures]
-
-
-def save_probe_csv(path, measurements: Sequence[ProbeMeasurement]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z.x", "z.y", "r", "lambda", "D", "Re_raw", "Im_raw"])
-        for m in measurements:
-            writer.writerow([repr(float(m.probe.center.x)),
-                             repr(float(m.probe.center.y)),
-                             repr(float(m.probe.radius)),
-                             repr(float(m.probe.amplitude)), repr(float(m.D)),
-                             repr(float(m.boundary_integral_raw.real)),
-                             repr(float(m.boundary_integral_raw.imag))])
-
-
-def load_probe_csv(path) -> List[dict]:
-    """Rows back as dicts with float fields (inverse of save_probe_csv)."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append({key: float(val) for key, val in row.items()})
-    return out

@@ -286,6 +286,16 @@ def test_sweep_caps_jobs_at_cpu_count(tmp_path):
     assert manifest["summary"]["jobs"] == cpus
 
 
+def test_sweep_rejects_fractional_exponent(tmp_path, capsys):
+    # k1 = pi*10^2.5 is not the m=2 cell the sweep would otherwise run
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"frequencies": {"m": [2.5]},
+                                  "mesh": {"n_boundary_points": [50]}})
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    assert "frequencies.m" in capsys.readouterr().err
+    assert not (out / "sweep_summary.csv").exists()
+
+
 def test_sweep_rejects_explicit_frequencies(tmp_path, capsys):
     cfg = write_config(tmp_path, {"frequencies": {"k1": 1.0, "k2": 2.0,
                                                   "m": None}})

@@ -428,35 +428,3 @@ def test_masked_field_norms_interior_only(disk50):
     assert linf == 1.0
     assert 0.0 < l1 < disk50.element_areas.sum()
     assert abs(l2 - math.sqrt(l1)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_save_field_round_trips_through_repr(disk50, tmp_path):
-    rng = np.random.default_rng(13)
-    values = rng.standard_normal(disk50.n_nodes) + 1j * rng.standard_normal(disk50.n_nodes)
-    field = fem.ComplexField(mesh=disk50, values=values)
-    path = tmp_path / "field.txt"
-    fem.save_field(field, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 1 + disk50.n_nodes
-    parsed = np.array([complex(float(re), float(im))
-                       for _, re, im in (ln.split() for ln in lines[1:])])
-    np.testing.assert_array_equal(parsed, values)
-
-
-def test_save_field_vtk_structure(disk50, tmp_path):
-    field = fem.ComplexField(mesh=disk50, values=np.ones(disk50.n_nodes) * (1 + 2j))
-    path = tmp_path / "field.vtk"
-    fem.save_field_vtk(field, path, name="u")
-    text = path.read_text()
-    assert f"POINTS {disk50.n_nodes} double" in text
-    assert f"CELLS {disk50.n_triangles} {4 * disk50.n_triangles}" in text
-    assert "SCALARS u_re double 1" in text
-    assert "SCALARS u_im double 1" in text
-    points_at = text.index("POINTS")
-    first_point = text[points_at:].splitlines()[1].split()
-    assert float(first_point[0]) == disk50.nodes[0, 0]

@@ -101,43 +101,13 @@ def test_probe_validation():
                                   gamma_tilde=0.0, q_tilde=1.0)
 
 
-def test_perturb_coefficients_switches_only_the_disk(disk50, truth50):
-    gamma, q = truth50
-    probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.5,
-                                      amplitude=1.5, gamma_tilde=2.0, q_tilde=1.0)
-    gw, qw = forward.perturb_coefficients(gamma, q, probe)
-    dx = disk50.nodes[:, 0] - 2.3
-    dy = disk50.nodes[:, 1] - 1.1
-    inside = dx * dx + dy * dy < 0.25
-    assert inside.any()
-    np.testing.assert_array_equal(gw.values[~inside], gamma.values[~inside])
-    np.testing.assert_array_equal(qw.values[~inside], q.values[~inside])
-    np.testing.assert_array_equal(gw.values[inside], 3.0)
-    np.testing.assert_array_equal(qw.values[inside], 1.5)
-
-
-def test_perturb_coefficients_noop_is_identity(disk50):
-    gamma = constant_field(disk50, 1.0)
-    q = constant_field(disk50, 3.0)
-    probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.5,
-                                      amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
-    gw, qw = forward.perturb_coefficients(gamma, q, probe)
-    np.testing.assert_array_equal(gw.values, gamma.values)
-    np.testing.assert_array_equal(qw.values, q.values)
-
-
 def test_probe_must_stay_inside_known_zone(disk50, truth50):
     gamma, q = truth50
     # 5.9 + 0.2 reaches past 0.75 * 8 = 6
     probe = forward.PerturbationProbe(center=(5.9, 0.0), radius=0.2,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=1.0)
     with pytest.raises(ValueError):
-        forward.perturb_coefficients(gamma, q, probe)
-    with pytest.raises(ValueError):
         forward.measure_probe(disk50, gamma, q, 1.0, phase_bc(disk50), probe)
-    # a custom interior radius admits it
-    gw, _ = forward.perturb_coefficients(gamma, q, probe, interior_radius=6.5)
-    assert gw.values.shape == gamma.values.shape
 
 
 # ---------------------------------------------------------------------------
@@ -252,23 +222,6 @@ def test_probe_sweep_thread_parity(disk50):
     assert [m.D for m in serial] == [m.D for m in threaded]
     assert [m.boundary_integral_raw for m in serial] == [
         m.boundary_integral_raw for m in threaded]
-
-
-def test_probe_csv_round_trip(disk50, tmp_path):
-    gamma = constant_field(disk50, 1.0)
-    q = constant_field(disk50, 3.0)
-    probes = [forward.PerturbationProbe(center=(2.3, 1.1), radius=0.2,
-                                        amplitude=lam, gamma_tilde=0.5, q_tilde=3.0)
-              for lam in (0.5, 2.0)]
-    meas = forward.probe_sweep(disk50, gamma, q, 0.35, phase_bc(disk50), probes)
-    path = tmp_path / "probes.csv"
-    forward.save_probe_csv(path, meas)
-    rows = forward.load_probe_csv(path)
-    assert len(rows) == 2
-    for row, m in zip(rows, meas):
-        assert row["D"] == m.D
-        assert row["lambda"] == m.probe.amplitude
-        assert complex(row["Re_raw"], row["Im_raw"]) == m.boundary_integral_raw
 
 
 # ---------------------------------------------------------------------------
