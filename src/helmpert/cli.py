@@ -75,7 +75,7 @@ def default_config() -> dict:
                            "floor_grad": 1e-60, "floor_u": 1e-12,
                            "gamma_guess": 3.5, "q_guess": 11.5,
                            "damping": 1.0, "corrector_cap": 1.0},
-        "output": {"directory": "out", "formats": ["csv"]},
+        "output": {"directory": "out"},
     }
 
 
@@ -162,12 +162,13 @@ def phantom_from_config(cfg: dict) -> PhantomSpec:
     )
 
 
-def _require_scalar_mesh_points(cfg: dict) -> int:
+def _require_scalar_mesh_points(cfg: dict):
+    """The configured boundary point count; build_disk_mesh checks its value."""
     n = cfg["mesh"]["n_boundary_points"]
     if isinstance(n, (list, tuple)):
         raise ConfigError("mesh.n_boundary_points must be a single value here; "
                           "lists are only valid for the sweep command")
-    return int(n)
+    return n
 
 
 def _medium(cfg: dict) -> Tuple[PhantomSpec, TriangleMesh, CoefficientField,
@@ -454,15 +455,14 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     if freq["k1"] is not None or freq["k2"] is not None:
         raise ConfigError("the sweep is driven by frequencies.m; "
                           "unset frequencies.k1/k2")
-    if freq["m"] is None:
+    m = freq["m"]
+    if m is None:
         raise ConfigError("the sweep needs frequencies.m")
-    exponents = freq["m"] if isinstance(freq["m"], (list, tuple)) else [freq["m"]]
-    for m in exponents:
-        if not float(m).is_integer():
-            raise ConfigError(f"frequencies.m must hold whole exponents in the "
-                              f"sweep; got {m!r}")
+    exponents = diagnostics.whole_numbers(
+        m if isinstance(m, (list, tuple)) else [m], "frequencies.m")
     n = cfg["mesh"]["n_boundary_points"]
-    mesh_points = n if isinstance(n, (list, tuple)) else [n]
+    mesh_points = diagnostics.whole_numbers(
+        n if isinstance(n, (list, tuple)) else [n], "mesh.n_boundary_points")
     if cfg["boundary"]["profile"] != "phase":
         raise ConfigError("the sweep uses the phase boundary profile on "
                           "every mesh")

@@ -1,4 +1,4 @@
-"""Per-run extrema series, synthetic runs and frequency/mesh sweep summaries.
+"""Synthetic runs and frequency/mesh sweep summaries.
 
 Sweeps rerun the two-frequency reconstruction over a grid of frequency
 exponents and mesh resolutions; a failed cell is recorded with its error
@@ -20,35 +20,6 @@ from . import mesh as meshmod
 from .mesh import PhantomSpec, TriangleMesh
 from .reconstruct import (ReconstructionConfig, ReconstructionTrace,
                           dirichlet_condition, run)
-
-
-@dataclass(frozen=True)
-class ExtremaSeries:
-    """Per-iteration breakdown indicators of one reconstruction run."""
-
-    iterations: np.ndarray
-    min_grad_sq: np.ndarray
-    min_u_sq: np.ndarray
-    max_corrector_sq: np.ndarray
-
-
-def extrema_series(trace: ReconstructionTrace) -> ExtremaSeries:
-    """Extract the breakdown indicators verbatim from the trace records.
-
-    The corrector series takes the larger of the two corrector magnitudes
-    of each iteration.
-    """
-    if not trace.records:
-        raise ValueError("trace has no records")
-    recs = trace.records
-    return ExtremaSeries(
-        iterations=np.array([r.iteration for r in recs], dtype=np.int64),
-        min_grad_sq=np.array([r.min_grad_sq for r in recs], dtype=np.float64),
-        min_u_sq=np.array([r.min_u_sq for r in recs], dtype=np.float64),
-        max_corrector_sq=np.array(
-            [max(r.max_corr_gamma_sq, r.max_corr_q_sq) for r in recs],
-            dtype=np.float64),
-    )
 
 
 def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
@@ -102,9 +73,6 @@ class SweepResult:
 
     entries: List[SweepEntry]
 
-    def by_key(self) -> Dict[str, SweepEntry]:
-        return {e.key: e for e in self.entries}
-
     def statuses(self) -> Dict[str, str]:
         return {e.key: e.status for e in self.entries}
 
@@ -144,6 +112,14 @@ def frequency_pair(m: float) -> Tuple[float, float]:
     return math.pi * 10.0 ** m, math.pi * 10.0 ** -m
 
 
+def whole_numbers(values: Sequence, name: str) -> List[int]:
+    """The values as ints; ValueError naming ``name`` if one is fractional."""
+    for v in values:
+        if not float(v).is_integer():
+            raise ValueError(f"{name} must hold whole numbers; got {v!r}")
+    return [int(v) for v in values]
+
+
 def frequency_sweep(
     base_config: ReconstructionConfig,
     exponents: Sequence[int],
@@ -155,9 +131,11 @@ def frequency_sweep(
 
     Cells run independently (in parallel when ``jobs`` > 1); the returned
     entries are sorted by (m, mesh points) regardless of completion order.
+    A fractional exponent or mesh size raises ValueError before any cell runs.
     """
     ph = phantom if phantom is not None else PhantomSpec()
-    cells = [(int(m), int(n)) for m in exponents for n in mesh_points]
+    cells = [(m, n) for m in whole_numbers(exponents, "exponents")
+             for n in whole_numbers(mesh_points, "mesh_points")]
 
     def run_cell(cell: Tuple[int, int]):
         m, n = cell

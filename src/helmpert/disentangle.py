@@ -24,7 +24,7 @@ from .mesh import TriangleMesh
 
 # contrast ratios a the recovery accepts; a fit outside is NoRoot
 CONTRAST_RANGE = (1e-3, 1e3)
-# |d| below this times max|D| means the gradient channel is invisible
+# |d| at or below this times max|D| means the gradient channel is invisible
 DEGENERACY_RTOL = 1e-12
 
 
@@ -82,11 +82,6 @@ def f_contrast(x: float) -> float:
     if x == -1.0:
         raise ValueError("contrast factor has a pole at -1")
     return (x - 1.0) ** 2 / (x + 1.0)
-
-
-def model_datum(F: float, G: float, a: float, b: float, lam: float) -> float:
-    """Forward evaluation of the four-parameter datum model."""
-    return F * f_contrast(a * lam) + G * (b * lam - 1.0)
 
 
 def d_triple(pairs: Sequence[Tuple[float, float]]) -> float:
@@ -148,8 +143,9 @@ def recover(measurements: Sequence[Tuple[float, float]]) -> RecoveredPoint:
     d3 = d_triple(pairs[:3])
     d4 = d_triple([pairs[0], pairs[1], pairs[3]])
     scale = max(abs(d) for _, d in pairs)
-    if abs(d3) < DEGENERACY_RTOL * scale or abs(d4) < DEGENERACY_RTOL * scale:
-        # pure-q point: the model degenerates to the affine term
+    if abs(d3) <= DEGENERACY_RTOL * scale or abs(d4) <= DEGENERACY_RTOL * scale:
+        # pure-q point (or all-zero data): the model degenerates to the
+        # affine term
         return _fit(pairs, 0.0, math.nan)
 
     x1, x2, x3, x4 = lams

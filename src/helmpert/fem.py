@@ -3,10 +3,12 @@
 Assembly follows the convention that the stored system represents
 -div(gamma grad u) - k^2 q u = -source, so the matrix is
 K(gamma) - k^2 M(q) with K the coefficient-weighted stiffness and M the
-consistent mass. Coefficients enter by nodal averaging per element (one-point
-centroid quadrature), which is adequate for the piecewise-constant phantoms
-used here. Dirichlet data is enforced by row elimination with the symmetric
-column correction (eliminate_dirichlet, shared by the forward problem and the
+consistent mass. assemble_operator, K(a) + M(c) for nodal coefficients a and
+c, is the one assembly path: every load vector is such an operator applied
+to a nodal field. Coefficients enter through element_average (one-point
+centroid quadrature), adequate for the piecewise-constant phantoms used here.
+Dirichlet data is enforced by row elimination with the symmetric column
+correction (eliminate_dirichlet, shared by the forward problem and the
 reconstruction's stacked corrector blocks); Neumann data adds consistent edge
 loads. Every linear solve goes through factor_solve: a sparse LU in the
 common dtype of matrix and rhs, checked against a relative residual of 1e-10.
@@ -108,7 +110,8 @@ class SparseSystem:
         return self.matrix.shape[0]
 
 
-def _nodal_to_element(mesh: TriangleMesh, nodal: np.ndarray) -> np.ndarray:
+def element_average(mesh: TriangleMesh, nodal: np.ndarray) -> np.ndarray:
+    """Mean of a nodal field over the vertices of each element."""
     return nodal[mesh.triangles].mean(axis=1)
 
 
@@ -142,35 +145,12 @@ def assemble_operator(
 ) -> sp.csr_matrix:
     """K(stiff) + M(mass) with signed nodal coefficient fields.
 
-    Low-level entry used by the reconstruction correctors, where coefficient
-    combinations may vanish or change sign; no positivity checks here.
+    Corrector coefficients may vanish or change sign; no positivity checks.
     """
     n_tris = mesh.n_triangles
-    sc = np.zeros(n_tris) if stiff_nodal is None else _nodal_to_element(mesh, stiff_nodal)
-    mc = np.zeros(n_tris) if mass_nodal is None else _nodal_to_element(mesh, mass_nodal)
+    sc = np.zeros(n_tris) if stiff_nodal is None else element_average(mesh, stiff_nodal)
+    mc = np.zeros(n_tris) if mass_nodal is None else element_average(mesh, mass_nodal)
     return assemble_operator_elementwise(mesh, sc, mc)
-
-
-def stiffness_matrix(mesh: TriangleMesh, coeff_nodal: np.ndarray) -> sp.csr_matrix:
-    return assemble_operator(mesh, coeff_nodal, None)
-
-
-def mass_matrix(mesh: TriangleMesh, coeff_nodal: np.ndarray) -> sp.csr_matrix:
-    return assemble_operator(mesh, None, coeff_nodal)
-
-
-def load_vector(mesh: TriangleMesh, nodal_values: np.ndarray) -> np.ndarray:
-    """Consistent load (f, phi_i) for the P1 interpolant of f."""
-    ones = np.ones(mesh.n_nodes)
-    return mass_matrix(mesh, ones) @ nodal_values
-
-
-def lumped_node_areas(mesh: TriangleMesh) -> np.ndarray:
-    """Row sums of the mass matrix: one third of each incident triangle."""
-    area, _, _ = mesh.geometry
-    contrib = np.repeat(area / 3.0, 3)
-    return np.bincount(mesh.triangles.ravel(), weights=contrib,
-                       minlength=mesh.n_nodes)
 
 
 def masked_field_norms(mesh: TriangleMesh, values: np.ndarray,
@@ -211,7 +191,7 @@ def assemble(
     matrix = assemble_operator(mesh, gamma.values, -(k ** 2) * q.values)
     rhs = np.zeros(mesh.n_nodes, dtype=np.complex128)
     if source is not None:
-        rhs -= load_vector(mesh, source.values)
+        rhs -= assemble_operator(mesh, None, np.ones(mesh.n_nodes)) @ source.values
     return SparseSystem(mesh=mesh, matrix=matrix, rhs=rhs)
 
 

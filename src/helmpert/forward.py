@@ -249,9 +249,8 @@ def measure_probe(
 
     u = fem.solve_bvp(mesh, gamma, q, k, bc)
 
-    tris = mesh.triangles
-    ge = gamma.values[tris].mean(axis=1)
-    qe = q.values[tris].mean(axis=1)
+    ge = fem.element_average(mesh, gamma.values)
+    qe = fem.element_average(mesh, q.values)
     frac = probe_element_fractions(mesh, probe)
     stiff_e = ge + frac * (probe.amplitude * probe.gamma_tilde - ge)
     mass_e = -(k ** 2) * (qe + frac * (probe.amplitude * probe.q_tilde - qe))

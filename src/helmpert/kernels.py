@@ -1,10 +1,10 @@
 """Vectorized numpy kernels for P1 element assembly and gradient recovery.
 
-Five functions cover every per-element loop of the package: geometry, the
-local stiffness/mass blocks, exact element gradients, their area-weighted
-nodal average and the gradient-weighted load. Scatter accumulation uses
-bincount, which keeps them usable on meshes with a few hundred thousand
-elements.
+Four functions cover every per-element loop of the package: geometry, the
+local stiffness/mass blocks (every matrix and load vector is assembled from
+them), exact element gradients and their area-weighted nodal average.
+Scatter accumulation uses bincount, which keeps them usable on meshes with a
+few hundred thousand elements.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ __all__ = [
     "local_matrices",
     "triangle_gradients",
     "nodal_average",
-    "gradient_load",
 ]
 
 
@@ -95,19 +94,3 @@ def nodal_average(tri_values, triangles, area, n_nodes):
         return accumulate(tri_values) / den
     cols = [accumulate(tri_values[:, j]) / den for j in range(tri_values.shape[1])]
     return np.stack(cols, axis=1)
-
-
-def gradient_load(weight, grads, triangles, b, c, n_nodes):
-    """Assemble rhs_i = sum_e weight_e * integral_e grad_u . grad(phi_i).
-
-    grads holds the per-element gradient of u; the integrand is constant on
-    each element, so the contribution to vertex i is
-    weight * (gx * b_i + gy * c_i) / 2.
-    """
-    contrib = 0.5 * weight[:, None] * (grads[:, 0:1] * b + grads[:, 1:2] * c)
-    flat_idx = triangles.ravel()
-    flat = contrib.ravel()
-    out = np.bincount(flat_idx, weights=flat.real, minlength=n_nodes)
-    if np.iscomplexobj(contrib):
-        out = out + 1j * np.bincount(flat_idx, weights=flat.imag, minlength=n_nodes)
-    return out

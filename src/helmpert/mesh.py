@@ -14,7 +14,7 @@ a built mesh is immutable (arrays are locked) and safe to share.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -146,13 +146,6 @@ class TriangleMesh:
         """(area, b, c) per element; grad(phi_i) = (b_i, c_i)/(2 area)."""
         return kernels.element_geometry(self.nodes, self.triangles)
 
-    @cached_property
-    def interior_mask(self) -> np.ndarray:
-        """Boolean per node: not a boundary node."""
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = False
-        return mask
-
     def node_radii(self) -> np.ndarray:
         return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
 
@@ -167,6 +160,9 @@ def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if not float(n_boundary_points).is_integer():
+        raise ValueError(f"n_boundary_points must be a whole number, got "
+                         f"{n_boundary_points!r}")
     n = int(n_boundary_points)
     if n < MIN_BOUNDARY_POINTS:
         raise ValueError(
@@ -229,14 +225,6 @@ def _validate_mesh(mesh: TriangleMesh) -> None:
     r = np.hypot(*mesh.nodes[mesh.boundary_nodes].T)
     if not np.allclose(r, mesh.radius, rtol=1e-12, atol=1e-12 * mesh.radius):
         raise ValueError("boundary nodes do not lie on the circle")
-
-
-def max_element_diameter(mesh: TriangleMesh) -> float:
-    p = mesh.nodes[mesh.triangles]
-    d01 = np.hypot(*(p[:, 0] - p[:, 1]).T)
-    d12 = np.hypot(*(p[:, 1] - p[:, 2]).T)
-    d20 = np.hypot(*(p[:, 2] - p[:, 0]).T)
-    return float(np.max(np.stack([d01, d12, d20])))
 
 
 def _in_triangle(x: float, y: float, verts) -> bool:

@@ -9,13 +9,14 @@ current guess at both frequencies, forms the quotient misfits
 
 and, when a misfit is above the precision target, solves a linearized
 corrector problem for the first-order solution change and updates the guess
-with the corrected quotient. Material values on the near-boundary annulus
-are known and reset after every update. The iteration stops when both
-misfits pass in the same sweep (Converged), when the iteration budget runs
-out (IterationCap), when a field floor is violated (Diverged, the structured
-stand-in for the division-by-zero breakdown the quotients suffer on
-degenerate fields), or when the corrector magnitudes stop decaying
-(Stalled).
+with the corrected quotient. Both corrector operators are the forward form
+K(a) + M(c) with other coefficients, built by fem.assemble_operator.
+Material values on the near-boundary annulus are known and reset after
+every update. The iteration stops when both misfits pass in the same sweep
+(Converged), when the iteration budget runs out (IterationCap), when a field
+floor is violated (Diverged, the structured stand-in for the
+division-by-zero breakdown the quotients suffer on degenerate fields), or
+when the corrector magnitudes stop decaying (Stalled).
 
 Field floors are relative to the current field maximum. The low-frequency
 floor is the operative breakdown signal: a collapsing min|u|^2 is what a
@@ -37,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem, kernels
+from . import fem
 from .fem import (BoundaryCondition, CoefficientField, ComplexField,
                   GradientField, NonConvergence, SingularSystem)
 from .forward import boundary_phase
@@ -194,7 +195,7 @@ def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
 
 
 def solve_gamma_corrector(
-    grad0: GradientField,
+    u0: ComplexField,
     E0: CoefficientField,
     gamma0: CoefficientField,
     q0: CoefficientField,
@@ -204,16 +205,14 @@ def solve_gamma_corrector(
 
     Real and imaginary parts each satisfy the same scalar problem: principal
     part weighted by (gamma0 - E0) (the misfit flips sign against the
-    principal coefficient), plus-signed mass term, driven in weak form by the
-    misfit-weighted gradient ``grad0`` of u0 and homogeneous dirichlet walls.
+    principal coefficient), plus-signed mass term, driven in weak form by
+    (E0 grad u0, grad phi_i), the E0-weighted stiffness applied to u0, with
+    homogeneous dirichlet walls.
     """
-    mesh = grad0.mesh
+    mesh = u0.mesh
     matrix = fem.assemble_operator(mesh, gamma0.values - E0.values,
                                    (k1 ** 2) * q0.values)
-    _, b, c = mesh.geometry
-    e0_elem = E0.values[mesh.triangles].mean(axis=1)
-    rhs = kernels.gradient_load(e0_elem, grad0.tri_values, mesh.triangles, b,
-                                c, mesh.n_nodes)
+    rhs = fem.assemble_operator(mesh, E0.values, None) @ u0.values
     values, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
     return ComplexField(mesh, values)
 
@@ -229,9 +228,10 @@ def solve_q_corrector(
     """First-order solution change induced by the mass-energy misfit.
 
     The u0-weighted rank-one coupling mixes real and imaginary parts, so the
-    two parts are assembled as one real block system: diagonal blocks carry
-    the divergence-form principal part, the data-weighted negative mass and
-    the self couplings; off-diagonal blocks carry the cross coupling.
+    two parts are assembled as one real block system, one assemble_operator
+    call per block: diagonal blocks carry the divergence-form principal part
+    and the mass k^2 (2 q0 re^2 - j)/|u0|^2 (im^2 in the second), the
+    off-diagonal blocks the cross-coupling mass 2 k^2 q0 re im/|u0|^2.
     """
     mesh = u0.mesh
     re = u0.values.real
@@ -240,21 +240,18 @@ def solve_q_corrector(
     if np.min(u2) <= 0:
         raise FloorViolation("|u|^2", float(np.min(u2)), 0.0)
     k_sq = k2 ** 2
+    q = q0.values
 
-    Kg = fem.stiffness_matrix(mesh, gamma0.values)
-    Mj = fem.mass_matrix(mesh, j / u2)
-    Mrr = fem.mass_matrix(mesh, q0.values * re * re / u2)
-    Mri = fem.mass_matrix(mesh, q0.values * re * im / u2)
-    Mii = fem.mass_matrix(mesh, q0.values * im * im / u2)
-
-    diag = Kg - k_sq * Mj
-    a11 = diag + 2.0 * k_sq * Mrr
-    a12 = 2.0 * k_sq * Mri
-    a22 = diag + 2.0 * k_sq * Mii
+    a11 = fem.assemble_operator(mesh, gamma0.values,
+                                k_sq * (2.0 * q * re * re - j) / u2)
+    a12 = fem.assemble_operator(mesh, None, 2.0 * k_sq * q * re * im / u2)
+    a22 = fem.assemble_operator(mesh, gamma0.values,
+                                k_sq * (2.0 * q * im * im - j) / u2)
     matrix = sp.bmat([[a11, a12], [a12, a22]], format="csc")
 
-    rhs = np.concatenate([k_sq * fem.load_vector(mesh, eps0.values * re),
-                          k_sq * fem.load_vector(mesh, eps0.values * im)])
+    mass = fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
+    load = k_sq * (mass @ (eps0.values * u0.values))
+    rhs = np.concatenate([load.real, load.imag])
     sol, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
     n = mesh.n_nodes
     return ComplexField(mesh, sol[:n] + 1j * sol[n:])
@@ -368,7 +365,7 @@ def run(
             if not gamma_ok:
                 u1g, rec.max_corr_gamma_sq, failed = _bounded_corrector(
                     config.corrector_cap, solve_gamma_corrector,
-                    grad0, E0, gamma0, q0, config.k1)
+                    u0, E0, gamma0, q0, config.k1)
                 rec.corrector_failed += failed
                 gamma0, rec.n_gamma_clamped = update_gamma(
                     J, grad0, u1g, gamma0, annulus_mask, gamma_annulus,

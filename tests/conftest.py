@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from helmpert import fem
+from helmpert import disentangle, fem
 from helmpert import mesh as hm
 
 settings.register_profile(
@@ -40,3 +40,22 @@ def truth50(disk50, phantom):
 
 def constant_field(mesh, value):
     return fem.CoefficientField(mesh=mesh, values=np.full(mesh.n_nodes, float(value)))
+
+
+def interior_mask(mesh):
+    """Boolean per node: not a boundary node."""
+    mask = np.ones(mesh.n_nodes, dtype=bool)
+    mask[mesh.boundary_nodes] = False
+    return mask
+
+
+def max_element_diameter(mesh):
+    """Longest element edge of the mesh."""
+    p = mesh.nodes[mesh.triangles]
+    return float(max(np.hypot(*(p[:, i] - p[:, (i + 1) % 3]).T).max()
+                     for i in range(3)))
+
+
+def model_datum(F, G, a, b, lam):
+    """Forward evaluation of the four-parameter datum model of disentangle."""
+    return F * disentangle.f_contrast(a * lam) + G * (b * lam - 1.0)

@@ -20,6 +20,8 @@ from helmpert import fem, forward
 from helmpert import mesh as hm
 from helmpert import reconstruct as rc
 
+from conftest import model_datum
+
 K1_CONVERGENT = math.pi * 1e3
 K2_CONVERGENT = math.pi * 1e-3
 
@@ -47,7 +49,7 @@ def manufactured_error(mesh):
     bc = fem.BoundaryCondition("dirichlet", ustar[mesh.boundary_nodes])
     u = fem.solve_bvp(mesh, gamma, q, k, bc, source=fem.ComplexField(mesh, f))
     e = u.values - ustar
-    mass = fem.mass_matrix(mesh, np.ones(mesh.n_nodes))
+    mass = fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
     return e, math.sqrt(float(np.real(np.conj(e) @ (mass @ e))))
 
 
@@ -110,7 +112,7 @@ def test_criterion_2_randomized_amplitude_recovery():
         b = rng.uniform(0.1, 10.0)
         F = 10.0 ** rng.uniform(-3.0, 3.0)
         G = 10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([-1.0, 1.0])
-        pairs = [(lam, dis.model_datum(F, G, a, b, lam)) for lam in quad]
+        pairs = [(lam, model_datum(F, G, a, b, lam)) for lam in quad]
         rec = dis.recover(pairs)
         worst = max(worst,
                     abs(rec.F - F) / abs(F), abs(rec.G - G) / abs(G),
@@ -168,8 +170,8 @@ def test_criterion_5_fine_mesh_diverges_where_coarse_converges(contrast_runs):
     fine, coarse = runs["fine"], runs["coarse"]
     assert fine.status in ("Diverged", "Stalled"), (fine.status, fine.detail)
     assert coarse.status == "Converged", (coarse.status, coarse.detail)
-    fine_min = dg.extrema_series(fine).min_u_sq
-    coarse_min = dg.extrema_series(coarse).min_u_sq
+    fine_min = np.array([r.min_u_sq for r in fine.records])
+    coarse_min = np.array([r.min_u_sq for r in coarse.records])
     overlap = min(len(fine_min), len(coarse_min))
     assert overlap >= 1
     assert np.all(fine_min[:overlap] < coarse_min[:overlap]), \

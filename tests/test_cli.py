@@ -71,6 +71,15 @@ def test_mesh_rejects_too_few_boundary_points(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_mesh_rejects_fractional_boundary_points(tmp_path, capsys):
+    # 50.7 points is not the 50-point mesh the echo would then misreport
+    cfg = write_config(tmp_path, {"mesh": {"n_boundary_points": 50.7}})
+    out = tmp_path / "out"
+    assert run_cli("mesh", "--config", cfg, "--out", out) == 2
+    assert "n_boundary_points" in capsys.readouterr().err
+    assert not (out / "mesh.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -79,6 +88,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mesh": {"n_boundary_pts": 50}})
     assert run_cli("mesh", "--config", cfg, "--out", tmp_path / "out") == 2
     assert "n_boundary_pts" in capsys.readouterr().err
+
+
+def test_output_formats_is_not_a_config_key(tmp_path, capsys):
+    # every artifact is CSV or JSON; there is no format switch to set
+    cfg = write_config(tmp_path, {"output": {"formats": ["vtk"]}})
+    assert run_cli("mesh", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "formats" in capsys.readouterr().err
 
 
 def test_malformed_json_rejected(tmp_path, capsys):

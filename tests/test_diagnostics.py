@@ -1,4 +1,4 @@
-"""Field norms, extrema series, and the frequency/mesh sweep grid."""
+"""Field norms, trace extrema, and the frequency/mesh sweep grid."""
 
 import math
 
@@ -12,7 +12,7 @@ from helmpert import fem
 from helmpert import mesh as hm
 from helmpert import reconstruct as rc
 
-from conftest import constant_field
+from conftest import constant_field, interior_mask
 
 K1 = math.pi * 1e3
 K2 = math.pi * 1e-3
@@ -22,16 +22,21 @@ def base_config(**overrides):
     return rc.ReconstructionConfig(k1=K1, k2=K2, **overrides)
 
 
+def cell(sweep, key):
+    return next(e for e in sweep.entries if e.key == key)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
 
 def test_field_norms_sup_of_constant(disk50):
     f = constant_field(disk50, 4.0)
-    linf, _, _ = fem.masked_field_norms(disk50, f.values, disk50.interior_mask)
+    mask = interior_mask(disk50)
+    linf, _, _ = fem.masked_field_norms(disk50, f.values, mask)
     assert linf == 4.0
     linf, _, _ = fem.masked_field_norms(
-        disk50, np.full(disk50.n_nodes, -2.0 + 0j), disk50.interior_mask)
+        disk50, np.full(disk50.n_nodes, -2.0 + 0j), mask)
     assert linf == 2.0
 
 
@@ -50,36 +55,24 @@ test_norm_inequality_l2_sq_below_l1_linf.mesh = hm.build_disk_mesh(8.0, 50)
 
 
 # ---------------------------------------------------------------------------
-# extrema series
-
-
-def test_extrema_series_requires_records():
-    with pytest.raises(ValueError):
-        diag.extrema_series(rc.ReconstructionTrace())
+# extrema series: the per-iteration breakdown indicators of the trace
 
 
 def test_extrema_series_matches_trace(disk50):
     trace = diag.synthetic_run(disk50, base_config())
-    series = diag.extrema_series(trace)
     assert trace.status == rc.STATUS_CONVERGED
     n = len(trace.records)
-    assert series.iterations.shape == (n,)
-    np.testing.assert_array_equal(series.iterations, np.arange(1, n + 1))
-    np.testing.assert_array_equal(series.min_u_sq,
-                                  [r.min_u_sq for r in trace.records])
-    np.testing.assert_array_equal(
-        series.max_corrector_sq,
-        [max(r.max_corr_gamma_sq, r.max_corr_q_sq) for r in trace.records])
+    np.testing.assert_array_equal([r.iteration for r in trace.records],
+                                  np.arange(1, n + 1))
     # the low-frequency field keeps a healthy floor on a convergent run
-    assert series.min_u_sq[-1] > 1e-3
+    assert trace.records[-1].min_u_sq > 1e-3
 
 
 def test_extrema_series_on_a_diverging_run(disk50):
     cfg = rc.ReconstructionConfig(k1=math.pi * 10.0, k2=math.pi / 10.0)
     trace = diag.synthetic_run(disk50, cfg)
     assert trace.status == rc.STATUS_DIVERGED
-    series = diag.extrema_series(trace)
-    drops = np.diff(series.min_u_sq)
+    drops = np.diff([r.min_u_sq for r in trace.records])
     assert np.all(drops < 0.0)
 
 
@@ -94,7 +87,7 @@ def test_frequency_sweep_known_cells(disk50):
     assert statuses["m=3;mesh=50"] == rc.STATUS_CONVERGED
     assert statuses["m=1;mesh=50"] == rc.STATUS_DIVERGED
     assert not sweep.all_converged()
-    entry = sweep.by_key()["m=3;mesh=50"]
+    entry = cell(sweep, "m=3;mesh=50")
     assert entry.final_misfit_J_linf < 1e-3
     assert entry.n_iterations == len(entry.iterations)
 
@@ -113,11 +106,22 @@ def test_frequency_sweep_records_failures_without_aborting():
     statuses = sweep.statuses()
     assert statuses["m=3;mesh=8"] == diag.STATUS_FAILED
     assert statuses["m=3;mesh=50"] == rc.STATUS_CONVERGED
-    failed = sweep.by_key()["m=3;mesh=8"]
+    failed = cell(sweep, "m=3;mesh=8")
     assert "ValueError" in failed.detail
     assert failed.n_iterations == 0
     assert math.isnan(failed.final_misfit_J_linf)
     assert failed.iterations.size == 0
+
+
+def test_frequency_sweep_rejects_fractional_cells(monkeypatch):
+    # m = 2.5 is not the m=2 cell, nor 20.9 points the mesh-20 one; the
+    # check comes before any cell runs
+    ran = []
+    monkeypatch.setattr(diag, "synthetic_run", lambda *args: ran.append(args))
+    for exponents, mesh_points in (([2.5], [50]), ([3], [20.9])):
+        with pytest.raises(ValueError):
+            diag.frequency_sweep(base_config(), exponents, mesh_points)
+    assert ran == []
 
 
 def test_frequency_sweep_thread_determinism(tmp_path):

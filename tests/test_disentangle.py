@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from helmpert import disentangle as dis
 from helmpert import fem, forward
 
-from conftest import constant_field
+from conftest import constant_field, model_datum
 
 QUAD = dis.AmplitudeQuad().as_tuple()
 
 
 def synthetic_pairs(F, G, a, b, lams=QUAD):
-    return [(lam, dis.model_datum(F, G, a, b, lam)) for lam in lams]
+    return [(lam, model_datum(F, G, a, b, lam)) for lam in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,14 @@ def test_recover_affine_fallback_when_gradient_silent():
     assert rec.G == pytest.approx(G, rel=1e-12)
     assert rec.b == pytest.approx(b, rel=1e-12)
     assert rec.residual < 1e-12
+
+
+def test_recover_all_zero_data_is_the_empty_fit():
+    # max|D| = 0: the degeneracy test must still take the F = 0 branch
+    # instead of dividing d3 by d4 = 0
+    rec = dis.recover([(lam, 0.0) for lam in QUAD])
+    assert (rec.F, rec.G, rec.residual) == (0.0, 0.0, 0.0)
+    assert math.isnan(rec.a) and math.isnan(rec.b)
 
 
 def test_recover_is_permutation_invariant():

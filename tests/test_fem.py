@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from helmpert import fem
 from helmpert import mesh as hm
 
-from conftest import constant_field
+from conftest import constant_field, interior_mask
 
 # First two zeros of the zeroth-order Bessel function; resonances of the unit
 # disk with constant data sit at these wavenumbers.
@@ -40,6 +40,10 @@ def quadratic_saddle(mesh):
     return x ** 2 - y ** 2 + 1j * x * y
 
 
+def unit_mass(mesh):
+    return fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
+
+
 def boundary_angles(mesh):
     pts = mesh.nodes[mesh.boundary_nodes]
     return np.arctan2(pts[:, 1], pts[:, 0])
@@ -57,7 +61,7 @@ def test_single_triangle_stiffness_and_mass():
     np.testing.assert_allclose(
         fem.assemble(mesh, one, one, 0.0).matrix.toarray(), k_ref,
         rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(fem.mass_matrix(mesh, np.ones(3)).toarray(),
+    np.testing.assert_allclose(unit_mass(mesh).toarray(),
                                m_ref, rtol=0.0, atol=1e-16)
     np.testing.assert_allclose(
         fem.assemble(mesh, one, one, 1.0).matrix.toarray(), k_ref - m_ref,
@@ -67,7 +71,7 @@ def test_single_triangle_stiffness_and_mass():
 def test_assemble_zero_k_is_pure_stiffness(disk50, truth50):
     gamma, q = truth50
     a0 = fem.assemble(disk50, gamma, q, 0.0).matrix
-    k_only = fem.stiffness_matrix(disk50, gamma.values)
+    k_only = fem.assemble_operator(disk50, gamma.values, None)
     assert abs(a0 - k_only).max() == 0.0
 
 
@@ -77,18 +81,21 @@ def test_doubling_gamma_doubles_stiffness_part(disk50, truth50):
     a1 = fem.assemble(disk50, gamma, q, k).matrix
     gamma2 = fem.CoefficientField(mesh=disk50, values=2.0 * gamma.values)
     a2 = fem.assemble(disk50, gamma2, q, k).matrix
-    diff = (a2 - a1) - fem.stiffness_matrix(disk50, gamma.values)
+    diff = (a2 - a1) - fem.assemble_operator(disk50, gamma.values, None)
     assert abs(diff).max() < 1e-12
 
 
 def test_load_vector_of_ones_matches_lumped_areas(disk50):
+    # the load of f = 1 is one third of the area of each incident element
     ones = np.ones(disk50.n_nodes)
-    np.testing.assert_allclose(fem.load_vector(disk50, ones),
-                               fem.lumped_node_areas(disk50), rtol=1e-12)
+    lumped = np.bincount(disk50.triangles.ravel(),
+                         weights=np.repeat(disk50.element_areas / 3.0, 3),
+                         minlength=disk50.n_nodes)
+    np.testing.assert_allclose(unit_mass(disk50) @ ones, lumped, rtol=1e-12)
 
 
 def test_lumped_node_areas_partition_total_area(disk100):
-    lumped = fem.lumped_node_areas(disk100)
+    lumped = unit_mass(disk100) @ np.ones(disk100.n_nodes)
     assert np.all(lumped > 0)
     np.testing.assert_allclose(lumped.sum(), disk100.element_areas.sum(),
                                rtol=1e-12)
@@ -292,7 +299,7 @@ def test_factor_solve_gates_on_residual():
 def test_eliminate_dirichlet_two_blocks(disk50, truth50):
     gamma, q = truth50
     a = fem.assemble_operator(disk50, gamma.values, -q.values)
-    coupling = fem.mass_matrix(disk50, q.values)
+    coupling = fem.assemble_operator(disk50, None, q.values)
     matrix = sp.bmat([[a, coupling], [coupling, 2.0 * a]], format="csr")
     n = disk50.n_nodes
     rhs = np.random.default_rng(13).standard_normal(2 * n)
@@ -423,7 +430,7 @@ def test_masked_field_norms_constants(disk50):
 
 def test_masked_field_norms_interior_only(disk50):
     # Interior mask drops every element touching the boundary ring.
-    mask = disk50.interior_mask
+    mask = interior_mask(disk50)
     linf, l1, l2 = fem.masked_field_norms(disk50, np.ones(disk50.n_nodes), mask)
     assert linf == 1.0
     assert 0.0 < l1 < disk50.element_areas.sum()

@@ -2,19 +2,19 @@
 
 Single-triangle K/M and the exact gradient of a linear field are covered in
 test_fem.py; these tests hold the vectorized kernels to plain loops over the
-element formulas and to the assembled stiffness matrix.
+element formulas.
 """
 
 import numpy as np
 import pytest
 
-from helmpert import fem, kernels
+from helmpert import kernels
 
 
 def test_backend_reports_known_name():
     assert kernels.BACKEND == "python"
     for name in ("element_geometry", "local_matrices", "triangle_gradients",
-                 "nodal_average", "gradient_load"):
+                 "nodal_average"):
         assert callable(getattr(kernels, name))
 
 
@@ -68,20 +68,3 @@ def test_nodal_average_matches_loop_and_keeps_constants(disk50, shape):
     np.testing.assert_allclose(flat, np.broadcast_to(const[0], flat.shape),
                                rtol=1e-14, atol=0.0)
 
-
-@pytest.mark.parametrize("complex_values", [False, True])
-def test_gradient_load_is_the_stiffness_action(disk50, complex_values):
-    area, b, c = disk50.geometry
-    rng = np.random.default_rng(6)
-    weight = rng.uniform(0.1, 3.0, size=area.size)
-    u = rng.standard_normal(disk50.n_nodes)
-    if complex_values:
-        u = u + 1j * rng.standard_normal(disk50.n_nodes)
-    grads = kernels.triangle_gradients(u, disk50.triangles, b, c, area)
-    got = kernels.gradient_load(weight, grads, disk50.triangles, b, c,
-                                disk50.n_nodes)
-    ref = fem.assemble_operator_elementwise(disk50, weight,
-                                            np.zeros(area.size)) @ u
-    assert np.iscomplexobj(got) == complex_values
-    err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
-    assert err <= 1e-12

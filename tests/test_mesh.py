@@ -5,6 +5,8 @@ import pytest
 
 from helmpert import mesh as hm
 
+from conftest import max_element_diameter
+
 
 def _boundary_edge_check(mesh):
     """Every boundary edge in exactly one triangle, interior edges in two."""
@@ -39,7 +41,7 @@ def test_disk_mesh_invariants(n):
     assert np.all(mesh.element_areas > 0)
     assert abs(mesh.element_areas.sum() - math.pi * 64) < 0.02 * math.pi * 64
     arc = 2 * math.pi * 8.0 / n
-    assert hm.max_element_diameter(mesh) <= 3.0 * arc
+    assert max_element_diameter(mesh) <= 3.0 * arc
     _boundary_edge_check(mesh)
 
 
@@ -71,13 +73,15 @@ def test_rejects_degenerate_boundary_counts():
     with pytest.raises(ValueError):
         hm.build_disk_mesh(8.0, 15)
     with pytest.raises(ValueError):
+        hm.build_disk_mesh(8.0, 50.7)  # a fractional count, not 50
+    with pytest.raises(ValueError):
         hm.build_disk_mesh(0.0, 50)
 
 
 def test_refinement_halves_max_diameter():
     for n in (16, 50, 100):
-        coarse = hm.max_element_diameter(hm.build_disk_mesh(8.0, n))
-        fine = hm.max_element_diameter(hm.build_disk_mesh(8.0, 2 * n))
+        coarse = max_element_diameter(hm.build_disk_mesh(8.0, n))
+        fine = max_element_diameter(hm.build_disk_mesh(8.0, 2 * n))
         assert fine <= 0.5 * coarse
 
 

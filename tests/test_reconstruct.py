@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helmpert import fem, forward
 from helmpert import mesh as hm
@@ -124,8 +125,7 @@ def test_gamma_corrector_of_zero_misfit_is_zero(disk50, truth50):
     gamma, q = truth50
     u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     zero = fem.CoefficientField(disk50, np.zeros(disk50.n_nodes))
-    corr = rc.solve_gamma_corrector(fem.gradient(u0), zero, gamma, q,
-                                    K1_DEFAULT)
+    corr = rc.solve_gamma_corrector(u0, zero, gamma, q, K1_DEFAULT)
     assert np.max(np.abs(corr.values)) == 0.0
 
 
@@ -134,11 +134,60 @@ def test_gamma_corrector_conjugation(disk50, truth50):
     u0 = fem.solve_bvp(disk50, gamma, q, K2_DEFAULT, phase_dirichlet(disk50))
     rng = np.random.default_rng(2)
     E0 = fem.CoefficientField(disk50, rng.uniform(-0.3, 0.3, disk50.n_nodes))
-    c1 = rc.solve_gamma_corrector(fem.gradient(u0), E0, gamma, q, K1_DEFAULT)
+    c1 = rc.solve_gamma_corrector(u0, E0, gamma, q, K1_DEFAULT)
     u0c = fem.ComplexField(disk50, np.conj(u0.values))
-    c2 = rc.solve_gamma_corrector(fem.gradient(u0c), E0, gamma, q, K1_DEFAULT)
+    c2 = rc.solve_gamma_corrector(u0c, E0, gamma, q, K1_DEFAULT)
     scale = np.max(np.abs(c1.values))
     assert np.max(np.abs(c2.values - np.conj(c1.values))) < 1e-12 * scale
+
+
+def test_gamma_corrector_matches_element_loop(disk50, truth50):
+    # the load is (E0 grad u0, grad phi_i), E0 averaged per element
+    gamma, q = truth50
+    k = 0.35
+    u0 = fem.solve_bvp(disk50, gamma, q, k, phase_dirichlet(disk50))
+    E0 = fem.CoefficientField(
+        disk50, np.random.default_rng(3).uniform(-0.3, 0.3, disk50.n_nodes))
+    area, b, c = disk50.geometry
+    rhs = np.zeros(disk50.n_nodes, dtype=complex)
+    for e, tri in enumerate(disk50.triangles):
+        grad_phi = np.stack([b[e], c[e]], axis=1) / (2.0 * area[e])
+        grad_u = grad_phi.T @ u0.values[tri]
+        rhs[tri] += area[e] * E0.values[tri].mean() * (grad_phi @ grad_u)
+    matrix = fem.assemble_operator(disk50, gamma.values - E0.values,
+                                   k ** 2 * q.values)
+    ref, _ = fem.factor_solve(*fem.eliminate_dirichlet(disk50, matrix, rhs))
+    got = rc.solve_gamma_corrector(u0, E0, gamma, q, k).values
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_q_corrector_matches_the_summed_per_kind_blocks(disk50, truth50):
+    # the blocks as a sum of five single-coefficient matrices, then bmat
+    gamma, q = truth50
+    k = 0.35
+    u0 = fem.solve_bvp(disk50, gamma, q, k, phase_dirichlet(disk50))
+    j = q.values * np.abs(u0.values) ** 2
+    eps0 = fem.CoefficientField(
+        disk50, np.random.default_rng(4).uniform(-0.5, 0.5, disk50.n_nodes))
+    re, im = u0.values.real, u0.values.imag
+    u2 = re * re + im * im
+
+    def mass(coeff):
+        return fem.assemble_operator(disk50, None, coeff)
+
+    diag = (fem.assemble_operator(disk50, gamma.values, None)
+            - k ** 2 * mass(j / u2))
+    a11 = diag + 2.0 * k ** 2 * mass(q.values * re * re / u2)
+    a12 = 2.0 * k ** 2 * mass(q.values * re * im / u2)
+    a22 = diag + 2.0 * k ** 2 * mass(q.values * im * im / u2)
+    matrix = sp.bmat([[a11, a12], [a12, a22]], format="csc")
+    ones = np.ones(disk50.n_nodes)
+    rhs = k ** 2 * np.concatenate([mass(ones) @ (eps0.values * re),
+                                   mass(ones) @ (eps0.values * im)])
+    sol, _ = fem.factor_solve(*fem.eliminate_dirichlet(disk50, matrix, rhs))
+    ref = sol[:disk50.n_nodes] + 1j * sol[disk50.n_nodes:]
+    got = rc.solve_q_corrector(u0, eps0, j, gamma, q, k).values
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_q_corrector_of_zero_misfit_is_zero(disk50, truth50):
