@@ -5,12 +5,15 @@ A probe datum at amplitude lam follows the model
     D(lam) = F * f(a*lam) + G * (b*lam - 1)
 
 with F the gradient energy, G the (negated, frequency-scaled) mass energy,
-and (a, b) the material contrast ratios inside the probe. The affine G-term
-is annihilated by the second-order divided-difference d, which factors as
-F times a rational function Q of the amplitudes and a alone. Because
-f(x) = (x-1)^2/(x+1) = x - 3 + 4/(x+1), the ratio of two such d values is
-a Moebius function of a, so a has a closed form, after which F, G, b follow
-by exact elimination. Four distinct amplitudes are exactly enough.
+and (a, b) the material contrast ratios inside the probe. The gradient
+channel carries the polarization-tensor factor of a disk inclusion,
+f(x) = 2(x-1)/(x+1) (Ammari & Kang, Polarization and Moment Tensors, 2007),
+odd about contrast 1 in the sense f(1/x) = -f(x). The affine G-term is
+annihilated by the second-order divided-difference d, which factors as F
+times a rational function Q of the amplitudes and a alone. Because
+f(x) = 2 - 4/(x+1), the ratio of two such d values is a Moebius function of
+a, so a has a closed form, after which F, G, b follow by exact elimination.
+Four distinct amplitudes are exactly enough.
 """
 
 import math
@@ -78,10 +81,10 @@ class RecoveredPoint:
 
 
 def f_contrast(x: float) -> float:
-    """Rational contrast factor (x-1)^2 / (x+1) of the gradient channel."""
+    """Disk polarization factor 2(x-1)/(x+1) of the gradient channel."""
     if x == -1.0:
         raise ValueError("contrast factor has a pole at -1")
-    return (x - 1.0) ** 2 / (x + 1.0)
+    return 2.0 * (x - 1.0) / (x + 1.0)
 
 
 def d_triple(pairs: Sequence[Tuple[float, float]]) -> float:
@@ -97,8 +100,11 @@ def d_triple(pairs: Sequence[Tuple[float, float]]) -> float:
 
 
 def q_rational(x1: float, x2: float, x3: float, a: float) -> float:
-    """The amplitude-only factor Q with d = F * Q; symmetric in x1, x2."""
-    return (4.0 * a * a * (x3 - x1) * (x3 - x2)
+    """The amplitude-only factor Q with d = F * Q; symmetric in x1, x2.
+
+    Only the -4/(a*lam + 1) part of f(a*lam) survives d, hence the sign.
+    """
+    return (-4.0 * a * a * (x3 - x1) * (x3 - x2)
             / ((a * x1 + 1.0) * (a * x2 + 1.0) * (a * x3 + 1.0)))
 
 

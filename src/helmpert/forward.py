@@ -268,9 +268,9 @@ def predict_probe(gamma_at_z: float, q_at_z: float, grad_u_at_z, u_at_z: complex
                   k: float, probe: PerturbationProbe) -> float:
     """Closed-form small-probe limit of the rescaled datum.
 
-    The gradient channel carries the rational contrast factor
-    (a-1)^2/(a+1) with a the conductivity amplitude ratio, the value channel
-    is linear in the permittivity amplitude ratio.
+    The gradient channel carries the disk polarization factor 2(a-1)/(a+1)
+    with a the conductivity amplitude ratio, so it changes sign with a - 1;
+    the value channel is linear in the permittivity amplitude ratio.
     """
     if gamma_at_z <= 0 or q_at_z <= 0:
         raise ValueError("material values at the probe center must be positive")
@@ -281,7 +281,7 @@ def predict_probe(gamma_at_z: float, q_at_z: float, grad_u_at_z, u_at_z: complex
     val_sq = float(abs(complex(u_at_z)) ** 2)
     a = probe.amplitude * probe.gamma_tilde / gamma_at_z
     b = probe.amplitude * probe.q_tilde / q_at_z
-    return (gamma_at_z * grad_sq * (a - 1.0) ** 2 / (a + 1.0)
+    return (gamma_at_z * grad_sq * 2.0 * (a - 1.0) / (a + 1.0)
             - k ** 2 * q_at_z * val_sq * (b - 1.0))
 
 

@@ -146,6 +146,26 @@ class TriangleMesh:
         """(area, b, c) per element; grad(phi_i) = (b_i, c_i)/(2 area)."""
         return kernels.element_geometry(self.nodes, self.triangles)
 
+    @cached_property
+    def csr_pattern(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, slot) of the P1 matrix pattern, canonical CSR.
+
+        slot[9 e + 3 i + j] is the position in the CSR data of element e's
+        local entry (i, j), so an assembled matrix's data is a bincount of
+        the element matrices over slot. Built on first use; locked like the
+        mesh arrays, because every matrix assembled on the mesh shares it.
+        """
+        n = self.n_nodes
+        t = self.triangles.astype(np.int64)
+        keys = (np.repeat(t, 3, axis=1) * n + np.tile(t, (1, 3))).ravel()
+        entries, slot = np.unique(keys, return_inverse=True)
+        row_counts = np.bincount(entries // n, minlength=n)
+        indptr = np.concatenate([[0], np.cumsum(row_counts)]).astype(np.int32)
+        indices = (entries % n).astype(np.int32)
+        for arr in (indptr, indices, slot):
+            arr.flags.writeable = False
+        return indptr, indices, slot
+
     def node_radii(self) -> np.ndarray:
         return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
 

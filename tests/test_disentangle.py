@@ -26,7 +26,9 @@ def synthetic_pairs(F, G, a, b, lams=QUAD):
 def test_f_contrast_values():
     assert dis.f_contrast(1.0) == 0.0
     assert dis.f_contrast(3.0) == 1.0
-    assert dis.f_contrast(0.0) == 1.0
+    assert dis.f_contrast(0.0) == -2.0
+    # odd about contrast 1: a weaker inclusion flips the sign
+    assert dis.f_contrast(1.0 / 3.0) == pytest.approx(-1.0, rel=1e-15)
     with pytest.raises(ValueError):
         dis.f_contrast(-1.0)
 
@@ -50,9 +52,9 @@ def test_d_triple_annihilates_affine_data():
 
 
 def test_d_triple_frozen_value():
-    # D(lam) = f(2 lam) at (0.5, 1.5, 3): 25/7 - 5/2 = 15/14
+    # D(lam) = f(2 lam) at (0.5, 1.5, 3): 10/7 - 5/2 = -15/14
     pairs = [(lam, dis.f_contrast(2.0 * lam)) for lam in (0.5, 1.5, 3.0)]
-    assert dis.d_triple(pairs) == pytest.approx(15.0 / 14.0, rel=1e-14)
+    assert dis.d_triple(pairs) == pytest.approx(-15.0 / 14.0, rel=1e-14)
 
 
 def test_q_rational_zeros_and_symmetry():
@@ -196,11 +198,10 @@ def test_recover_internal_data_scaling(disk50):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "measured probe data does not follow the fitted gradient-channel law: the "
-    "boundary datum of a finite conductivity inclusion is antisymmetric about "
-    "contrast 1 while the model factor (x-1)^2/(x+1) is nonnegative, so the "
-    "fit returns a negative gradient energy (or no bracket root) instead of "
-    "the interior values"))
+    "the probe is sub-grid: on mesh 100 the element size is about five probe "
+    "radii (h/r ~ 5), so the measured data follow the small-probe law only "
+    "coarsely and the fitted energies are off by a factor of about 30; the "
+    "law is resolved at h/r <= 0.6"))
 def test_measured_probes_round_trip_to_internal_data(disk100):
     gamma = constant_field(disk100, 1.0)
     q = constant_field(disk100, 3.0)

@@ -1,12 +1,15 @@
 """Assembly, boundary conditions, solves, gradients, boundary integrals."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from helmpert import fem
+from helmpert import fem, kernels
 from helmpert import mesh as hm
 
 from conftest import constant_field, interior_mask
@@ -99,6 +102,58 @@ def test_lumped_node_areas_partition_total_area(disk100):
     assert np.all(lumped > 0)
     np.testing.assert_allclose(lumped.sum(), disk100.element_areas.sum(),
                                rtol=1e-12)
+
+
+def coo_reference(mesh, stiff_elem, mass_elem):
+    """Element matrices summed through a COO triplet list, as before the
+    cached pattern."""
+    area, b, c = mesh.geometry
+    local = kernels.local_matrices(area, b, c, stiff_elem, mass_elem)
+    t = mesh.triangles
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    n = mesh.n_nodes
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("fixture", ["disk50", "disk100"])
+def test_pattern_fill_matches_coo_assembly(fixture, request):
+    mesh = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(5)
+    stiff = rng.uniform(0.5, 3.0, mesh.n_triangles)
+    mass = rng.uniform(-2.0, 2.0, mesh.n_triangles)
+    got = fem.assemble_operator_elementwise(mesh, stiff, mass)
+    want = coo_reference(mesh, stiff, mass)
+    assert got.has_canonical_format
+    assert got.nnz == want.nnz
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(got.data, want.data, rtol=0.0,
+                               atol=1e-14 * abs(want.data).max())
+
+
+def test_pattern_is_built_once_per_mesh():
+    mesh = hm.build_disk_mesh(8.0, 40)
+    assert "csr_pattern" not in vars(mesh)  # lazy: mesh set-up builds none
+    ones = np.ones(mesh.n_nodes)
+    a = fem.assemble_operator(mesh, ones, None)
+    b = fem.assemble_operator(mesh, None, ones)
+    indptr, indices, _ = mesh.csr_pattern
+    for matrix in (a, b):
+        assert np.shares_memory(matrix.indices, indices)
+        assert np.shares_memory(matrix.indptr, indptr)
+    assert not indices.flags.writeable
+
+
+def test_meshes_do_not_share_a_pattern():
+    m1 = hm.build_disk_mesh(8.0, 40)
+    m2 = hm.build_disk_mesh(8.0, 40)
+    assert not np.shares_memory(m1.csr_pattern[1], m2.csr_pattern[1])
+    # the pattern lives and dies with its mesh
+    dead = weakref.ref(m1.csr_pattern[1])
+    del m1
+    gc.collect()
+    assert dead() is None
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +349,41 @@ def test_factor_solve_gates_on_residual():
     with pytest.raises(fem.NonConvergence) as info:
         fem.factor_solve(matrix, rhs)
     assert info.value.residual / info.value.rhs_norm == pytest.approx(rel)
+
+
+def test_complex_rhs_solves_as_two_real_columns(disk50, truth50):
+    gamma, q = truth50
+    matrix = fem.assemble_operator(disk50, gamma.values, -(0.7 ** 2) * q.values)
+    rng = np.random.default_rng(13)
+    rhs = rng.standard_normal(disk50.n_nodes) + 1j * rng.standard_normal(disk50.n_nodes)
+    x, rel = fem.factor_solve(matrix, rhs)
+    assert x.dtype == np.complex128
+    assert rel <= fem.RESIDUAL_RTOL
+    ref = spla.splu(matrix.tocsc().astype(np.complex128)).solve(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solve_bvp_factors_only_real_matrices(disk50, truth50, monkeypatch):
+    seen = []
+    real_splu = spla.splu
+
+    def recording_splu(matrix, *args, **kwargs):
+        seen.append(matrix.dtype)
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    gamma, q = truth50
+    data = np.exp(1j * boundary_angles(disk50))
+    for kind in ("dirichlet", "neumann"):
+        u = fem.solve_bvp(disk50, gamma, q, 0.7, fem.BoundaryCondition(kind, data))
+        assert np.abs(u.values.imag).max() > 0.0
+    assert seen == [np.float64, np.float64]
+
+
+def test_factor_solve_rejects_complex_matrix():
+    matrix = sp.identity(3, format="csc", dtype=np.complex128)
+    with pytest.raises(TypeError):
+        fem.factor_solve(matrix, np.ones(3))
 
 
 def test_eliminate_dirichlet_two_blocks(disk50, truth50):

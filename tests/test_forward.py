@@ -201,6 +201,27 @@ def test_value_channel_probe_matches_prediction(disk100):
     assert abs(meas.D - pred) < 0.05 * abs(pred)
 
 
+@pytest.mark.parametrize("gamma_tilde, sign", [(0.25, -1.0), (0.5, -1.0),
+                                               (2.0, 1.0), (4.0, 1.0)])
+def test_gradient_channel_sign_follows_contrast(disk100, gamma_tilde, sign):
+    # b = 1 silences the value channel: the datum is F f(a) with F > 0, so
+    # a weaker inclusion (a < 1) must read negative and a stronger one
+    # positive, in the measurement and in the small-probe law alike
+    gamma = constant_field(disk100, 1.0)
+    q = constant_field(disk100, 3.0)
+    k = 0.35
+    bc = phase_bc(disk100)
+    probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.2,
+                                      amplitude=1.0, gamma_tilde=gamma_tilde,
+                                      q_tilde=3.0)
+    meas = forward.measure_probe(disk100, gamma, q, k, bc, probe)
+    u = fem.solve_bvp(disk100, gamma, q, k, bc)
+    val, grad = forward.sample_field(u, (2.3, 1.1))
+    pred = forward.predict_probe(1.0, 3.0, grad, val, k, probe)
+    assert sign * meas.D > 0.0
+    assert sign * pred > 0.0
+
+
 def test_predict_probe_validation():
     probe = forward.PerturbationProbe(center=(0.0, 0.0), radius=0.1,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=1.0)
