@@ -105,8 +105,8 @@ def test_lumped_node_areas_partition_total_area(disk100):
 
 
 def coo_reference(mesh, stiff_elem, mass_elem):
-    """Element matrices summed through a COO triplet list, as before the
-    cached pattern."""
+    """Reference assembly: element matrices summed through a COO triplet
+    list by scipy's duplicate summation."""
     area, b, c = mesh.geometry
     local = kernels.local_matrices(area, b, c, stiff_elem, mass_elem)
     t = mesh.triangles
