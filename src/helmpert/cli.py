@@ -336,8 +336,7 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
     artifacts = [_echo_config(out_dir, cfg)]
     try:
         u = fem.solve_bvp(mesh_obj, gamma, q, k, bc)
-        measurements = forward.probe_sweep(mesh_obj, gamma, q, k, bc, probes,
-                                           jobs=jobs)
+        measurements = forward.probe_sweep(mesh_obj, gamma, q, k, bc, probes)
     except (SingularSystem, NonConvergence) as err:
         return _solver_failure(out_dir, "probe", err, artifacts)
 
@@ -393,7 +392,7 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
         artifacts.append("recover.csv")
 
     _write_manifest(out_dir, "probe", artifacts,
-                    {"n_probes": len(probes), "k": k, "jobs": jobs,
+                    {"n_probes": len(probes), "k": k,
                      "n_recovered": len(recover_rows),
                      "n_recover_failed": n_recover_failed})
     print(f"probe: {len(probes)} measurements, {len(recover_rows)} "

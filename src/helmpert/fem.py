@@ -12,10 +12,12 @@ centroid quadrature), adequate for the piecewise-constant phantoms used here.
 Dirichlet data is enforced by row elimination with the symmetric column
 correction (eliminate_dirichlet, shared by the forward problem and the
 reconstruction's stacked corrector blocks); Neumann data adds consistent edge
-loads. Every operator is real, and every linear solve goes through
-factor_solve: a float64 sparse LU with a symmetric minimum-degree ordering,
-which solves a complex rhs as its real and imaginary columns, checked against
-a relative residual of 1e-10.
+loads. Every operator is real, and every linear solve goes through one
+factor object, Factor: a float64 sparse LU with a symmetric minimum-degree
+ordering, built once and reused for blocks of right-hand sides (a complex
+one as its real and imaginary columns), each column checked against a
+relative residual of 1e-10 (residual_gate). factor_solve is the one-shot
+form.
 """
 
 import math
@@ -220,9 +222,20 @@ def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray
         u_bc[bnodes] = values
         rhs = rhs - matrix @ u_bc
         rhs[bnodes] = values
-    d_int = sp.diags(interior)
-    d_bd = sp.diags(1.0 - interior)
-    return (d_int @ matrix @ d_int + d_bd).tocsr(), rhs
+    # a masked copy of the canonical CSR data: interior entries stay (exact
+    # zeros dropped), a boundary row keeps only its diagonal, set to one
+    csr = matrix.tocsr()
+    csr.sum_duplicates()
+    inner = interior.astype(bool)
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    diag = ~inner[rows] & (csr.indices == rows)
+    if np.count_nonzero(diag) != len(bnodes):
+        raise ValueError("matrix pattern lacks a boundary diagonal entry")
+    keep = (inner[rows] & inner[csr.indices] & (csr.data != 0)) | diag
+    data = np.where(diag, 1.0, csr.data)[keep]
+    indptr = np.zeros(n + 1, dtype=csr.indptr.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return sp.csr_matrix((data, csr.indices[keep], indptr), shape=(n, n)), rhs
 
 
 def apply_dirichlet(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
@@ -244,6 +257,13 @@ def _boundary_segments(mesh: TriangleMesh) -> Tuple[np.ndarray, np.ndarray]:
     return nxt, np.hypot(seg[:, 0], seg[:, 1])
 
 
+def boundary_weights(mesh: TriangleMesh) -> np.ndarray:
+    """Trapezoid weight of each boundary node (half its two segments), so
+    boundary_integral(f, g) = sum(w * f * conj(g)) over the boundary nodes."""
+    _, lengths = _boundary_segments(mesh)
+    return 0.5 * (lengths + np.roll(lengths, 1))
+
+
 def apply_neumann(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
     """Add the consistent boundary load (flux, phi_i) along the loop."""
     if bc.kind != "neumann":
@@ -263,37 +283,72 @@ def apply_neumann(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
     return SparseSystem(mesh=mesh, matrix=system.matrix, rhs=rhs)
 
 
-def factor_solve(matrix: sp.spmatrix, rhs: np.ndarray,
-                 gate: bool = True) -> Tuple[np.ndarray, float]:
-    """Sparse LU solve of a real system; returns the solution and its
-    relative residual.
+class Factor:
+    """Float64 sparse LU of a real matrix, gated solves over rhs blocks.
 
-    The LU is always float64: a complex rhs is solved as the two columns
-    [Re, Im] of one triangular solve. Raises TypeError on a complex matrix,
-    SingularSystem on breakdown and, when gate is set, NonConvergence above
-    RESIDUAL_RTOL.
+    The LU is built once, with LU_ORDERING and LU_OPTIONS; solve takes a
+    right-hand side of shape (n,) or (n, m), real or complex, and solves a
+    complex block as the real columns [Re, Im] of one triangular solve.
+    Raises TypeError on a complex matrix and SingularSystem on breakdown.
     """
-    if np.iscomplexobj(matrix):
-        raise TypeError("factor_solve takes a real matrix")
-    matrix = matrix.tocsc().astype(np.float64, copy=False)
-    is_complex = np.iscomplexobj(rhs)
-    cols = np.column_stack([rhs.real, rhs.imag]) if is_complex else rhs
-    cols = cols.astype(np.float64, copy=False)
-    try:
-        lu = spla.splu(matrix, permc_spec=LU_ORDERING, options=LU_OPTIONS)
-        y = lu.solve(cols)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(y)):
-        raise SingularSystem("factorization produced non-finite values")
-    x = y[:, 0] + 1j * y[:, 1] if is_complex else y
-    # the complex norms are the Frobenius norms of the [Re, Im] columns
-    rhs_norm = float(np.linalg.norm(cols))
-    residual = float(np.linalg.norm(matrix @ y - cols))
-    rel = residual / max(rhs_norm, np.finfo(float).tiny)
+
+    def __init__(self, matrix: sp.spmatrix):
+        if np.iscomplexobj(matrix):
+            raise TypeError("Factor takes a real matrix")
+        self.matrix = matrix.tocsc().astype(np.float64, copy=False)
+        try:
+            self._lu = spla.splu(self.matrix, permc_spec=LU_ORDERING,
+                                 options=LU_OPTIONS)
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from exc
+
+    def solve(self, rhs: np.ndarray, gate: bool = True) -> Tuple[np.ndarray, float]:
+        """Solution and its relative residual (see residual_gate)."""
+        is_complex = np.iscomplexobj(rhs)
+        cols = np.column_stack([rhs.real, rhs.imag]) if is_complex else rhs
+        cols = cols.astype(np.float64, copy=False)
+        try:
+            y = self._lu.solve(cols)
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from exc
+        if not np.all(np.isfinite(y)):
+            raise SingularSystem("factorization produced non-finite values")
+        n_rhs = 1 if rhs.ndim == 1 else rhs.shape[1]
+        rel = residual_gate(self.matrix, y, cols, n_rhs, gate)
+        if not is_complex:
+            return y, rel
+        x = y[:, :n_rhs] + 1j * y[:, n_rhs:]
+        return (x[:, 0] if rhs.ndim == 1 else x), rel
+
+
+def residual_gate(matrix, y: np.ndarray, cols: np.ndarray, n_rhs: int,
+                  gate: bool = True) -> float:
+    """Largest relative residual of matrix @ y = cols over its rhs columns.
+
+    cols holds n_rhs real columns, or 2 n_rhs as [Re, Im] halves; a complex
+    column is measured by the Frobenius norm of its [Re, Im] pair. Columns
+    are checked one at a time, so no residual block is formed. When gate is
+    set, one column above RESIDUAL_RTOL raises NonConvergence.
+    """
+    checks = []
+    for j in range(n_rhs):
+        res = matrix @ y[..., j::n_rhs]
+        res -= cols[..., j::n_rhs]
+        residual = float(np.linalg.norm(res))
+        rhs_norm = float(np.linalg.norm(cols[..., j::n_rhs]))
+        checks.append((residual / max(rhs_norm, np.finfo(float).tiny),
+                       residual, rhs_norm))
+    rel, residual, rhs_norm = max(checks)
     if gate and rel > RESIDUAL_RTOL:
         raise NonConvergence(residual, rhs_norm)
-    return x, rel
+    return rel
+
+
+def factor_solve(matrix: sp.spmatrix, rhs: np.ndarray,
+                 gate: bool = True) -> Tuple[np.ndarray, float]:
+    """One-shot Factor(matrix).solve(rhs, gate): the solution and its
+    relative residual."""
+    return Factor(matrix).solve(rhs, gate)
 
 
 def solve(system: SparseSystem) -> ComplexField:

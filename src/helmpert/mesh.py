@@ -247,15 +247,15 @@ def _validate_mesh(mesh: TriangleMesh) -> None:
         raise ValueError("boundary nodes do not lie on the circle")
 
 
-def _in_triangle(x: float, y: float, verts) -> bool:
+def _in_triangle(x: np.ndarray, y: np.ndarray, verts) -> np.ndarray:
     (x0, y0), (x1, y1), (x2, y2) = verts
     d0 = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
     d1 = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
     d2 = (x0 - x2) * (y - y2) - (y0 - y2) * (x - x2)
-    return (d0 > 0 and d1 > 0 and d2 > 0) or (d0 < 0 and d1 < 0 and d2 < 0)
+    return ((d0 > 0) & (d1 > 0) & (d2 > 0)) | ((d0 < 0) & (d1 < 0) & (d2 < 0))
 
 
-def _in_ellipse(x: float, y: float, phantom: PhantomSpec) -> bool:
+def _in_ellipse(x: np.ndarray, y: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
     cx, cy = phantom.ellipse_center
     a, b = phantom.ellipse_semi_axes
     t = math.radians(phantom.ellipse_angle_deg)
@@ -265,33 +265,44 @@ def _in_ellipse(x: float, y: float, phantom: PhantomSpec) -> bool:
     return (u / a) ** 2 + (v / b) ** 2 < 1.0
 
 
-def _in_lshape(x: float, y: float, phantom: PhantomSpec) -> bool:
+def _in_lshape(x: np.ndarray, y: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
+    inside = np.zeros(x.shape, dtype=bool)
     for x0, x1, y0, y1 in phantom.lshape_rects:
-        if x0 < x < x1 and y0 < y < y1:
-            return True
-    return False
+        inside |= (x0 < x) & (x < x1) & (y0 < y) & (y < y1)
+    return inside
+
+
+def _region_index(points: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
+    """Index into RegionTag.ALL of each point of an (n, 2) array.
+
+    Open inclusion interiors, tested in the order triangle, ellipse, L-shape;
+    anything farther than the known annulus radius from the origin
+    (including points outside the disk) is NearBoundary.
+    """
+    x, y = points[:, 0], points[:, 1]
+    # math.hypot, not np.hypot: on the annulus circle the two can differ in
+    # the last bit, which would flip a point between two regions
+    radii = np.fromiter(map(math.hypot, x, y), dtype=np.float64, count=len(x))
+    conditions = [radii > phantom.annulus_radius,
+                  _in_triangle(x, y, phantom.triangle_vertices),
+                  _in_ellipse(x, y, phantom),
+                  _in_lshape(x, y, phantom)]
+    choices = [RegionTag.ALL.index(tag) for tag in
+               (RegionTag.NEAR_BOUNDARY, RegionTag.TRIANGLE, RegionTag.ELLIPSE,
+                RegionTag.LSHAPE)]
+    return np.select(conditions, choices,
+                     default=RegionTag.ALL.index(RegionTag.BACKGROUND))
 
 
 def classify_point(p, phantom: PhantomSpec) -> str:
-    """Assign the material region tag of a point.
-
-    Open inclusion interiors; anything farther than the known annulus radius
-    from the origin (including points outside the disk) is NearBoundary.
-    """
-    x, y = _as_xy(p)
-    if math.hypot(x, y) > phantom.annulus_radius:
-        return RegionTag.NEAR_BOUNDARY
-    if _in_triangle(x, y, phantom.triangle_vertices):
-        return RegionTag.TRIANGLE
-    if _in_ellipse(x, y, phantom):
-        return RegionTag.ELLIPSE
-    if _in_lshape(x, y, phantom):
-        return RegionTag.LSHAPE
-    return RegionTag.BACKGROUND
+    """Material region tag of one point (see _region_index)."""
+    return RegionTag.ALL[int(_region_index(np.array([_as_xy(p)]), phantom)[0])]
 
 
-def classify_nodes(mesh: TriangleMesh, phantom: PhantomSpec) -> list:
-    return [classify_point((x, y), phantom) for x, y in mesh.nodes]
+def classify_nodes(mesh: TriangleMesh, phantom: PhantomSpec) -> np.ndarray:
+    """Region tag of every node, as an object array of RegionTag strings."""
+    tags = np.array(RegionTag.ALL, dtype=object)
+    return tags[_region_index(mesh.nodes, phantom)]
 
 
 def coefficient_from_phantom(mesh: TriangleMesh, phantom: PhantomSpec, which: str):
@@ -299,8 +310,9 @@ def coefficient_from_phantom(mesh: TriangleMesh, phantom: PhantomSpec, which: st
     from .fem import CoefficientField
 
     table = phantom.values(which)
-    vals = np.array([table[tag] for tag in classify_nodes(mesh, phantom)], dtype=np.float64)
-    return CoefficientField(mesh=mesh, values=vals)
+    region_values = np.array([table[tag] for tag in RegionTag.ALL], dtype=np.float64)
+    values = region_values[_region_index(mesh.nodes, phantom)]
+    return CoefficientField(mesh=mesh, values=values)
 
 
 def save_mesh(mesh: TriangleMesh, path) -> None:

@@ -247,7 +247,7 @@ def solve_q_corrector(
     a12 = fem.assemble_operator(mesh, None, 2.0 * k_sq * q * re * im / u2)
     a22 = fem.assemble_operator(mesh, gamma0.values,
                                 k_sq * (2.0 * q * im * im - j) / u2)
-    matrix = sp.bmat([[a11, a12], [a12, a22]], format="csc")
+    matrix = sp.bmat([[a11, a12], [a12, a22]], format="csr")
 
     mass = fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
     load = k_sq * (mass @ (eps0.values * u0.values))

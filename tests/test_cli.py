@@ -186,7 +186,6 @@ def test_probe_compare_has_one_row_per_probe(tmp_path):
     assert manifest["summary"]["n_probes"] == 4  # 1 center x 1 radius x 4 amps
     assert len(table["D"]) == 4
     assert manifest["summary"]["k"] == pytest.approx(0.35)
-    assert manifest["summary"]["jobs"] == 1
     recovered = manifest["summary"]["n_recovered"]
     failed = manifest["summary"]["n_recover_failed"]
     assert recovered + failed == 1  # one (center, radius) group either way

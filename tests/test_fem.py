@@ -386,6 +386,110 @@ def test_factor_solve_rejects_complex_matrix():
         fem.factor_solve(matrix, np.ones(3))
 
 
+def test_factor_block_solve_matches_column_solves(disk50, truth50):
+    gamma, q = truth50
+    matrix = fem.assemble_operator(disk50, gamma.values, -(0.7 ** 2) * q.values)
+    rng = np.random.default_rng(14)
+    n = disk50.n_nodes
+    real = rng.standard_normal((n, 3))
+    lu = fem.Factor(matrix)
+    for block in (real, real + 1j * rng.standard_normal((n, 3))):
+        x, rel = lu.solve(block)
+        assert x.shape == block.shape and x.dtype == block.dtype
+        assert rel <= fem.RESIDUAL_RTOL
+        for j in range(block.shape[1]):
+            ref, _ = fem.factor_solve(matrix, block[:, j])
+            assert np.linalg.norm(x[:, j] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_factor_block_solve_gates_on_residual():
+    idx = np.arange(12)
+    hilbert = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
+    lu = fem.Factor(sp.csr_matrix(hilbert))
+    block = np.random.default_rng(0).standard_normal((12, 3))
+    _, rel = lu.solve(block, gate=False)
+    assert rel > fem.RESIDUAL_RTOL
+    with pytest.raises(fem.NonConvergence):
+        lu.solve(block)
+    with pytest.raises(fem.NonConvergence):
+        lu.solve(block + 1j * block[:, ::-1])
+    # a column solved to roundoff and 1e12 times larger would hide the bad
+    # one in a whole-block norm (about 3e-15); each column is gated alone
+    easy = 1e12 * (hilbert @ np.ones(12))
+    with pytest.raises(fem.NonConvergence):
+        lu.solve(np.column_stack([block[:, 0], easy]))
+
+
+def test_residual_gate_checks_each_column():
+    # column 0 is off by 5e-7 of its norm; over the whole block, which the
+    # 1e6-scaled column 1 dominates, that would read as 5e-13
+    cols = np.ones((4, 2))
+    cols[:, 1] = 1e6
+    y = cols.copy()
+    y[0, 0] += 1e-6
+    identity = sp.identity(4, format="csr")
+    assert fem.residual_gate(identity, y, cols, 2, gate=False) == pytest.approx(5e-7)
+    with pytest.raises(fem.NonConvergence):
+        fem.residual_gate(identity, y, cols, 2)
+    # as one complex column, [Re, Im] = columns (0, 1) are measured together
+    assert fem.residual_gate(identity, y, cols, 1, gate=False) < fem.RESIDUAL_RTOL
+
+
+def eliminate_by_products(mesh, matrix, rhs, values=None):
+    """The diagonal-product elimination the masked copy replaced."""
+    n = matrix.shape[0]
+    bnodes = np.concatenate([mesh.boundary_nodes + offset
+                             for offset in range(0, n, mesh.n_nodes)])
+    interior = np.ones(n)
+    interior[bnodes] = 0.0
+    if values is None:
+        rhs = rhs * interior
+    else:
+        u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
+        u_bc[bnodes] = values
+        rhs = rhs - matrix @ u_bc
+        rhs[bnodes] = values
+    d_int = sp.diags(interior)
+    return (d_int @ matrix @ d_int + sp.diags(1.0 - interior)).tocsr(), rhs
+
+
+@pytest.mark.parametrize("k", [0.0, 0.35])
+def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
+    # k = 0 leaves exact zeros in the stiffness, which both drop
+    phantom = hm.PhantomSpec()
+    gamma = hm.coefficient_from_phantom(disk100, phantom, "conductivity")
+    q = hm.coefficient_from_phantom(disk100, phantom, "permittivity")
+    a = fem.assemble(disk100, gamma, q, k).matrix
+    coupling = fem.assemble_operator(disk100, None, 0.3 * q.values)
+    block = sp.bmat([[a, coupling], [coupling, a]], format="csr")
+    n = disk100.n_nodes
+    data = np.exp(1j * boundary_angles(disk100))
+    cases = [(a, np.ones(n, dtype=np.complex128), data),
+             (a, np.ones(n), None),
+             (block, np.ones(2 * n), None),
+             (block.tocsc(), np.ones(2 * n), None)]
+    for matrix, rhs, values in cases:
+        got, got_rhs = fem.eliminate_dirichlet(disk100, matrix, rhs, values)
+        want, want_rhs = eliminate_by_products(disk100, matrix, rhs, values)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(got_rhs, want_rhs)
+
+
+def test_boundary_weights_reproduce_boundary_integral(disk50):
+    # the triangle's loop has unequal segments (1, sqrt 2, 1)
+    rng = np.random.default_rng(15)
+    for mesh in (disk50, unit_right_triangle()):
+        n = mesh.n_nodes
+        f = fem.ComplexField(mesh, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = mesh.boundary_nodes
+        got = np.sum(fem.boundary_weights(mesh) * f.values[b] * np.conj(g[b]))
+        want = fem.boundary_integral(f, g)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_eliminate_dirichlet_two_blocks(disk50, truth50):
     gamma, q = truth50
     a = fem.assemble_operator(disk50, gamma.values, -q.values)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from helmpert import fem, forward
 from helmpert import mesh as hm
@@ -231,18 +232,88 @@ def test_predict_probe_validation():
         forward.predict_probe(1.0, 1.0, (1.0, 0.0, 0.0), 1.0, 1.0, probe)
 
 
-def test_probe_sweep_thread_parity(disk50):
-    gamma = constant_field(disk50, 1.0)
-    q = constant_field(disk50, 3.0)
+def sweep_cases(disk200, phantom):
+    n = disk200.n_nodes
+    flat = (fem.CoefficientField(disk200, np.full(n, 1.0)),
+            fem.CoefficientField(disk200, np.full(n, 3.0)))
+    truth = (hm.coefficient_from_phantom(disk200, phantom, "conductivity"),
+             hm.coefficient_from_phantom(disk200, phantom, "permittivity"))
+    probe = forward.PerturbationProbe
+    # criterion 3: the value channel alone at three radii
+    crit3 = [probe(center=(2.3, 1.1), radius=r, amplitude=2.0, gamma_tilde=0.5,
+                   q_tilde=3.0) for r in (0.4, 0.2, 0.1)]
+    # a disk across the ellipse's edge, at four amplitudes
+    t = math.radians(phantom.ellipse_angle_deg)
+    a, _ = phantom.ellipse_semi_axes
+    edge = (phantom.ellipse_center[0] + a * math.cos(t),
+            phantom.ellipse_center[1] + a * math.sin(t))
+    straddle = [probe(center=edge, radius=0.4, amplitude=lam, gamma_tilde=0.5,
+                      q_tilde=1.0) for lam in (0.5, 1.5, 2.0, 3.0)]
+    # two radii at one centre, interleaved
+    two_radii = [probe(center=(-1.0, 1.5), radius=r, amplitude=lam,
+                       gamma_tilde=2.0, q_tilde=1.0)
+                 for lam in (0.5, 3.0) for r in (0.2, 0.5)]
+    return {"criterion-3": (flat, crit3), "inclusion-edge": (truth, straddle),
+            "two-radii": (truth, two_radii)}
+
+
+@pytest.mark.parametrize("case", ["criterion-3", "inclusion-edge", "two-radii"])
+def test_probe_sweep_matches_measure_probe(disk200, phantom, case):
+    (gamma, q), probes = sweep_cases(disk200, phantom)[case]
+    bc = fem.BoundaryCondition("neumann", forward.boundary_phase(disk200))
+    swept = forward.probe_sweep(disk200, gamma, q, 0.35, bc, probes)
+    assert [m.probe for m in swept] == probes
+    for got, probe in zip(swept, probes):
+        want = forward.measure_probe(disk200, gamma, q, 0.35, bc, probe)
+        assert abs(got.D - want.D) <= 1e-10 * abs(want.D)
+        raw = want.boundary_integral_raw
+        assert abs(got.boundary_integral_raw - raw) <= 1e-10 * abs(raw)
+
+
+def test_probe_sweep_noop_probe_measures_nothing(disk50, truth50):
+    gamma, q = truth50
     bc = phase_bc(disk50)
-    probes = [forward.PerturbationProbe(center=(2.3, 1.1), radius=r,
-                                        amplitude=lam, gamma_tilde=0.5, q_tilde=3.0)
-              for r, lam in ((0.2, 0.5), (0.2, 2.0), (0.3, 1.5))]
-    serial = forward.probe_sweep(disk50, gamma, q, 0.35, bc, probes, jobs=1)
-    threaded = forward.probe_sweep(disk50, gamma, q, 0.35, bc, probes, jobs=2)
-    assert [m.D for m in serial] == [m.D for m in threaded]
-    assert [m.boundary_integral_raw for m in serial] == [
-        m.boundary_integral_raw for m in threaded]
+    k = math.pi * 10.0
+    probe = forward.PerturbationProbe(center=(5.0, 0.0), radius=0.5,
+                                      amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
+    (meas,) = forward.probe_sweep(disk50, gamma, q, k, bc, [probe])
+    u0 = fem.solve_bvp(disk50, gamma, q, k, bc)
+    phi = np.zeros(disk50.n_nodes, dtype=np.complex128)
+    phi[disk50.boundary_nodes] = bc.data
+    scale = abs(fem.boundary_integral(u0, phi)) / probe.area
+    assert abs(meas.D) <= 1e-8 * scale
+
+
+def test_probe_sweep_factors_once(disk100, monkeypatch):
+    calls = []
+    real_splu = spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    gamma = constant_field(disk100, 1.0)
+    q = constant_field(disk100, 3.0)
+    centres = [(0.0, 0.0), (2.0, 1.0), (-3.0, 2.0), (1.0, -4.0), (-2.0, -2.0), (4.0, 0.0)]
+    probes = [forward.PerturbationProbe(center=c, radius=0.3, amplitude=lam,
+                                        gamma_tilde=0.5, q_tilde=3.0)
+              for c in centres for lam in (0.5, 1.5, 2.0, 3.0)]
+    measured = forward.probe_sweep(disk100, gamma, q, 0.35, phase_bc(disk100), probes)
+    assert len(measured) == 24
+    assert calls == [(disk100.n_nodes, disk100.n_nodes)]
+
+
+def test_probe_update_solve_is_gated():
+    with pytest.raises(fem.SingularSystem):
+        forward._update_solve(np.zeros((3, 3)), np.ones(3) + 1j)
+    idx = np.arange(12)
+    hilbert = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
+    rhs = np.random.default_rng(0).standard_normal(12) * (1 + 1j)
+    with pytest.raises(fem.NonConvergence):
+        forward._update_solve(hilbert, rhs)
+    x = forward._update_solve(np.eye(3) * 2.0, np.array([2.0, 4j, 6.0]))
+    np.testing.assert_array_equal(x, [1.0, 2j, 3.0])
 
 
 # ---------------------------------------------------------------------------

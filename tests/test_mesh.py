@@ -94,6 +94,44 @@ def test_classify_point_examples(phantom):
     assert hm.classify_point((0.0, -3.0), phantom) == hm.RegionTag.LSHAPE
 
 
+def classify_point_by_point(x, y, phantom):
+    """Scalar reference of the region rule: open interiors, annulus first."""
+    if math.hypot(x, y) > phantom.annulus_radius:
+        return hm.RegionTag.NEAR_BOUNDARY
+    (x0, y0), (x1, y1), (x2, y2) = phantom.triangle_vertices
+    d = [(x1 - x0) * (y - y0) - (y1 - y0) * (x - x0),
+         (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1),
+         (x0 - x2) * (y - y2) - (y0 - y2) * (x - x2)]
+    if all(v > 0 for v in d) or all(v < 0 for v in d):
+        return hm.RegionTag.TRIANGLE
+    cx, cy = phantom.ellipse_center
+    a, b = phantom.ellipse_semi_axes
+    t = math.radians(phantom.ellipse_angle_deg)
+    u = (x - cx) * math.cos(t) + (y - cy) * math.sin(t)
+    v = -(x - cx) * math.sin(t) + (y - cy) * math.cos(t)
+    if (u / a) ** 2 + (v / b) ** 2 < 1.0:
+        return hm.RegionTag.ELLIPSE
+    if any(x0 < x < x1 and y0 < y < y1 for x0, x1, y0, y1 in phantom.lshape_rects):
+        return hm.RegionTag.LSHAPE
+    return hm.RegionTag.BACKGROUND
+
+
+def test_vectorized_classification_matches_point_rule(phantom):
+    for n in (50, 100, 200, 400):
+        mesh = hm.build_disk_mesh(8.0, n)
+        want = [classify_point_by_point(x, y, phantom) for x, y in mesh.nodes]
+        assert list(hm.classify_nodes(mesh, phantom)) == want
+    grid = [(float(x), float(y)) for x in range(-6, 7) for y in range(-6, 7)]
+    # on the annulus circle np.hypot and math.hypot differ in the last bit
+    circle = [(phantom.annulus_radius * math.cos(t), phantom.annulus_radius * math.sin(t))
+              for t in np.linspace(0.0, 2.0 * math.pi, 1001)]
+    (x0, y0), (x1, y1), _ = phantom.triangle_vertices
+    edge = [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in np.linspace(0, 1, 11)]
+    scattered = [tuple(p) for p in np.random.default_rng(3).uniform(-9.0, 9.0, (2000, 2))]
+    for x, y in grid + circle + edge + scattered:
+        assert hm.classify_point((x, y), phantom) == classify_point_by_point(x, y, phantom)
+
+
 def test_classify_partition(disk50, phantom):
     radii = disk50.node_radii()
     tags = hm.classify_nodes(disk50, phantom)
