@@ -340,6 +340,8 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
     except (SingularSystem, NonConvergence) as err:
         return _solver_failure(out_dir, "probe", err, artifacts)
 
+    samples = {z: forward.sample_field(u, (z.x, z.y))
+               for z in {p.center for p in probes}}
     with open(out_dir / "probe_compare.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["z.x", "z.y", "r", "lambda", "D", "predicted",
@@ -347,7 +349,7 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
         for meas in measurements:
             z = meas.probe.center
             tag = meshmod.classify_point((z.x, z.y), ph)
-            val, grad = forward.sample_field(u, (z.x, z.y))
+            val, grad = samples[z]
             predicted = forward.predict_probe(ph.conductivity[tag],
                                               ph.permittivity[tag], grad, val,
                                               k, meas.probe)

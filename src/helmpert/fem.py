@@ -9,15 +9,16 @@ to a nodal field. Assembly sums the element matrices into the data of the
 mesh's cached CSR pattern (TriangleMesh.csr_pattern), so no call rebuilds the
 sparsity structure. Coefficients enter through element_average (one-point
 centroid quadrature), adequate for the piecewise-constant phantoms used here.
-Dirichlet data is enforced by row elimination with the symmetric column
-correction (eliminate_dirichlet, shared by the forward problem and the
-reconstruction's stacked corrector blocks); Neumann data adds consistent edge
+A boundary-value problem takes one path: assemble applies the boundary
+condition and returns (matrix, rhs), Dirichlet data by row elimination with
+the symmetric column correction (eliminate_dirichlet, shared with the
+reconstruction's stacked corrector blocks), Neumann data as consistent edge
 loads. Every operator is real, and every linear solve goes through one
 factor object, Factor: a float64 sparse LU with a symmetric minimum-degree
 ordering, built once and reused for blocks of right-hand sides (a complex
 one as its real and imaginary columns), each column checked against a
 relative residual of 1e-10 (residual_gate). factor_solve is the one-shot
-form.
+form; solve_bvp is factor_solve(*assemble(...)).
 """
 
 import math
@@ -110,17 +111,6 @@ class BoundaryCondition:
         self.data = np.asarray(self.data, dtype=np.complex128)
 
 
-@dataclass
-class SparseSystem:
-    mesh: TriangleMesh
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
 def element_average(mesh: TriangleMesh, nodal: np.ndarray) -> np.ndarray:
     """Mean of a nodal field over the vertices of each element."""
     return nodal[mesh.triangles].mean(axis=1)
@@ -183,20 +173,32 @@ def assemble(
     gamma: CoefficientField,
     q: CoefficientField,
     k: float,
+    bc: BoundaryCondition,
     source: Optional[ComplexField] = None,
-) -> SparseSystem:
-    """Weak form of -div(gamma grad u) - k^2 q u = -source."""
+) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """Matrix and rhs of -div(gamma grad u) - k^2 q u = -source, Dirichlet
+    data eliminated or the consistent Neumann load (flux, phi_i) added."""
     if gamma.mesh is not mesh or q.mesh is not mesh:
         raise ValueError("coefficient fields must live on the given mesh")
     if np.min(gamma.values) <= 0 or np.min(q.values) <= 0:
         raise ValueError("gamma and q must be strictly positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    bnodes = mesh.boundary_nodes
+    if bc.data.shape != (len(bnodes),):
+        raise ValueError("boundary data must match the boundary node count")
     matrix = assemble_operator(mesh, gamma.values, -(k ** 2) * q.values)
     rhs = np.zeros(mesh.n_nodes, dtype=np.complex128)
     if source is not None:
         rhs -= assemble_operator(mesh, None, np.ones(mesh.n_nodes)) @ source.values
-    return SparseSystem(mesh=mesh, matrix=matrix, rhs=rhs)
+    if bc.kind == "dirichlet":
+        return eliminate_dirichlet(mesh, matrix, rhs, bc.data)
+    nxt, lengths = _boundary_segments(mesh)
+    phi_a = bc.data
+    phi_b = bc.data[nxt]
+    np.add.at(rhs, bnodes, lengths / 6.0 * (2.0 * phi_a + phi_b))
+    np.add.at(rhs, bnodes[nxt], lengths / 6.0 * (phi_a + 2.0 * phi_b))
+    return matrix, rhs
 
 
 def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray,
@@ -238,17 +240,6 @@ def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray
     return sp.csr_matrix((data, csr.indices[keep], indptr), shape=(n, n)), rhs
 
 
-def apply_dirichlet(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
-    """Eliminate boundary rows and columns, keeping the pattern symmetric."""
-    if bc.kind != "dirichlet":
-        raise ValueError("apply_dirichlet requires a Dirichlet boundary condition")
-    mesh = system.mesh
-    if bc.data.shape != (len(mesh.boundary_nodes),):
-        raise ValueError("boundary data must match the boundary node count")
-    matrix, rhs = eliminate_dirichlet(mesh, system.matrix, system.rhs, bc.data)
-    return SparseSystem(mesh=mesh, matrix=matrix, rhs=rhs)
-
-
 def _boundary_segments(mesh: TriangleMesh) -> Tuple[np.ndarray, np.ndarray]:
     """Successor of each boundary node along the loop, and segment lengths."""
     pts = mesh.nodes[mesh.boundary_nodes]
@@ -258,29 +249,10 @@ def _boundary_segments(mesh: TriangleMesh) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def boundary_weights(mesh: TriangleMesh) -> np.ndarray:
-    """Trapezoid weight of each boundary node (half its two segments), so
-    boundary_integral(f, g) = sum(w * f * conj(g)) over the boundary nodes."""
+    """Trapezoid weight of each boundary node (half its two segments), the
+    quadrature of boundary_integral: sum(w * f * conj(g)) over the loop."""
     _, lengths = _boundary_segments(mesh)
     return 0.5 * (lengths + np.roll(lengths, 1))
-
-
-def apply_neumann(system: SparseSystem, bc: BoundaryCondition) -> SparseSystem:
-    """Add the consistent boundary load (flux, phi_i) along the loop."""
-    if bc.kind != "neumann":
-        raise ValueError("apply_neumann requires a Neumann boundary condition")
-    mesh = system.mesh
-    bnodes = mesh.boundary_nodes
-    if bc.data.shape != (len(bnodes),):
-        raise ValueError("boundary data must match the boundary node count")
-    rhs = system.rhs.copy()
-    nxt, lengths = _boundary_segments(mesh)
-    phi_a = bc.data
-    phi_b = bc.data[nxt]
-    contrib_a = lengths / 6.0 * (2.0 * phi_a + phi_b)
-    contrib_b = lengths / 6.0 * (phi_a + 2.0 * phi_b)
-    np.add.at(rhs, bnodes, contrib_a)
-    np.add.at(rhs, bnodes[nxt], contrib_b)
-    return SparseSystem(mesh=mesh, matrix=system.matrix, rhs=rhs)
 
 
 class Factor:
@@ -351,11 +323,6 @@ def factor_solve(matrix: sp.spmatrix, rhs: np.ndarray,
     return Factor(matrix).solve(rhs, gate)
 
 
-def solve(system: SparseSystem) -> ComplexField:
-    x, _ = factor_solve(system.matrix, system.rhs)
-    return ComplexField(mesh=system.mesh, values=x)
-
-
 def solve_bvp(
     mesh: TriangleMesh,
     gamma: CoefficientField,
@@ -364,13 +331,9 @@ def solve_bvp(
     bc: BoundaryCondition,
     source: Optional[ComplexField] = None,
 ) -> ComplexField:
-    """Assemble, apply the boundary condition, and solve in one call."""
-    system = assemble(mesh, gamma, q, k, source)
-    if bc.kind == "dirichlet":
-        system = apply_dirichlet(system, bc)
-    else:
-        system = apply_neumann(system, bc)
-    return solve(system)
+    """Assemble with the boundary condition applied and solve, gated."""
+    x, _ = factor_solve(*assemble(mesh, gamma, q, k, bc, source))
+    return ComplexField(mesh=mesh, values=x)
 
 
 def gradient(u: ComplexField) -> GradientField:
@@ -396,7 +359,5 @@ def boundary_integral(f: Union[ComplexField, np.ndarray], g: Union[ComplexField,
         gv = np.asarray(g, dtype=np.complex128)
         if gv.shape != fv.shape:
             raise ValueError("g must match f in shape")
-    bnodes = mesh.boundary_nodes
-    vals = fv[bnodes] * np.conj(gv[bnodes])
-    nxt, lengths = _boundary_segments(mesh)
-    return complex(np.sum(0.5 * lengths * (vals + vals[nxt])))
+    b = mesh.boundary_nodes
+    return complex(np.sum(boundary_weights(mesh) * fv[b] * np.conj(gv[b])))

@@ -19,7 +19,8 @@ sweep factors A once (fem.Factor) and treats every probe as a low-rank
 update on the node set S of those elements (Woodbury; Hager, "Updating the
 inverse of a matrix", SIAM Review 1989): one block solve per disk gives
 (A^-1)_SS, and each amplitude costs one |S| x |S| dense solve.
-measure_probe keeps the two full solves as the reference path.
+measure_probe is the reference path: two full factorizations per probe,
+with the datum solved for in difference form.
 """
 
 import math
@@ -242,16 +243,6 @@ def probe_element_fractions(mesh: TriangleMesh, probe: PerturbationProbe,
     return frac
 
 
-def boundary_energy_difference(u: ComplexField, u_w: ComplexField,
-                               bc: BoundaryCondition) -> complex:
-    """Boundary integral of (u - u_w) against the conjugated data."""
-    mesh = u.mesh
-    phi = np.zeros(mesh.n_nodes, dtype=np.complex128)
-    phi[mesh.boundary_nodes] = bc.data
-    diff = ComplexField(mesh, u.values - u_w.values)
-    return fem.boundary_integral(diff, phi)
-
-
 def measure_probe(
     mesh: TriangleMesh,
     gamma: CoefficientField,
@@ -262,27 +253,29 @@ def measure_probe(
 ) -> ProbeMeasurement:
     """Solve with and without the probe and form the rescaled datum.
 
-    The perturbed operator blends element coefficients with the exact covered
-    fraction from ``probe_element_fractions``; the datum is the real part of
-    the boundary difference integral divided by the exact disk area. The
-    orientation (unperturbed minus perturbed) is the one that matches
-    ``predict_probe`` in sign; the imaginary residue is kept for diagnostics.
+    The perturbed operator A + dA blends element coefficients with the exact
+    covered fraction from ``probe_element_fractions``. d = u - u_w solves
+    (A + dA) d = dA u, so the datum, the boundary integral of d against the
+    conjugated data, subtracts no two full solutions; D is its real part
+    divided by the exact disk area. The orientation (unperturbed minus
+    perturbed) matches ``predict_probe`` in sign; the imaginary residue is
+    kept for diagnostics.
     """
     _check_probe_setup(mesh, gamma, q, bc, [probe])
-
-    u = fem.solve_bvp(mesh, gamma, q, k, bc)
+    matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
+    u, _ = fem.factor_solve(matrix, rhs)
 
     ge = fem.element_average(mesh, gamma.values)
     qe = fem.element_average(mesh, q.values)
     frac = probe_element_fractions(mesh, probe)
     stiff_e = ge + frac * (probe.amplitude * probe.gamma_tilde - ge)
     mass_e = -(k ** 2) * (qe + frac * (probe.amplitude * probe.q_tilde - qe))
-    matrix = fem.assemble_operator_elementwise(mesh, stiff_e, mass_e)
-    system = fem.SparseSystem(mesh=mesh, matrix=matrix,
-                              rhs=np.zeros(mesh.n_nodes, dtype=np.complex128))
-    u_w = fem.solve(fem.apply_neumann(system, bc))
+    perturbed = fem.assemble_operator_elementwise(mesh, stiff_e, mass_e)
+    d, _ = fem.factor_solve(perturbed, (perturbed - matrix) @ u)
 
-    raw = boundary_energy_difference(u, u_w, bc)
+    phi = np.zeros(mesh.n_nodes, dtype=np.complex128)
+    phi[mesh.boundary_nodes] = bc.data
+    raw = fem.boundary_integral(ComplexField(mesh, d), phi)
     return ProbeMeasurement(probe=probe, D=raw.real / probe.area,
                             boundary_integral_raw=raw)
 
@@ -320,8 +313,11 @@ def sample_field(u: ComplexField, p) -> Tuple[complex, np.ndarray]:
     l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
     l0 = 1.0 - l1 - l2
     value = l0 * u.values[i] + l1 * u.values[jn] + l2 * u.values[kn]
-    grad = fem.gradient(u).tri_values[t]
-    return complex(value), np.asarray(grad)
+    area, b, c = mesh.geometry
+    one = slice(t, t + 1)
+    grad = kernels.triangle_gradients(u.values, mesh.triangles[one], b[one],
+                                      c[one], area[one])[0]
+    return complex(value), grad
 
 
 def _containing_triangle(mesh: TriangleMesh, x: float, y: float) -> int:
@@ -408,11 +404,11 @@ def probe_sweep(
 def _factor_medium(mesh: TriangleMesh, gamma: CoefficientField,
                    q: CoefficientField, k: float, bc: BoundaryCondition):
     """The factored Neumann operator, the field u and the datum's adjoint v."""
-    system = fem.apply_neumann(fem.assemble(mesh, gamma, q, k), bc)
-    lu = fem.Factor(system.matrix)
+    matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
+    lu = fem.Factor(matrix)
     adjoint_load = np.zeros(mesh.n_nodes, dtype=np.complex128)
     adjoint_load[mesh.boundary_nodes] = fem.boundary_weights(mesh) * np.conj(bc.data)
-    uv, _ = lu.solve(np.column_stack([system.rhs, adjoint_load]))
+    uv, _ = lu.solve(np.column_stack([rhs, adjoint_load]))
     return lu, uv[:, 0], uv[:, 1]
 
 

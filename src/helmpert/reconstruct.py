@@ -188,9 +188,7 @@ def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
     passes a diverging run produces; breakdown is diagnosed by the floors
     and the stall detector, not by the linear solver.
     """
-    system = fem.assemble(mesh, gamma, q, k)
-    system = fem.apply_dirichlet(system, bc)
-    x, rel = fem.factor_solve(system.matrix, system.rhs, gate=False)
+    x, rel = fem.factor_solve(*fem.assemble(mesh, gamma, q, k, bc), gate=False)
     return ComplexField(mesh, x), rel
 
 

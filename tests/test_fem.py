@@ -52,6 +52,16 @@ def boundary_angles(mesh):
     return np.arctan2(pts[:, 1], pts[:, 0])
 
 
+def no_flux(mesh):
+    """Zero Neumann data: assemble then returns the bare operator."""
+    return fem.BoundaryCondition("neumann", np.zeros(len(mesh.boundary_nodes)))
+
+
+def operator(mesh, gamma, q, k):
+    matrix, _ = fem.assemble(mesh, gamma, q, k, no_flux(mesh))
+    return matrix
+
+
 # ---------------------------------------------------------------------------
 # element matrices
 
@@ -62,18 +72,18 @@ def test_single_triangle_stiffness_and_mass():
     m_ref = (0.5 / 12.0) * (1.0 + np.eye(3))
     one = constant_field(mesh, 1.0)
     np.testing.assert_allclose(
-        fem.assemble(mesh, one, one, 0.0).matrix.toarray(), k_ref,
+        operator(mesh, one, one, 0.0).toarray(), k_ref,
         rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(unit_mass(mesh).toarray(),
                                m_ref, rtol=0.0, atol=1e-16)
     np.testing.assert_allclose(
-        fem.assemble(mesh, one, one, 1.0).matrix.toarray(), k_ref - m_ref,
+        operator(mesh, one, one, 1.0).toarray(), k_ref - m_ref,
         rtol=0.0, atol=1e-15)
 
 
 def test_assemble_zero_k_is_pure_stiffness(disk50, truth50):
     gamma, q = truth50
-    a0 = fem.assemble(disk50, gamma, q, 0.0).matrix
+    a0 = operator(disk50, gamma, q, 0.0)
     k_only = fem.assemble_operator(disk50, gamma.values, None)
     assert abs(a0 - k_only).max() == 0.0
 
@@ -81,9 +91,9 @@ def test_assemble_zero_k_is_pure_stiffness(disk50, truth50):
 def test_doubling_gamma_doubles_stiffness_part(disk50, truth50):
     gamma, q = truth50
     k = 0.7
-    a1 = fem.assemble(disk50, gamma, q, k).matrix
+    a1 = operator(disk50, gamma, q, k)
     gamma2 = fem.CoefficientField(mesh=disk50, values=2.0 * gamma.values)
-    a2 = fem.assemble(disk50, gamma2, q, k).matrix
+    a2 = operator(disk50, gamma2, q, k)
     diff = (a2 - a1) - fem.assemble_operator(disk50, gamma.values, None)
     assert abs(diff).max() < 1e-12
 
@@ -163,16 +173,21 @@ def test_meshes_do_not_share_a_pattern():
 def test_assemble_rejects_bad_inputs(disk50, truth50):
     gamma, q = truth50
     zero_gamma = fem.CoefficientField(mesh=disk50, values=0.0 * gamma.values)
-    with pytest.raises(ValueError):
-        fem.assemble(disk50, zero_gamma, q, 1.0)
     neg_q = fem.CoefficientField(mesh=disk50, values=q.values - q.values.max() - 1.0)
-    with pytest.raises(ValueError):
-        fem.assemble(disk50, gamma, neg_q, 1.0)
-    with pytest.raises(ValueError):
-        fem.assemble(disk50, gamma, q, -0.5)
     other = hm.build_disk_mesh(8.0, 50)
-    with pytest.raises(ValueError):
-        fem.assemble(other, gamma, q, 1.0)
+    data = np.zeros(len(disk50.boundary_nodes))
+    for kind in ("dirichlet", "neumann"):
+        bc = fem.BoundaryCondition(kind, data)
+        with pytest.raises(ValueError):
+            fem.assemble(disk50, zero_gamma, q, 1.0, bc)
+        with pytest.raises(ValueError):
+            fem.assemble(disk50, gamma, neg_q, 1.0, bc)
+        with pytest.raises(ValueError):
+            fem.assemble(disk50, gamma, q, -0.5, bc)
+        with pytest.raises(ValueError):
+            fem.assemble(other, gamma, q, 1.0, bc)
+        with pytest.raises(ValueError):
+            fem.assemble(disk50, gamma, q, 1.0, fem.BoundaryCondition(kind, data[:-1]))
 
 
 def test_field_shape_and_finiteness_validation(disk50):
@@ -186,18 +201,6 @@ def test_field_shape_and_finiteness_validation(disk50):
         fem.ComplexField(mesh=disk50, values=np.zeros(disk50.n_nodes - 1))
     with pytest.raises(ValueError):
         fem.BoundaryCondition(kind="robin", data=np.zeros(4))
-
-
-def test_boundary_condition_kind_mismatch(disk50, truth50):
-    gamma, q = truth50
-    system = fem.assemble(disk50, gamma, q, 1.0)
-    data = np.zeros(len(disk50.boundary_nodes))
-    with pytest.raises(ValueError):
-        fem.apply_dirichlet(system, fem.BoundaryCondition("neumann", data))
-    with pytest.raises(ValueError):
-        fem.apply_neumann(system, fem.BoundaryCondition("dirichlet", data))
-    with pytest.raises(ValueError):
-        fem.apply_dirichlet(system, fem.BoundaryCondition("dirichlet", data[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +233,11 @@ def test_dirichlet_data_is_baked_exactly(disk50, truth50):
 
 def test_conjugated_data_gives_conjugated_solution(disk50, truth50):
     gamma, q = truth50
-    matrix = fem.assemble(disk50, gamma, q, 1.3).matrix
+    data = np.exp(1j * boundary_angles(disk50))
+    matrix, _ = fem.assemble(disk50, gamma, q, 1.3,
+                             fem.BoundaryCondition("dirichlet", data))
     asym = abs(matrix - matrix.T)
     assert asym.nnz == 0 or asym.max() < 1e-13
-    data = np.exp(1j * boundary_angles(disk50))
     u1 = fem.solve_bvp(disk50, gamma, q, 1.3, fem.BoundaryCondition("dirichlet", data))
     u2 = fem.solve_bvp(disk50, gamma, q, 1.3,
                        fem.BoundaryCondition("dirichlet", np.conj(data)))
@@ -305,11 +309,8 @@ def test_incompatible_flux_at_zero_k_is_detected(disk50):
 def test_solve_identity_system_returns_rhs(disk50):
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(disk50.n_nodes) + 1j * rng.standard_normal(disk50.n_nodes)
-    system = fem.SparseSystem(mesh=disk50,
-                              matrix=sp.identity(disk50.n_nodes, format="csr"),
-                              rhs=rhs)
-    u = fem.solve(system)
-    np.testing.assert_allclose(u.values, rhs, rtol=1e-15, atol=0.0)
+    x, _ = fem.factor_solve(sp.identity(disk50.n_nodes, format="csr"), rhs)
+    np.testing.assert_allclose(x, rhs, rtol=1e-15, atol=0.0)
 
 
 def test_nonconvergence_reports_residual():
@@ -459,7 +460,7 @@ def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
     phantom = hm.PhantomSpec()
     gamma = hm.coefficient_from_phantom(disk100, phantom, "conductivity")
     q = hm.coefficient_from_phantom(disk100, phantom, "permittivity")
-    a = fem.assemble(disk100, gamma, q, k).matrix
+    a = fem.assemble_operator(disk100, gamma.values, -(k ** 2) * q.values)
     coupling = fem.assemble_operator(disk100, None, 0.3 * q.values)
     block = sp.bmat([[a, coupling], [coupling, a]], format="csr")
     n = disk100.n_nodes
@@ -475,19 +476,6 @@ def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(got_rhs, want_rhs)
-
-
-def test_boundary_weights_reproduce_boundary_integral(disk50):
-    # the triangle's loop has unequal segments (1, sqrt 2, 1)
-    rng = np.random.default_rng(15)
-    for mesh in (disk50, unit_right_triangle()):
-        n = mesh.n_nodes
-        f = fem.ComplexField(mesh, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b = mesh.boundary_nodes
-        got = np.sum(fem.boundary_weights(mesh) * f.values[b] * np.conj(g[b]))
-        want = fem.boundary_integral(f, g)
-        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_eliminate_dirichlet_two_blocks(disk50, truth50):
@@ -575,6 +563,16 @@ def test_boundary_integral_of_ones_is_circumference(disk50):
     got = fem.boundary_integral(ones, ones)
     assert isinstance(got, complex)
     assert abs(got - 16.0 * math.pi) < 0.01 * 16.0 * math.pi
+    # the triangle's loop has unequal segments (1, sqrt 2, 1); the trapezoid
+    # rule is exact for the perimeter and for x + iy along each edge
+    mesh = unit_right_triangle()
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    ones = np.ones(mesh.n_nodes)
+    assert fem.boundary_integral(fem.ComplexField(mesh, ones), ones) == pytest.approx(
+        2.0 + math.sqrt(2.0), rel=1e-15)
+    linear = fem.boundary_integral(fem.ComplexField(mesh, x + 1j * y), ones)
+    half = 0.5 + 0.5 * math.sqrt(2.0)
+    assert linear == pytest.approx(half + 1j * half, rel=1e-15)
 
 
 def test_boundary_integral_trivial_and_phase_cases(disk50):

@@ -232,12 +232,16 @@ def test_predict_probe_validation():
         forward.predict_probe(1.0, 1.0, (1.0, 0.0, 0.0), 1.0, 1.0, probe)
 
 
-def sweep_cases(disk200, phantom):
+def truth_medium(mesh, phantom):
+    return (hm.coefficient_from_phantom(mesh, phantom, "conductivity"),
+            hm.coefficient_from_phantom(mesh, phantom, "permittivity"))
+
+
+def sweep_cases(disk100, disk200, phantom):
     n = disk200.n_nodes
     flat = (fem.CoefficientField(disk200, np.full(n, 1.0)),
             fem.CoefficientField(disk200, np.full(n, 3.0)))
-    truth = (hm.coefficient_from_phantom(disk200, phantom, "conductivity"),
-             hm.coefficient_from_phantom(disk200, phantom, "permittivity"))
+    truth = truth_medium(disk200, phantom)
     probe = forward.PerturbationProbe
     # criterion 3: the value channel alone at three radii
     crit3 = [probe(center=(2.3, 1.1), radius=r, amplitude=2.0, gamma_tilde=0.5,
@@ -253,18 +257,25 @@ def sweep_cases(disk200, phantom):
     two_radii = [probe(center=(-1.0, 1.5), radius=r, amplitude=lam,
                        gamma_tilde=2.0, q_tilde=1.0)
                  for lam in (0.5, 3.0) for r in (0.2, 0.5)]
-    return {"criterion-3": (flat, crit3), "inclusion-edge": (truth, straddle),
-            "two-radii": (truth, two_radii)}
+    # the raw datum is about 1e-5 of the boundary energy (65), so forming it
+    # as a difference of two full solutions loses about 1.6e-10 of it
+    small = [probe(center=(2.3, 1.1), radius=0.1, amplitude=0.5,
+                   gamma_tilde=0.5, q_tilde=3.0)]
+    return {"criterion-3": (disk200, flat, crit3),
+            "inclusion-edge": (disk200, truth, straddle),
+            "two-radii": (disk200, truth, two_radii),
+            "small-datum": (disk100, truth_medium(disk100, phantom), small)}
 
 
-@pytest.mark.parametrize("case", ["criterion-3", "inclusion-edge", "two-radii"])
-def test_probe_sweep_matches_measure_probe(disk200, phantom, case):
-    (gamma, q), probes = sweep_cases(disk200, phantom)[case]
-    bc = fem.BoundaryCondition("neumann", forward.boundary_phase(disk200))
-    swept = forward.probe_sweep(disk200, gamma, q, 0.35, bc, probes)
+@pytest.mark.parametrize("case", ["criterion-3", "inclusion-edge", "two-radii",
+                                  "small-datum"])
+def test_probe_sweep_matches_measure_probe(disk100, disk200, phantom, case):
+    mesh, (gamma, q), probes = sweep_cases(disk100, disk200, phantom)[case]
+    bc = fem.BoundaryCondition("neumann", forward.boundary_phase(mesh))
+    swept = forward.probe_sweep(mesh, gamma, q, 0.35, bc, probes)
     assert [m.probe for m in swept] == probes
     for got, probe in zip(swept, probes):
-        want = forward.measure_probe(disk200, gamma, q, 0.35, bc, probe)
+        want = forward.measure_probe(mesh, gamma, q, 0.35, bc, probe)
         assert abs(got.D - want.D) <= 1e-10 * abs(want.D)
         raw = want.boundary_integral_raw
         assert abs(got.boundary_integral_raw - raw) <= 1e-10 * abs(raw)
