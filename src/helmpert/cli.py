@@ -24,8 +24,8 @@ import numpy as np
 from . import diagnostics, disentangle, fem, forward
 from . import mesh as meshmod
 from . import reconstruct
-from .fem import (BoundaryCondition, CoefficientField, NonConvergence,
-                  SingularSystem)
+from .fem import (BoundaryCondition, CoefficientField, ComplexField,
+                  NonConvergence, SingularSystem)
 from .forward import PerturbationProbe
 from .mesh import PhantomSpec, RegionTag, TriangleMesh
 
@@ -335,10 +335,12 @@ def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
 
     artifacts = [_echo_config(out_dir, cfg)]
     try:
-        u = fem.solve_bvp(mesh_obj, gamma, q, k, bc)
-        measurements = forward.probe_sweep(mesh_obj, gamma, q, k, bc, probes)
+        # one factorization serves the sweep and the sampled field
+        medium = forward.factor_medium(mesh_obj, gamma, q, k, bc)
+        measurements = forward.measure_on_medium(medium, probes)
     except (SingularSystem, NonConvergence) as err:
         return _solver_failure(out_dir, "probe", err, artifacts)
+    u = ComplexField(mesh_obj, medium.u)
 
     samples = {z: forward.sample_field(u, (z.x, z.y))
                for z in {p.center for p in probes}}
@@ -444,7 +446,8 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, jobs: int) -> int:
     artifacts += ["trace.csv", "fields_final.csv"]
     _write_manifest(out_dir, "reconstruct", artifacts,
                     {"status": trace.status, "iterations": len(trace.records),
-                     "detail": trace.detail})
+                     "detail": trace.detail,
+                     "n_factor": sum(r.n_factor for r in trace.records)})
     print(f"reconstruct: {trace.status} after {len(trace.records)} "
           f"iterations ({trace.detail})")
     return EXIT_OK if trace.status == reconstruct.STATUS_CONVERGED \

@@ -18,7 +18,11 @@ factor object, Factor: a float64 sparse LU with a symmetric minimum-degree
 ordering, built once and reused for blocks of right-hand sides (a complex
 one as its real and imaginary columns), each column checked against a
 relative residual of 1e-10 (residual_gate). factor_solve is the one-shot
-form; solve_bvp is factor_solve(*assemble(...)).
+form; solve_bvp is factor_solve(*assemble(...)). Factor.refined_solve solves
+a system near the factored one (or a stack of nodal blocks near copies of
+it) by defect correction on the same LU, behind the same gate, and factors
+the system itself only when the refinement misses the gate: that is how
+each reconstruction pass solves its corrector on its forward factor.
 """
 
 import math
@@ -261,13 +265,16 @@ class Factor:
     The LU is built once, with LU_ORDERING and LU_OPTIONS; solve takes a
     right-hand side of shape (n,) or (n, m), real or complex, and solves a
     complex block as the real columns [Re, Im] of one triangular solve.
-    Raises TypeError on a complex matrix and SingularSystem on breakdown.
+    refined_solve solves a nearby system on the same LU. Raises TypeError on
+    a complex matrix and SingularSystem on breakdown.
     """
 
     def __init__(self, matrix: sp.spmatrix):
         if np.iscomplexobj(matrix):
             raise TypeError("Factor takes a real matrix")
         self.matrix = matrix.tocsc().astype(np.float64, copy=False)
+        # refined solves that missed the gate and factored their own matrix
+        self.fallbacks = 0
         try:
             self._lu = spla.splu(self.matrix, permc_spec=LU_ORDERING,
                                  options=LU_OPTIONS)
@@ -276,21 +283,82 @@ class Factor:
 
     def solve(self, rhs: np.ndarray, gate: bool = True) -> Tuple[np.ndarray, float]:
         """Solution and its relative residual (see residual_gate)."""
-        is_complex = np.iscomplexobj(rhs)
-        cols = np.column_stack([rhs.real, rhs.imag]) if is_complex else rhs
-        cols = cols.astype(np.float64, copy=False)
+        cols = _real_columns(rhs)
         try:
             y = self._lu.solve(cols)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         if not np.all(np.isfinite(y)):
             raise SingularSystem("factorization produced non-finite values")
-        n_rhs = 1 if rhs.ndim == 1 else rhs.shape[1]
-        rel = residual_gate(self.matrix, y, cols, n_rhs, gate)
-        if not is_complex:
-            return y, rel
-        x = y[:, :n_rhs] + 1j * y[:, n_rhs:]
-        return (x[:, 0] if rhs.ndim == 1 else x), rel
+        rel = residual_gate(self.matrix, y, cols, _rhs_count(rhs), gate)
+        return _from_real_columns(y, rhs), rel
+
+    def refined_solve(self, matrix: sp.spmatrix, rhs: np.ndarray
+                      ) -> Tuple[np.ndarray, float]:
+        """Gated solve of matrix x = rhs by defect correction on this LU.
+
+        matrix is an operator near the factored one F, or a stack of nodal
+        blocks of F's size near blockdiag(F, ...) (the layout
+        eliminate_dirichlet uses); F^-1 acts on each block of each column.
+        The step x <- x + F^-1 (rhs - matrix x) runs from x = 0 until a step
+        fails to halve the worst column's relative residual (residual_gate's
+        measure). A result that misses RESIDUAL_RTOL (or is not finite)
+        counts in fallbacks and is replaced by factor_solve(matrix, rhs).
+        """
+        n = self.matrix.shape[0]
+        if matrix.shape[0] % n:
+            raise ValueError("matrix must stack nodal blocks of the factor's size")
+        cols = _real_columns(rhs)
+        n_rhs = _rhs_count(rhs)
+
+        def near_solve(r):
+            side = r.reshape(-1, n, r.size // r.shape[0]).transpose(1, 0, 2)
+            y = self._lu.solve(side.reshape(n, -1))
+            return y.reshape(side.shape).transpose(1, 0, 2).reshape(r.shape)
+
+        x, res, rel = np.zeros_like(cols), cols, math.inf
+        while True:
+            step = x + near_solve(res)
+            step_res = cols - matrix @ step
+            step_rel = max(_relative_residuals(step_res, cols, n_rhs))[0]
+            if not step_rel < 0.5 * rel:
+                break
+            x, res, rel = step, step_res, step_rel
+        if rel <= RESIDUAL_RTOL:
+            return _from_real_columns(x, rhs), rel
+        self.fallbacks += 1
+        return factor_solve(matrix, rhs)
+
+
+def _rhs_count(rhs: np.ndarray) -> int:
+    return 1 if rhs.ndim == 1 else rhs.shape[1]
+
+
+def _real_columns(rhs: np.ndarray) -> np.ndarray:
+    """rhs as float64 columns, a complex block as [Re, Im]."""
+    cols = np.column_stack([rhs.real, rhs.imag]) if np.iscomplexobj(rhs) else rhs
+    return cols.astype(np.float64, copy=False)
+
+
+def _from_real_columns(y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution in rhs's shape and kind, from its real columns y."""
+    if not np.iscomplexobj(rhs):
+        return y
+    n_rhs = _rhs_count(rhs)
+    x = y[:, :n_rhs] + 1j * y[:, n_rhs:]
+    return x[:, 0] if rhs.ndim == 1 else x
+
+
+def _relative_residuals(res: np.ndarray, cols: np.ndarray, n_rhs: int) -> list:
+    """(relative, absolute, rhs norm) residual of each rhs column of a
+    residual block; see residual_gate for the column layout."""
+    out = []
+    for j in range(n_rhs):
+        residual = float(np.linalg.norm(res[..., j::n_rhs]))
+        rhs_norm = float(np.linalg.norm(cols[..., j::n_rhs]))
+        out.append((residual / max(rhs_norm, np.finfo(float).tiny),
+                    residual, rhs_norm))
+    return out
 
 
 def residual_gate(matrix, y: np.ndarray, cols: np.ndarray, n_rhs: int,
@@ -306,10 +374,7 @@ def residual_gate(matrix, y: np.ndarray, cols: np.ndarray, n_rhs: int,
     for j in range(n_rhs):
         res = matrix @ y[..., j::n_rhs]
         res -= cols[..., j::n_rhs]
-        residual = float(np.linalg.norm(res))
-        rhs_norm = float(np.linalg.norm(cols[..., j::n_rhs]))
-        checks.append((residual / max(rhs_norm, np.finfo(float).tiny),
-                       residual, rhs_norm))
+        checks += _relative_residuals(res, cols[..., j::n_rhs], 1)
     rel, residual, rhs_norm = max(checks)
     if gate and rel > RESIDUAL_RTOL:
         raise NonConvergence(residual, rhs_norm)

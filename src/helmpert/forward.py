@@ -15,10 +15,12 @@ covered-area fraction, so that probes smaller than the local element size
 still displace the correct amount of material.
 
 A probe changes the operator A only on the elements its disk covers, so a
-sweep factors A once (fem.Factor) and treats every probe as a low-rank
-update on the node set S of those elements (Woodbury; Hager, "Updating the
-inverse of a matrix", SIAM Review 1989): one block solve per disk gives
-(A^-1)_SS, and each amplitude costs one |S| x |S| dense solve.
+sweep factors A once (factor_medium, which also solves the unperturbed
+field) and treats every probe as a low-rank update on the node set S of
+those elements (measure_on_medium; Woodbury; Hager, "Updating the inverse
+of a matrix", SIAM Review 1989): one block solve per disk gives (A^-1)_SS,
+and each amplitude costs one |S| x |S| dense solve. probe_sweep is the two
+steps in one call.
 measure_probe is the reference path: two full factorizations per probe,
 with the datum solved for in difference form.
 """
@@ -40,6 +42,12 @@ DEFAULT_INTERIOR_FRACTION = 0.75
 # identity columns per block solve of (A^-1)_SS: a few dense (n_nodes, 16)
 # arrays at a time, however many nodes a disk covers
 INVERSE_BLOCK_COLUMNS = 16
+
+# barycentric slack of the point location: a point it accepts lies in the
+# element scaled by 1 + 3 LOCATE_SLACK about its centroid, so bounding boxes
+# widened by LOCATE_BOX_PAD times the mesh radius never drop an accepted one
+LOCATE_SLACK = 1e-12
+LOCATE_BOX_PAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,13 +121,16 @@ def boundary_phase(mesh: TriangleMesh, convention: str = "xy") -> np.ndarray:
     return np.exp(1j * angle)
 
 
-def _check_probe_setup(mesh: TriangleMesh, gamma: CoefficientField,
-                       q: CoefficientField, bc: BoundaryCondition,
-                       probes: Sequence[PerturbationProbe]) -> None:
+def _check_medium(mesh: TriangleMesh, gamma: CoefficientField,
+                  q: CoefficientField, bc: BoundaryCondition) -> None:
     if bc.kind != "neumann":
         raise ValueError("probe measurements need flux (neumann) data")
     if gamma.mesh is not mesh or q.mesh is not mesh:
         raise ValueError("coefficient fields must live on the given mesh")
+
+
+def _check_disks(mesh: TriangleMesh,
+                 probes: Sequence[PerturbationProbe]) -> None:
     limit = DEFAULT_INTERIOR_FRACTION * mesh.radius
     for probe in probes:
         dist = math.hypot(probe.center.x, probe.center.y)
@@ -215,22 +226,11 @@ def _origin_in_triangle(p: np.ndarray) -> bool:
     return True
 
 
-def _element_boxes(mesh: TriangleMesh) -> Tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) corners of every element's bounding box, (n_tris, 2) each."""
-    verts = mesh.nodes[mesh.triangles]  # (n_tris, 3, 2)
-    return verts.min(axis=1), verts.max(axis=1)
-
-
-def probe_element_fractions(mesh: TriangleMesh, probe: PerturbationProbe,
-                            boxes: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                            ) -> np.ndarray:
-    """Covered-area fraction of each element under the probe disk.
-
-    boxes are the mesh's element bounding boxes (_element_boxes), computed
-    here when not given; a sweep computes them once for all its probes.
-    """
+def probe_element_fractions(mesh: TriangleMesh,
+                            probe: PerturbationProbe) -> np.ndarray:
+    """Covered-area fraction of each element under the probe disk."""
     area, _, _ = mesh.geometry
-    lo, hi = _element_boxes(mesh) if boxes is None else boxes
+    lo, hi = mesh.element_boxes
     zx, zy = probe.center.x, probe.center.y
     # candidate prefilter: the disk must meet the triangle bounding box
     near = ((lo[:, 0] - probe.radius <= zx) & (zx <= hi[:, 0] + probe.radius)
@@ -261,7 +261,8 @@ def measure_probe(
     perturbed) matches ``predict_probe`` in sign; the imaginary residue is
     kept for diagnostics.
     """
-    _check_probe_setup(mesh, gamma, q, bc, [probe])
+    _check_medium(mesh, gamma, q, bc)
+    _check_disks(mesh, [probe])
     matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
     u, _ = fem.factor_solve(matrix, rhs)
 
@@ -321,7 +322,14 @@ def sample_field(u: ComplexField, p) -> Tuple[complex, np.ndarray]:
 
 
 def _containing_triangle(mesh: TriangleMesh, x: float, y: float) -> int:
-    verts = mesh.nodes[mesh.triangles]
+    """First element, in index order, whose barycentric coordinates of the
+    point pass -LOCATE_SLACK; only elements whose bounding box, widened by
+    LOCATE_BOX_PAD times the mesh radius, holds the point are tested."""
+    lo, hi = mesh.element_boxes
+    pad = LOCATE_BOX_PAD * mesh.radius
+    near = np.nonzero((lo[:, 0] - pad <= x) & (x <= hi[:, 0] + pad)
+                      & (lo[:, 1] - pad <= y) & (y <= hi[:, 1] + pad))[0]
+    verts = mesh.nodes[mesh.triangles[near]]
     v0 = verts[:, 0]
     e1 = verts[:, 1] - v0
     e2 = verts[:, 2] - v0
@@ -330,8 +338,9 @@ def _containing_triangle(mesh: TriangleMesh, x: float, y: float) -> int:
     ry = y - v0[:, 1]
     l1 = (rx * e2[:, 1] - e2[:, 0] * ry) / det
     l2 = (e1[:, 0] * ry - rx * e1[:, 1]) / det
-    ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
-    hits = np.nonzero(ok)[0]
+    ok = ((l1 >= -LOCATE_SLACK) & (l2 >= -LOCATE_SLACK)
+          & (l1 + l2 <= 1.0 + LOCATE_SLACK))
+    hits = near[ok]
     if len(hits) == 0:
         raise ValueError(f"point ({x}, {y}) is outside the mesh")
     return int(hits[0])
@@ -345,10 +354,45 @@ def probe_sweep(
     bc: BoundaryCondition,
     probes: Sequence[PerturbationProbe],
 ) -> List[ProbeMeasurement]:
-    """Measure a batch of probes on one factorization of the medium.
+    """Measure a batch of probes on one factorization of the medium:
+    measure_on_medium(factor_medium(...), probes)."""
+    return measure_on_medium(factor_medium(mesh, gamma, q, k, bc), probes)
 
-    The Neumann operator A (real and symmetric) is factored once, and one
-    4-column block solve gives the field u = A^-1 b and the adjoint
+
+@dataclass
+class FactoredMedium:
+    """A medium's factored Neumann operator A, its field u = A^-1 b and the
+    adjoint v = A^-1 w of the boundary datum (see measure_on_medium)."""
+
+    mesh: TriangleMesh
+    gamma: CoefficientField
+    q: CoefficientField
+    k: float
+    lu: fem.Factor
+    u: np.ndarray
+    v: np.ndarray
+
+
+def factor_medium(mesh: TriangleMesh, gamma: CoefficientField,
+                  q: CoefficientField, k: float,
+                  bc: BoundaryCondition) -> FactoredMedium:
+    """Factor the Neumann operator once and solve u and v in one block."""
+    _check_medium(mesh, gamma, q, bc)
+    matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
+    lu = fem.Factor(matrix)
+    adjoint_load = np.zeros(mesh.n_nodes, dtype=np.complex128)
+    adjoint_load[mesh.boundary_nodes] = fem.boundary_weights(mesh) * np.conj(bc.data)
+    uv, _ = lu.solve(np.column_stack([rhs, adjoint_load]))
+    return FactoredMedium(mesh, gamma, q, k, lu, uv[:, 0], uv[:, 1])
+
+
+def measure_on_medium(medium: FactoredMedium,
+                      probes: Sequence[PerturbationProbe]
+                      ) -> List[ProbeMeasurement]:
+    """Measure every probe as a low-rank update of the factored medium.
+
+    The Neumann operator A (real and symmetric) was factored once, and one
+    4-column block solve gave the field u = A^-1 b and the adjoint
     v = A^-1 w, where w is the boundary trapezoid weights times the
     conjugated data, so that the boundary datum of any field f is w^T f.
     A probe adds dA to A on the node set S of the elements its disk covers.
@@ -365,22 +409,18 @@ def probe_sweep(
     system's residual is bounded by theirs. The data agree with
     measure_probe to roundoff.
     """
-    _check_probe_setup(mesh, gamma, q, bc, probes)
-    if not probes:
-        return []
-    lu, u, v = _factor_medium(mesh, gamma, q, k, bc)
-
-    ge = fem.element_average(mesh, gamma.values)
-    qe = fem.element_average(mesh, q.values)
+    mesh, k, lu, u, v = medium.mesh, medium.k, medium.lu, medium.u, medium.v
+    _check_disks(mesh, probes)
+    ge = fem.element_average(mesh, medium.gamma.values)
+    qe = fem.element_average(mesh, medium.q.values)
     area, b, c = mesh.geometry
-    boxes = _element_boxes(mesh)
     disks: Dict[Tuple[Point2, float], List[int]] = {}
     for i, probe in enumerate(probes):
         disks.setdefault((probe.center, probe.radius), []).append(i)
 
     out: List[Optional[ProbeMeasurement]] = [None] * len(probes)
     for members in disks.values():
-        frac = probe_element_fractions(mesh, probes[members[0]], boxes)
+        frac = probe_element_fractions(mesh, probes[members[0]])
         cov = np.nonzero(frac)[0]
         frac = frac[cov]
         support, local = np.unique(mesh.triangles[cov], return_inverse=True)
@@ -399,17 +439,6 @@ def probe_sweep(
             out[i] = ProbeMeasurement(probe=probe, D=raw.real / probe.area,
                                       boundary_integral_raw=raw)
     return out
-
-
-def _factor_medium(mesh: TriangleMesh, gamma: CoefficientField,
-                   q: CoefficientField, k: float, bc: BoundaryCondition):
-    """The factored Neumann operator, the field u and the datum's adjoint v."""
-    matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
-    lu = fem.Factor(matrix)
-    adjoint_load = np.zeros(mesh.n_nodes, dtype=np.complex128)
-    adjoint_load[mesh.boundary_nodes] = fem.boundary_weights(mesh) * np.conj(bc.data)
-    uv, _ = lu.solve(np.column_stack([rhs, adjoint_load]))
-    return lu, uv[:, 0], uv[:, 1]
 
 
 def _inverse_block(lu: fem.Factor, nodes: np.ndarray) -> np.ndarray:

@@ -166,6 +166,12 @@ class TriangleMesh:
             arr.flags.writeable = False
         return indptr, indices, slot
 
+    @cached_property
+    def element_boxes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) corners of every element's bounding box, (n_tris, 2) each."""
+        verts = self.nodes[self.triangles]  # (n_tris, 3, 2)
+        return verts.min(axis=1), verts.max(axis=1)
+
     def node_radii(self) -> np.ndarray:
         return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
 

@@ -10,7 +10,16 @@ current guess at both frequencies, forms the quotient misfits
 and, when a misfit is above the precision target, solves a linearized
 corrector problem for the first-order solution change and updates the guess
 with the corrected quotient. Both corrector operators are the forward form
-K(a) + M(c) with other coefficients, built by fem.assemble_operator.
+K(a) + M(c) with other coefficients, built by fem.assemble_operator. Each
+pass factors its forward operator once and solves its corrector on that
+factor by gated defect correction (fem.Factor.refined_solve): at a high k1
+the gradient corrector differs from the forward operator by a stiffness
+term small beside the mass term, and at a low k2 the mass corrector's
+blocks differ from it by mass terms scaled by k2^2. Where a corrector is
+not that close, it factors its own system. The factor is passed to the
+corrector explicitly and dropped before the next pass factors, so one is
+alive at a time; IterationRecord.n_factor counts the factorizations of
+each iteration.
 Material values on the near-boundary annulus are known and reset after
 every update. The iteration stops when both misfits pass in the same sweep
 (Converged), when the iteration budget runs out (IterationCap), when a field
@@ -117,6 +126,7 @@ class IterationRecord:
     n_gamma_clamped: int = 0
     n_q_clamped: int = 0
     corrector_failed: int = 0
+    n_factor: int = 0
     forward_residual_k1: float = math.nan
     forward_residual_k2: float = math.nan
 
@@ -181,15 +191,19 @@ def compute_q_error(
 
 def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
                              q: CoefficientField, k: float,
-                             bc: BoundaryCondition):
+                             bc: BoundaryCondition
+                             ) -> Tuple[ComplexField, float, fem.Factor]:
     """Forward solve that reports, instead of gating on, the residual.
 
     The outer loop has to keep iterating through the badly conditioned
     passes a diverging run produces; breakdown is diagnosed by the floors
-    and the stall detector, not by the linear solver.
+    and the stall detector, not by the linear solver. The factor of the
+    Dirichlet-eliminated operator comes back for the pass's corrector.
     """
-    x, rel = fem.factor_solve(*fem.assemble(mesh, gamma, q, k, bc), gate=False)
-    return ComplexField(mesh, x), rel
+    matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
+    lu = fem.Factor(matrix)
+    x, rel = lu.solve(rhs, gate=False)
+    return ComplexField(mesh, x), rel, lu
 
 
 def solve_gamma_corrector(
@@ -198,6 +212,7 @@ def solve_gamma_corrector(
     gamma0: CoefficientField,
     q0: CoefficientField,
     k1: float,
+    near: fem.Factor,
 ) -> ComplexField:
     """First-order solution change induced by the gradient-energy misfit.
 
@@ -206,12 +221,17 @@ def solve_gamma_corrector(
     principal coefficient), plus-signed mass term, driven in weak form by
     (E0 grad u0, grad phi_i), the E0-weighted stiffness applied to u0, with
     homogeneous dirichlet walls.
+
+    near is the pass's forward factor, K(gamma0) - k1^2 M(q0) with the
+    boundary eliminated. The negated system is that operator plus
+    K(E0 - 2 gamma0), small beside the mass term at a high k1, so it is
+    solved on near by gated defect correction (Factor.refined_solve).
     """
     mesh = u0.mesh
-    matrix = fem.assemble_operator(mesh, gamma0.values - E0.values,
-                                   (k1 ** 2) * q0.values)
-    rhs = fem.assemble_operator(mesh, E0.values, None) @ u0.values
-    values, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
+    matrix = fem.assemble_operator(mesh, E0.values - gamma0.values,
+                                   -(k1 ** 2) * q0.values)
+    rhs = -(fem.assemble_operator(mesh, E0.values, None) @ u0.values)
+    values, _ = near.refined_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
     return ComplexField(mesh, values)
 
 
@@ -222,6 +242,7 @@ def solve_q_corrector(
     gamma0: CoefficientField,
     q0: CoefficientField,
     k2: float,
+    near: fem.Factor,
 ) -> ComplexField:
     """First-order solution change induced by the mass-energy misfit.
 
@@ -230,6 +251,11 @@ def solve_q_corrector(
     call per block: diagonal blocks carry the divergence-form principal part
     and the mass k^2 (2 q0 re^2 - j)/|u0|^2 (im^2 in the second), the
     off-diagonal blocks the cross-coupling mass 2 k^2 q0 re im/|u0|^2.
+
+    near is the pass's forward factor, K(gamma0) - k2^2 M(q0) with the
+    boundary eliminated. At a low k2 every mass term is small, so the block
+    system is near blockdiag(near, near) and is solved on it by gated
+    defect correction (Factor.refined_solve).
     """
     mesh = u0.mesh
     re = u0.values.real
@@ -250,7 +276,7 @@ def solve_q_corrector(
     mass = fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
     load = k_sq * (mass @ (eps0.values * u0.values))
     rhs = np.concatenate([load.real, load.imag])
-    sol, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
+    sol, _ = near.refined_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
     n = mesh.n_nodes
     return ComplexField(mesh, sol[:n] + 1j * sol[n:])
 
@@ -348,8 +374,10 @@ def run(
     for it in range(1, config.max_outer_iterations + 1):
         rec = IterationRecord(iteration=it)
         try:
-            # high-frequency pass: conductivity test and update
-            u0, rec.forward_residual_k1 = _forward_solve_monitored(
+            # high-frequency pass: conductivity test and update; one factor
+            # serves the pass and is dropped before the next one is made
+            rec.n_factor += 1
+            u0, rec.forward_residual_k1, lu = _forward_solve_monitored(
                 mesh, gamma0, q0, config.k1, bc)
             grad0 = fem.gradient(u0)
             rec.min_grad_sq = float(
@@ -363,14 +391,17 @@ def run(
             if not gamma_ok:
                 u1g, rec.max_corr_gamma_sq, failed = _bounded_corrector(
                     config.corrector_cap, solve_gamma_corrector,
-                    u0, E0, gamma0, q0, config.k1)
+                    u0, E0, gamma0, q0, config.k1, lu)
                 rec.corrector_failed += failed
+                rec.n_factor += lu.fallbacks
                 gamma0, rec.n_gamma_clamped = update_gamma(
                     J, grad0, u1g, gamma0, annulus_mask, gamma_annulus,
                     config.damping)
 
             # low-frequency pass: permittivity test and update
-            u0b, rec.forward_residual_k2 = _forward_solve_monitored(
+            lu = None
+            rec.n_factor += 1
+            u0b, rec.forward_residual_k2, lu = _forward_solve_monitored(
                 mesh, gamma0, q0, config.k2, bc)
             rec.min_u_sq = float((np.abs(u0b.values) ** 2)[unknown_mask].min())
             eps0, rec.misfit_j_linf = compute_q_error(
@@ -381,10 +412,12 @@ def run(
             if not q_ok:
                 u1q, rec.max_corr_q_sq, failed = _bounded_corrector(
                     config.corrector_cap, solve_q_corrector,
-                    u0b, eps0, j, gamma0, q0, config.k2)
+                    u0b, eps0, j, gamma0, q0, config.k2, lu)
                 rec.corrector_failed += failed
+                rec.n_factor += lu.fallbacks
                 q0, rec.n_q_clamped = update_q(
                     j, u0b, u1q, q0, annulus_mask, q_annulus, config.damping)
+            lu = None
         except (FloorViolation, SingularSystem, ValueError) as err:
             trace.status = STATUS_DIVERGED
             trace.detail = str(err)

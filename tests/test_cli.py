@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from helmpert import cli
 from helmpert import mesh as hm
@@ -191,6 +192,24 @@ def test_probe_compare_has_one_row_per_probe(tmp_path):
     assert recovered + failed == 1  # one (center, radius) group either way
 
 
+def test_probe_command_factors_once(tmp_path, monkeypatch):
+    # the sampled field comes from the sweep's own factorization
+    calls = []
+    real_splu = spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    doc = probe_config()
+    doc["mesh"] = {"n_boundary_points": 100}
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("probe", "--config", cfg, "--out", tmp_path / "out") == 0
+    n = hm.build_disk_mesh(8.0, 100).n_nodes
+    assert calls == [(n, n)]
+
+
 def test_probe_grid_spacing_generates_centers(tmp_path):
     cfg = write_config(tmp_path, probe_config(centers=[], grid_spacing=3.0,
                                               amplitudes=[2.0]))
@@ -226,6 +245,9 @@ def test_reconstruct_converges_and_reruns_from_echo(tmp_path):
     assert run_cli("reconstruct", "--out", first) == 0
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["summary"]["status"] == "Converged"
+    # the run total of the factorizations each trace row counts
+    trace = read_csv_columns(first / "trace.csv")
+    assert manifest["summary"]["n_factor"] == sum(int(v) for v in trace["n_factor"])
     # the echoed config reproduces the run byte for byte
     second = tmp_path / "second"
     assert run_cli("reconstruct", "--config", first / "config_echo.json",

@@ -436,6 +436,75 @@ def test_residual_gate_checks_each_column():
     assert fem.residual_gate(identity, y, cols, 1, gate=False) < fem.RESIDUAL_RTOL
 
 
+def eliminated(mesh, matrix):
+    """matrix with the boundary rows and columns of every block eliminated."""
+    return fem.eliminate_dirichlet(mesh, matrix, np.zeros(matrix.shape[0]))[0]
+
+
+def near_systems(mesh, gamma, q, k):
+    """A forward operator and two systems near it: one with the stiffness
+    changed by K(E), one 2 x 2 block stack with a small mass coupling."""
+    n = mesh.n_nodes
+    rng = np.random.default_rng(21)
+    forward = fem.assemble_operator(mesh, gamma.values, -(k ** 2) * q.values)
+    single = fem.assemble_operator(mesh, gamma.values + rng.uniform(-1, 1, n),
+                                   -(k ** 2) * q.values)
+    coupling = fem.assemble_operator(mesh, None, rng.uniform(-1, 1, n))
+    stacked = sp.bmat([[single, coupling], [coupling, forward]], format="csr")
+    return (eliminated(mesh, forward), eliminated(mesh, single),
+            eliminated(mesh, stacked))
+
+
+def test_refined_solve_matches_factor_solve_on_a_near_factor(disk50, truth50):
+    # at k = 300 the mass term dominates: the changes are about 1e-4 of it
+    gamma, q = truth50
+    forward, single, stacked = near_systems(disk50, gamma, q, 300.0)
+    near = fem.Factor(forward)
+    rng = np.random.default_rng(22)
+    n = disk50.n_nodes
+    cases = [(single, rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+             (single, rng.standard_normal((n, 3))),
+             (stacked, rng.standard_normal(2 * n)),
+             (stacked, rng.standard_normal((2 * n, 2)) * (1 - 2j))]
+    for matrix, rhs in cases:
+        x, rel = near.refined_solve(matrix, rhs)
+        ref, _ = fem.factor_solve(matrix, rhs)
+        assert x.shape == rhs.shape and x.dtype == rhs.dtype
+        assert rel <= fem.RESIDUAL_RTOL
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert near.fallbacks == 0
+
+
+def test_refined_solve_falls_back_on_a_far_factor(disk50, truth50):
+    # the k = 300 operator is no approximation of the k = 0.35 one
+    gamma, q = truth50
+    far = fem.Factor(near_systems(disk50, gamma, q, 300.0)[0])
+    matrix = near_systems(disk50, gamma, q, 0.35)[1]
+    rhs = np.random.default_rng(23).standard_normal(disk50.n_nodes) * (1 + 1j)
+    x, rel = far.refined_solve(matrix, rhs)
+    ref, ref_rel = fem.factor_solve(matrix, rhs)
+    np.testing.assert_array_equal(x, ref)
+    assert rel == ref_rel <= fem.RESIDUAL_RTOL
+    assert far.fallbacks == 1
+
+
+def test_refined_solve_of_zero_rhs_is_zero(disk50, truth50):
+    gamma, q = truth50
+    forward, single, _ = near_systems(disk50, gamma, q, 300.0)
+    near = fem.Factor(forward)
+    x, rel = near.refined_solve(single, np.zeros(disk50.n_nodes))
+    assert np.max(np.abs(x)) == 0.0 and rel == 0.0
+    assert near.fallbacks == 0
+
+
+def test_refined_solve_rejects_a_foreign_block_size(disk50, truth50):
+    gamma, q = truth50
+    near = fem.Factor(near_systems(disk50, gamma, q, 300.0)[0])
+    with pytest.raises(ValueError):
+        near.refined_solve(sp.identity(disk50.n_nodes + 1, format="csr"),
+                           np.ones(disk50.n_nodes + 1))
+
+
 def eliminate_by_products(mesh, matrix, rhs, values=None):
     """The diagonal-product elimination the masked copy replaced."""
     n = matrix.shape[0]

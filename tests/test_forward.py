@@ -341,6 +341,51 @@ def test_sample_field_linear_exact(disk50):
         forward.sample_field(u, (9.0, 0.0))
 
 
+def linear_search_locate(mesh, x, y):
+    """The containing element by testing every element, first hit in index
+    order: the search the bounding-box prefilter narrows."""
+    verts = mesh.nodes[mesh.triangles]
+    v0 = verts[:, 0]
+    e1 = verts[:, 1] - v0
+    e2 = verts[:, 2] - v0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    rx = x - v0[:, 0]
+    ry = y - v0[:, 1]
+    l1 = (rx * e2[:, 1] - e2[:, 0] * ry) / det
+    l2 = (e1[:, 0] * ry - rx * e1[:, 1]) / det
+    ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+    hits = np.nonzero(ok)[0]
+    return int(hits[0]) if len(hits) else None
+
+
+def test_point_location_matches_the_linear_search(disk100):
+    # random interior points, every vertex (shared by several elements, so
+    # the first in index order must win), points on edges, and points just
+    # off a vertex, which the barycentric slack still puts in elements whose
+    # bounding box they miss
+    mesh = disk100
+    rng = np.random.default_rng(31)
+    radius = mesh.radius * np.sqrt(rng.random(400))
+    angle = 2.0 * np.pi * rng.random(400)
+    inside = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    a = mesh.nodes[mesh.triangles[::3, 0]]
+    b = mesh.nodes[mesh.triangles[::3, 1]]
+    t = rng.random((len(a), 1))
+    on_edges = np.concatenate([a + t * (b - a), 0.5 * (a + b)])
+    off_vertex = np.concatenate([mesh.nodes[::3] + 1e-13 * np.array(d)
+                                 for d in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+    points = np.concatenate([inside, mesh.nodes, on_edges, off_vertex])
+    for x, y in points:
+        want = linear_search_locate(mesh, x, y)
+        if want is None:  # rounding put a boundary point outside the disk
+            with pytest.raises(ValueError):
+                forward._containing_triangle(mesh, x, y)
+        else:
+            assert forward._containing_triangle(mesh, x, y) == want
+    with pytest.raises(ValueError):
+        forward._containing_triangle(mesh, mesh.radius * 1.01, 0.0)
+
+
 def test_boundary_phase_conventions(disk50):
     for convention in ("xy", "yx"):
         vals = forward.boundary_phase(disk50, convention)

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from helmpert import fem, forward
+from helmpert import diagnostics, fem, forward
 from helmpert import mesh as hm
 from helmpert import reconstruct as rc
 
@@ -19,6 +20,13 @@ K2_DEFAULT = math.pi * 1e-3
 
 def phase_dirichlet(mesh):
     return fem.BoundaryCondition("dirichlet", forward.boundary_phase(mesh, "xy"))
+
+
+def forward_pass(mesh, gamma, q, k):
+    """A pass's forward field and the factor its corrector is solved on."""
+    u0, _, lu = rc._forward_solve_monitored(mesh, gamma, q, k,
+                                            phase_dirichlet(mesh))
+    return u0, lu
 
 
 def synthetic_data(mesh, gamma, q, k1, k2):
@@ -123,91 +131,149 @@ def test_q_floor_violation(disk50):
 
 def test_gamma_corrector_of_zero_misfit_is_zero(disk50, truth50):
     gamma, q = truth50
-    u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
+    u0, lu = forward_pass(disk50, gamma, q, K1_DEFAULT)
     zero = fem.CoefficientField(disk50, np.zeros(disk50.n_nodes))
-    corr = rc.solve_gamma_corrector(u0, zero, gamma, q, K1_DEFAULT)
+    corr = rc.solve_gamma_corrector(u0, zero, gamma, q, K1_DEFAULT, lu)
     assert np.max(np.abs(corr.values)) == 0.0
 
 
 def test_gamma_corrector_conjugation(disk50, truth50):
     gamma, q = truth50
     u0 = fem.solve_bvp(disk50, gamma, q, K2_DEFAULT, phase_dirichlet(disk50))
+    _, lu = forward_pass(disk50, gamma, q, K1_DEFAULT)
     rng = np.random.default_rng(2)
     E0 = fem.CoefficientField(disk50, rng.uniform(-0.3, 0.3, disk50.n_nodes))
-    c1 = rc.solve_gamma_corrector(u0, E0, gamma, q, K1_DEFAULT)
+    c1 = rc.solve_gamma_corrector(u0, E0, gamma, q, K1_DEFAULT, lu)
     u0c = fem.ComplexField(disk50, np.conj(u0.values))
-    c2 = rc.solve_gamma_corrector(u0c, E0, gamma, q, K1_DEFAULT)
+    c2 = rc.solve_gamma_corrector(u0c, E0, gamma, q, K1_DEFAULT, lu)
     scale = np.max(np.abs(c1.values))
     assert np.max(np.abs(c2.values - np.conj(c1.values))) < 1e-12 * scale
 
 
-def test_gamma_corrector_matches_element_loop(disk50, truth50):
-    # the load is (E0 grad u0, grad phi_i), E0 averaged per element
-    gamma, q = truth50
-    k = 0.35
-    u0 = fem.solve_bvp(disk50, gamma, q, k, phase_dirichlet(disk50))
-    E0 = fem.CoefficientField(
-        disk50, np.random.default_rng(3).uniform(-0.3, 0.3, disk50.n_nodes))
-    area, b, c = disk50.geometry
-    rhs = np.zeros(disk50.n_nodes, dtype=complex)
-    for e, tri in enumerate(disk50.triangles):
+def gamma_corrector_system(mesh, u0, E0, gamma, q, k):
+    """The corrector's eliminated system, its load (E0 grad u0, grad phi_i)
+    summed element by element, E0 averaged per element."""
+    area, b, c = mesh.geometry
+    rhs = np.zeros(mesh.n_nodes, dtype=complex)
+    for e, tri in enumerate(mesh.triangles):
         grad_phi = np.stack([b[e], c[e]], axis=1) / (2.0 * area[e])
         grad_u = grad_phi.T @ u0.values[tri]
         rhs[tri] += area[e] * E0.values[tri].mean() * (grad_phi @ grad_u)
-    matrix = fem.assemble_operator(disk50, gamma.values - E0.values,
+    matrix = fem.assemble_operator(mesh, gamma.values - E0.values,
                                    k ** 2 * q.values)
-    ref, _ = fem.factor_solve(*fem.eliminate_dirichlet(disk50, matrix, rhs))
-    got = rc.solve_gamma_corrector(u0, E0, gamma, q, k).values
+    return fem.eliminate_dirichlet(mesh, matrix, rhs)
+
+
+def random_misfit(mesh, seed, size):
+    return fem.CoefficientField(
+        mesh, np.random.default_rng(seed).uniform(-size, size, mesh.n_nodes))
+
+
+def test_gamma_corrector_matches_element_loop(disk50, truth50):
+    gamma, q = truth50
+    k = 0.35
+    u0, lu = forward_pass(disk50, gamma, q, k)
+    E0 = random_misfit(disk50, 3, 0.3)
+    ref, _ = fem.factor_solve(*gamma_corrector_system(disk50, u0, E0, gamma,
+                                                      q, k))
+    got = rc.solve_gamma_corrector(u0, E0, gamma, q, k, lu).values
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_q_corrector_matches_the_summed_per_kind_blocks(disk50, truth50):
-    # the blocks as a sum of five single-coefficient matrices, then bmat
+def test_gamma_corrector_falls_back_on_a_far_factor(disk50, truth50):
+    # at k = 0.35 the stiffness change K(E0 - 2 gamma) is no perturbation of
+    # the forward operator: the refinement misses the gate and the corrector
+    # is what a factorization of its own (negated) system gives
     gamma, q = truth50
     k = 0.35
-    u0 = fem.solve_bvp(disk50, gamma, q, k, phase_dirichlet(disk50))
-    j = q.values * np.abs(u0.values) ** 2
-    eps0 = fem.CoefficientField(
-        disk50, np.random.default_rng(4).uniform(-0.5, 0.5, disk50.n_nodes))
+    u0, lu = forward_pass(disk50, gamma, q, k)
+    E0 = random_misfit(disk50, 3, 0.3)
+    got = rc.solve_gamma_corrector(u0, E0, gamma, q, k, lu).values
+    assert lu.fallbacks == 1
+    negated = fem.assemble_operator(disk50, E0.values - gamma.values,
+                                    -(k ** 2) * q.values)
+    load = -(fem.assemble_operator(disk50, E0.values, None) @ u0.values)
+    ref, _ = fem.factor_solve(*fem.eliminate_dirichlet(disk50, negated, load))
+    np.testing.assert_array_equal(got, ref)
+    matrix, rhs = gamma_corrector_system(disk50, u0, E0, gamma, q, k)
+    assert fem.residual_gate(matrix, np.column_stack([got.real, got.imag]),
+                             np.column_stack([rhs.real, rhs.imag]), 1,
+                             gate=False) <= fem.RESIDUAL_RTOL
+
+
+def q_corrector_by_kind(mesh, u0, eps0, j, gamma, q, k):
+    """The q-corrector solved on one fresh factorization, its blocks a sum
+    of five single-coefficient matrices, then bmat."""
     re, im = u0.values.real, u0.values.imag
     u2 = re * re + im * im
 
     def mass(coeff):
-        return fem.assemble_operator(disk50, None, coeff)
+        return fem.assemble_operator(mesh, None, coeff)
 
-    diag = (fem.assemble_operator(disk50, gamma.values, None)
+    diag = (fem.assemble_operator(mesh, gamma.values, None)
             - k ** 2 * mass(j / u2))
     a11 = diag + 2.0 * k ** 2 * mass(q.values * re * re / u2)
     a12 = 2.0 * k ** 2 * mass(q.values * re * im / u2)
     a22 = diag + 2.0 * k ** 2 * mass(q.values * im * im / u2)
     matrix = sp.bmat([[a11, a12], [a12, a22]], format="csc")
-    ones = np.ones(disk50.n_nodes)
+    ones = np.ones(mesh.n_nodes)
     rhs = k ** 2 * np.concatenate([mass(ones) @ (eps0.values * re),
                                    mass(ones) @ (eps0.values * im)])
-    sol, _ = fem.factor_solve(*fem.eliminate_dirichlet(disk50, matrix, rhs))
-    ref = sol[:disk50.n_nodes] + 1j * sol[disk50.n_nodes:]
-    got = rc.solve_q_corrector(u0, eps0, j, gamma, q, k).values
+    sol, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
+    return sol[:mesh.n_nodes] + 1j * sol[mesh.n_nodes:]
+
+
+def test_q_corrector_matches_the_summed_per_kind_blocks(disk50, truth50):
+    gamma, q = truth50
+    k = 0.35
+    u0, lu = forward_pass(disk50, gamma, q, k)
+    j = q.values * np.abs(u0.values) ** 2
+    eps0 = random_misfit(disk50, 4, 0.5)
+    ref = q_corrector_by_kind(disk50, u0, eps0, j, gamma, q, k)
+    got = rc.solve_q_corrector(u0, eps0, j, gamma, q, k, lu).values
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_correctors_on_their_pass_factor_match_a_fresh_factorization(
+        disk50, truth50):
+    # at the reconstruction's frequencies each corrector is refined on its
+    # pass's forward factor, with no fallback, to a tighter bound
+    gamma, q = truth50
+    u0, lu = forward_pass(disk50, gamma, q, K1_DEFAULT)
+    E0 = random_misfit(disk50, 3, 0.3)
+    ref, _ = fem.factor_solve(*gamma_corrector_system(disk50, u0, E0, gamma,
+                                                      q, K1_DEFAULT))
+    got = rc.solve_gamma_corrector(u0, E0, gamma, q, K1_DEFAULT, lu).values
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert lu.fallbacks == 0
+
+    u0, lu = forward_pass(disk50, gamma, q, K2_DEFAULT)
+    j = q.values * np.abs(u0.values) ** 2
+    eps0 = random_misfit(disk50, 4, 0.5)
+    ref = q_corrector_by_kind(disk50, u0, eps0, j, gamma, q, K2_DEFAULT)
+    got = rc.solve_q_corrector(u0, eps0, j, gamma, q, K2_DEFAULT, lu).values
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert lu.fallbacks == 0
 
 
 def test_q_corrector_of_zero_misfit_is_zero(disk50, truth50):
     gamma, q = truth50
-    u0 = fem.solve_bvp(disk50, gamma, q, K2_DEFAULT, phase_dirichlet(disk50))
+    u0, lu = forward_pass(disk50, gamma, q, K2_DEFAULT)
     j = q.values * np.abs(u0.values) ** 2
     zero = fem.CoefficientField(disk50, np.zeros(disk50.n_nodes))
-    corr = rc.solve_q_corrector(u0, zero, j, gamma, q, K2_DEFAULT)
+    corr = rc.solve_q_corrector(u0, zero, j, gamma, q, K2_DEFAULT, lu)
     assert np.max(np.abs(corr.values)) == 0.0
 
 
 def test_q_corrector_scales_linearly(disk50, truth50):
     gamma, q = truth50
-    u0 = fem.solve_bvp(disk50, gamma, q, K2_DEFAULT, phase_dirichlet(disk50))
+    u0, lu = forward_pass(disk50, gamma, q, K2_DEFAULT)
     j = q.values * np.abs(u0.values) ** 2
     rng = np.random.default_rng(2)
     eps = fem.CoefficientField(disk50, rng.uniform(-0.5, 0.5, disk50.n_nodes))
     eps2 = fem.CoefficientField(disk50, 2.0 * eps.values)
-    c1 = rc.solve_q_corrector(u0, eps, j, gamma, q, K2_DEFAULT)
-    c2 = rc.solve_q_corrector(u0, eps2, j, gamma, q, K2_DEFAULT)
+    c1 = rc.solve_q_corrector(u0, eps, j, gamma, q, K2_DEFAULT, lu)
+    c2 = rc.solve_q_corrector(u0, eps2, j, gamma, q, K2_DEFAULT, lu)
     np.testing.assert_array_equal(c2.values, 2.0 * c1.values)
 
 
@@ -371,6 +437,33 @@ def test_run_differentiates_each_high_frequency_field_once(
     assert len(calls) == len(trace.records)
 
 
+# m = 3 converges with every corrector solved on its pass's factor; at
+# m = 1 the forward operators are too far from the correctors, and one
+# corrector per iteration factors its own system
+@pytest.mark.parametrize("m, expected, per_iteration", [
+    (3, (rc.STATUS_CONVERGED, 23), [2] * 23),
+    (1, (rc.STATUS_DIVERGED, 3), [3] * 3)])
+def test_run_counts_its_factorizations(disk50, monkeypatch, m, expected,
+                                       per_iteration):
+    calls = []
+    real_splu = spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    k1, k2 = diagnostics.frequency_pair(m)
+    trace = diagnostics.synthetic_run(disk50,
+                                      rc.ReconstructionConfig(k1=k1, k2=k2))
+    assert (trace.status, len(trace.records)) == expected
+    assert [r.n_factor for r in trace.records] == per_iteration
+    # the two data solves, then the factorizations the records count
+    assert len(calls) == 2 + sum(per_iteration)
+    if m == 3:
+        assert set(calls) == {(disk50.n_nodes, disk50.n_nodes)}
+
+
 def test_save_trace_csv_round_trip(disk50, truth50, truth_data50, tmp_path):
     gamma, q = truth50
     J, j = truth_data50
@@ -386,7 +479,7 @@ def test_save_trace_csv_round_trip(disk50, truth50, truth_data50, tmp_path):
         "misfit_j_l2", "min_grad_sq", "min_u_sq", "max_corr_gamma_sq",
         "max_corr_q_sq", "gamma_err_linf", "gamma_err_l1", "gamma_err_l2",
         "q_err_linf", "q_err_l1", "q_err_l2", "n_gamma_clamped",
-        "n_q_clamped", "corrector_failed", "forward_residual_k1",
+        "n_q_clamped", "corrector_failed", "n_factor", "forward_residual_k1",
         "forward_residual_k2", "status"]
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -398,3 +491,4 @@ def test_save_trace_csv_round_trip(disk50, truth50, truth_data50, tmp_path):
         assert float(row["misfit_J_linf"]) == rec.misfit_J_linf
         assert float(row["min_u_sq"]) == rec.min_u_sq
         assert int(row["n_gamma_clamped"]) == rec.n_gamma_clamped
+        assert int(row["n_factor"]) == rec.n_factor
