@@ -74,7 +74,7 @@ def default_config() -> dict:
         "reconstruction": {"eps_precision": 1e-3, "max_iterations": 50,
                            "floor_grad": 1e-60, "floor_u": 1e-12,
                            "gamma_guess": 3.5, "q_guess": 11.5,
-                           "damping": 1.0, "corrector_cap": 1.0},
+                           "damping": 1.0},
         "output": {"directory": "out"},
     }
 
@@ -423,7 +423,6 @@ def _reconstruction_config(cfg: dict, mesh_obj: Optional[TriangleMesh],
         gamma_guess=float(rec["gamma_guess"]),
         q_guess=float(rec["q_guess"]),
         damping=float(rec["damping"]),
-        corrector_cap=float(rec["corrector_cap"]),
     )
 
 
@@ -479,19 +478,19 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     artifacts = [_echo_config(out_dir, cfg)]
     sweep = diagnostics.frequency_sweep(base_cfg, exponents, mesh_points,
                                         jobs=jobs, phantom=ph)
-    for quantity in diagnostics.SERIES_QUANTITIES:
-        name = f"sweep_{quantity}.csv"
-        diagnostics.save_sweep_csv(out_dir / name, sweep, [quantity])
+    for (m, n), trace in sweep.traces.items():
+        name = f"trace_m{m}_mesh{n}.csv"
+        reconstruct.save_trace_csv(out_dir / name, trace)
         artifacts.append(name)
     diagnostics.save_sweep_summary_csv(out_dir / "sweep_summary.csv", sweep)
     artifacts.append("sweep_summary.csv")
 
-    statuses = sweep.statuses()
     _write_manifest(out_dir, "sweep", artifacts,
-                    {"statuses": statuses,
+                    {"statuses": sweep.statuses(),
                      "all_converged": sweep.all_converged(), "jobs": jobs})
-    for entry in sweep.entries:
-        print(f"{entry.key}: {entry.status} ({entry.n_iterations} iterations)")
+    for cell, trace in sweep.traces.items():
+        print(f"{diagnostics.cell_key(cell)}: {trace.status} "
+              f"({len(trace.records)} iterations)")
     return EXIT_OK if sweep.all_converged() else EXIT_NOT_CONVERGED
 
 
@@ -520,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides output.directory)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel runs inside sweeps (at most the CPU count)")
+                       help="parallel runs inside sweeps (at most the usable CPUs)")
         p.add_argument("--mesh-points", dest="mesh_points", type=int,
                        default=None,
                        help="override mesh.n_boundary_points")
@@ -539,8 +538,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         apply_flag_overrides(cfg, args)
         out_dir = _prepare_out(cfg)
-        # more threads than CPUs only adds contention to the same work
-        jobs = min(max(1, int(args.jobs)), os.cpu_count() or 1)
+        # more threads than the CPUs this process may run on (its affinity
+        # mask, where the platform has one) only adds contention
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        jobs = min(max(1, int(args.jobs)), cpus)
         return command(cfg, out_dir, jobs)
     except (ConfigError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

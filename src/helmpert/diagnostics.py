@@ -1,9 +1,10 @@
-"""Synthetic runs and frequency/mesh sweep summaries.
+"""Synthetic runs and the frequency/mesh sweep.
 
-Sweeps rerun the two-frequency reconstruction over a grid of frequency
-exponents and mesh resolutions; a failed cell is recorded with its error
-message and never aborts the grid. The error norms in the sweep series are
-the trace's own (``fem.masked_field_norms`` over the unknown region).
+A sweep reruns the two-frequency reconstruction over a grid of frequency
+exponents and mesh resolutions and keeps each cell's ReconstructionTrace, the
+same record the reconstruct command writes with reconstruct.save_trace_csv.
+A failed cell is a trace with status Failed, the error in its detail and no
+records; it never aborts the grid.
 """
 
 import csv
@@ -13,12 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import fem, forward
 from . import mesh as meshmod
 from .mesh import PhantomSpec, TriangleMesh
-from .reconstruct import (ReconstructionConfig, ReconstructionTrace,
+from .reconstruct import (STATUS_CONVERGED, IterationRecord,
+                          ReconstructionConfig, ReconstructionTrace,
                           dirichlet_condition, run)
 
 
@@ -40,71 +40,27 @@ def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
     return run(mesh, data1.J, data2.j, (gamma_true, q_true), config)
 
 
-# Series written into sweep CSVs: misfit decay, truth errors, and the
-# breakdown extrema, one long-format row per (iteration, quantity, cell).
-SERIES_QUANTITIES = (
-    "misfit_J_linf", "misfit_J_l2", "misfit_j_linf", "misfit_j_l2",
-    "min_grad_sq", "min_u_sq", "max_corr_gamma_sq", "max_corr_q_sq",
-    "gamma_err_linf", "gamma_err_l2", "q_err_linf", "q_err_l2",
-)
-
 STATUS_FAILED = "Failed"
 
+Cell = Tuple[int, int]  # (frequency exponent m, mesh boundary points)
 
-@dataclass
-class SweepEntry:
-    """Outcome of one (frequency exponent, mesh resolution) cell."""
 
-    m: int
-    mesh_points: int
-    key: str
-    status: str
-    detail: str
-    n_iterations: int
-    final_misfit_J_linf: float
-    final_misfit_j_linf: float
-    iterations: np.ndarray
-    series: Dict[str, np.ndarray]
+def cell_key(cell: Cell) -> str:
+    """The cell's name in the summary, the manifest and the printed lines."""
+    return f"m={cell[0]};mesh={cell[1]}"
 
 
 @dataclass
 class SweepResult:
-    """All cells of one sweep, ordered by (exponent, mesh resolution)."""
+    """Each cell's trace, keyed and ordered by (exponent, mesh resolution)."""
 
-    entries: List[SweepEntry]
+    traces: Dict[Cell, ReconstructionTrace]
 
     def statuses(self) -> Dict[str, str]:
-        return {e.key: e.status for e in self.entries}
+        return {cell_key(c): t.status for c, t in self.traces.items()}
 
     def all_converged(self) -> bool:
-        return all(e.status == "Converged" for e in self.entries)
-
-
-def _cell_key(m: int, n: int) -> str:
-    return f"m={m};mesh={n}"
-
-
-def _entry_from_trace(m: int, n: int, trace: ReconstructionTrace) -> SweepEntry:
-    recs = trace.records
-    series = {q: np.array([getattr(r, q) for r in recs], dtype=np.float64)
-              for q in SERIES_QUANTITIES}
-    last = recs[-1]
-    return SweepEntry(
-        m=m, mesh_points=n, key=_cell_key(m, n),
-        status=trace.status, detail=trace.detail, n_iterations=len(recs),
-        final_misfit_J_linf=last.misfit_J_linf,
-        final_misfit_j_linf=last.misfit_j_linf,
-        iterations=np.array([r.iteration for r in recs], dtype=np.int64),
-        series=series)
-
-
-def _failed_entry(m: int, n: int, err: Exception) -> SweepEntry:
-    return SweepEntry(
-        m=m, mesh_points=n, key=_cell_key(m, n),
-        status=STATUS_FAILED, detail=repr(err), n_iterations=0,
-        final_misfit_J_linf=math.nan, final_misfit_j_linf=math.nan,
-        iterations=np.empty(0, dtype=np.int64),
-        series={q: np.empty(0, dtype=np.float64) for q in SERIES_QUANTITIES})
+        return all(t.status == STATUS_CONVERGED for t in self.traces.values())
 
 
 def frequency_pair(m: float) -> Tuple[float, float]:
@@ -130,52 +86,30 @@ def frequency_sweep(
     """Reconstruction grid over the pairs frequency_pair(m) and mesh sizes.
 
     Cells run independently (in parallel when ``jobs`` > 1); the returned
-    entries are sorted by (m, mesh points) regardless of completion order.
+    traces are sorted by (m, mesh points) regardless of completion order.
     A fractional exponent or mesh size raises ValueError before any cell runs.
     """
     ph = phantom if phantom is not None else PhantomSpec()
     cells = [(m, n) for m in whole_numbers(exponents, "exponents")
              for n in whole_numbers(mesh_points, "mesh_points")]
 
-    def run_cell(cell: Tuple[int, int]):
+    def run_cell(cell: Cell) -> ReconstructionTrace:
         m, n = cell
         try:
             k1, k2 = frequency_pair(m)
             cfg = dataclasses.replace(base_config, k1=k1, k2=k2)
             mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
-            entry = _entry_from_trace(m, n, synthetic_run(mesh_obj, cfg, ph))
+            return synthetic_run(mesh_obj, cfg, ph)
         except Exception as err:
-            entry = _failed_entry(m, n, err)
-        return cell, entry
+            return ReconstructionTrace(status=STATUS_FAILED, detail=repr(err))
 
-    results: Dict[Tuple[int, int], SweepEntry] = {}
     if jobs <= 1 or len(cells) <= 1:
-        for cell in cells:
-            key, entry = run_cell(cell)
-            results[key] = entry
+        traces = list(map(run_cell, cells))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for key, entry in pool.map(run_cell, cells):
-                results[key] = entry
-    return SweepResult(entries=[results[c] for c in sorted(results)])
-
-
-def save_sweep_csv(path, sweep: SweepResult,
-                   quantities: Optional[Sequence[str]] = None) -> None:
-    """Long-format series CSV with columns (iteration, quantity, value, config)."""
-    wanted = tuple(quantities) if quantities is not None else SERIES_QUANTITIES
-    for q in wanted:
-        if q not in SERIES_QUANTITIES:
-            raise ValueError(f"unknown sweep quantity {q!r}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "quantity", "value", "config"])
-        for entry in sweep.entries:
-            for quantity in wanted:
-                values = entry.series[quantity]
-                for it, value in zip(entry.iterations, values):
-                    writer.writerow([int(it), quantity, repr(float(value)),
-                                     entry.key])
+            traces = list(pool.map(run_cell, cells))
+    results = dict(zip(cells, traces))
+    return SweepResult(traces={c: results[c] for c in sorted(results)})
 
 
 def save_sweep_summary_csv(path, sweep: SweepResult) -> None:
@@ -185,7 +119,10 @@ def save_sweep_summary_csv(path, sweep: SweepResult) -> None:
         writer.writerow(["config", "m", "mesh_points", "status", "iterations",
                          "final_misfit_J_linf", "final_misfit_j_linf",
                          "detail"])
-        for e in sweep.entries:
-            writer.writerow([e.key, e.m, e.mesh_points, e.status,
-                             e.n_iterations, repr(float(e.final_misfit_J_linf)),
-                             repr(float(e.final_misfit_j_linf)), e.detail])
+        for (m, n), trace in sweep.traces.items():
+            # a failed cell has no records: its final misfits are NaN
+            last = trace.records[-1] if trace.records else IterationRecord(0)
+            writer.writerow([cell_key((m, n)), m, n, trace.status,
+                             len(trace.records),
+                             repr(float(last.misfit_J_linf)),
+                             repr(float(last.misfit_j_linf)), trace.detail])

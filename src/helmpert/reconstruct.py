@@ -89,9 +89,6 @@ class ReconstructionConfig:
     gamma_guess: float = 3.5
     q_guess: float = 11.5
     damping: float = 1.0
-    # a corrector is a first-order term; past this magnitude it is not one,
-    # and the update falls back to the plain quotient
-    corrector_cap: float = CORRECTOR_CAP
 
     def __post_init__(self):
         if self.k1 == self.k2:
@@ -281,16 +278,17 @@ def solve_q_corrector(
     return ComplexField(mesh, sol[:n] + 1j * sol[n:])
 
 
-def _bounded_corrector(cap: float, solve, *args
+def _bounded_corrector(solve, *args
                        ) -> Tuple[Optional[ComplexField], float, int]:
-    """Solve a corrector: (u1 or None, max |u1|^2, failures). Past the cap
-    u1 is no first-order term, so the update gets None (the plain quotient)."""
+    """Solve a corrector: (u1 or None, max |u1|^2, failures). Past
+    CORRECTOR_CAP u1 is no first-order term, so the update gets None (the
+    plain quotient)."""
     try:
         u1 = solve(*args)
     except (SingularSystem, NonConvergence):
         return None, 0.0, 1
     size = float(np.max(np.abs(u1.values) ** 2))
-    if size > cap:
+    if size > CORRECTOR_CAP:
         u1 = None
     return u1, size, 0
 
@@ -390,8 +388,7 @@ def run(
             gamma_ok = rec.misfit_J_linf < config.eps_precision
             if not gamma_ok:
                 u1g, rec.max_corr_gamma_sq, failed = _bounded_corrector(
-                    config.corrector_cap, solve_gamma_corrector,
-                    u0, E0, gamma0, q0, config.k1, lu)
+                    solve_gamma_corrector, u0, E0, gamma0, q0, config.k1, lu)
                 rec.corrector_failed += failed
                 rec.n_factor += lu.fallbacks
                 gamma0, rec.n_gamma_clamped = update_gamma(
@@ -411,7 +408,7 @@ def run(
             q_ok = rec.misfit_j_linf < config.eps_precision
             if not q_ok:
                 u1q, rec.max_corr_q_sq, failed = _bounded_corrector(
-                    config.corrector_cap, solve_q_corrector,
+                    solve_q_corrector,
                     u0b, eps0, j, gamma0, q0, config.k2, lu)
                 rec.corrector_failed += failed
                 rec.n_factor += lu.fallbacks

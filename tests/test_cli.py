@@ -289,11 +289,8 @@ def test_sweep_single_cell_matches_reconstruct(tmp_path):
     cfg = write_config(tmp_path, {"frequencies": {"m": [3]},
                                   "mesh": {"n_boundary_points": [50]}})
     assert run_cli("sweep", "--config", cfg, "--out", sdir) == 0
-    trace = read_csv_columns(rdir / "trace.csv")
-    series = read_csv_columns(sdir / "sweep_misfit_J_linf.csv")
-    assert series["config"] == ["m=3;mesh=50"] * len(series["value"])
-    assert [float(v) for v in series["value"]] == \
-        [float(v) for v in trace["misfit_J_linf"]]
+    assert (sdir / "trace_m3_mesh50.csv").read_bytes() == \
+        (rdir / "trace.csv").read_bytes()
 
 
 def test_sweep_mixed_statuses_exit_nonzero(tmp_path, capsys):
@@ -314,13 +311,28 @@ def test_sweep_mixed_statuses_exit_nonzero(tmp_path, capsys):
 def test_sweep_caps_jobs_at_cpu_count(tmp_path):
     # one cell runs serially, so asking for more jobs starts no threads
     out = tmp_path / "out"
-    cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     cfg = write_config(tmp_path, {"frequencies": {"m": [3]},
                                   "mesh": {"n_boundary_points": [50]}})
     assert run_cli("sweep", "--config", cfg, "--out", out,
                    "--jobs", cpus + 1) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["summary"]["jobs"] == cpus
+
+
+def test_sweep_caps_jobs_at_a_pinned_process(tmp_path, monkeypatch):
+    # a process pinned to one CPU runs its cells one at a time, however
+    # many CPUs the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"frequencies": {"m": [3]},
+                                  "mesh": {"n_boundary_points": [50]}})
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--jobs", 2) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"]["jobs"] == 1
 
 
 def test_sweep_rejects_fractional_exponent(tmp_path, capsys):

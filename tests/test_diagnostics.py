@@ -22,10 +22,6 @@ def base_config(**overrides):
     return rc.ReconstructionConfig(k1=K1, k2=K2, **overrides)
 
 
-def cell(sweep, key):
-    return next(e for e in sweep.entries if e.key == key)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -87,18 +83,20 @@ def test_frequency_sweep_known_cells(disk50):
     assert statuses["m=3;mesh=50"] == rc.STATUS_CONVERGED
     assert statuses["m=1;mesh=50"] == rc.STATUS_DIVERGED
     assert not sweep.all_converged()
-    entry = cell(sweep, "m=3;mesh=50")
-    assert entry.final_misfit_J_linf < 1e-3
-    assert entry.n_iterations == len(entry.iterations)
+    assert list(sweep.traces) == [(1, 50), (3, 50)]
+    trace = sweep.traces[(3, 50)]
+    assert trace.records[-1].misfit_J_linf < 1e-3
+    assert [r.iteration for r in trace.records] == \
+        list(range(1, len(trace.records) + 1))
 
 
 def test_frequency_sweep_empty_grid():
     sweep = diag.frequency_sweep(base_config(), exponents=[], mesh_points=[50])
-    assert sweep.entries == []
+    assert sweep.traces == {}
     assert sweep.all_converged()  # vacuously
 
 
-def test_frequency_sweep_records_failures_without_aborting():
+def test_frequency_sweep_records_failures_without_aborting(tmp_path):
     # mesh_points=8 is below the mesh builder's minimum: that cell fails,
     # the valid cell still completes.
     sweep = diag.frequency_sweep(base_config(), exponents=[3],
@@ -106,11 +104,15 @@ def test_frequency_sweep_records_failures_without_aborting():
     statuses = sweep.statuses()
     assert statuses["m=3;mesh=8"] == diag.STATUS_FAILED
     assert statuses["m=3;mesh=50"] == rc.STATUS_CONVERGED
-    failed = cell(sweep, "m=3;mesh=8")
+    failed = sweep.traces[(3, 8)]
     assert "ValueError" in failed.detail
-    assert failed.n_iterations == 0
-    assert math.isnan(failed.final_misfit_J_linf)
-    assert failed.iterations.size == 0
+    assert failed.records == []
+    # the summary row of a cell without records
+    path = tmp_path / "summary.csv"
+    diag.save_sweep_summary_csv(path, sweep)
+    row = path.read_text().splitlines()[1].split(",")
+    assert row[:7] == ["m=3;mesh=8", "3", "8", diag.STATUS_FAILED, "0",
+                       "nan", "nan"]
 
 
 def test_frequency_sweep_rejects_fractional_cells(monkeypatch):
@@ -125,27 +127,17 @@ def test_frequency_sweep_rejects_fractional_cells(monkeypatch):
 
 
 def test_frequency_sweep_thread_determinism(tmp_path):
-    serial = diag.frequency_sweep(base_config(), exponents=[3],
+    # two cells, so jobs=2 runs them on the pool
+    serial = diag.frequency_sweep(base_config(), exponents=[1, 3],
                                   mesh_points=[50], jobs=1)
-    threaded = diag.frequency_sweep(base_config(), exponents=[3],
+    threaded = diag.frequency_sweep(base_config(), exponents=[1, 3],
                                     mesh_points=[50], jobs=2)
+    assert list(serial.traces) == list(threaded.traces)
     p1, p2 = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    diag.save_sweep_csv(p1, serial)
-    diag.save_sweep_csv(p2, threaded)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_save_sweep_csv_shape_and_validation(tmp_path):
-    sweep = diag.frequency_sweep(base_config(), exponents=[3], mesh_points=[50])
-    path = tmp_path / "sweep.csv"
-    diag.save_sweep_csv(path, sweep, quantities=["misfit_J_linf", "min_u_sq"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,quantity,value,config"
-    entry = sweep.entries[0]
-    assert len(lines) == 1 + 2 * entry.n_iterations
-    assert all(ln.endswith("m=3;mesh=50") for ln in lines[1:])
-    with pytest.raises(ValueError):
-        diag.save_sweep_csv(tmp_path / "bad.csv", sweep, quantities=["volume"])
+    for cell in serial.traces:
+        rc.save_trace_csv(p1, serial.traces[cell])
+        rc.save_trace_csv(p2, threaded.traces[cell])
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_save_sweep_summary_csv(tmp_path):
@@ -154,7 +146,7 @@ def test_save_sweep_summary_csv(tmp_path):
     path = tmp_path / "summary.csv"
     diag.save_sweep_summary_csv(path, sweep)
     lines = path.read_text().splitlines()
-    assert len(lines) == 1 + len(sweep.entries)
+    assert len(lines) == 1 + len(sweep.traces)
     assert lines[0].startswith("config,m,mesh_points,status")
     assert "m=1;mesh=50" in lines[1] and "Diverged" in lines[1]
     assert "m=3;mesh=50" in lines[2] and "Converged" in lines[2]

@@ -406,11 +406,13 @@ def test_run_without_truth_hits_iteration_cap(disk50, truth_data50):
         assert math.isnan(rec.q_err_l2)
 
 
-def test_run_corrector_cap_gates_but_still_records(disk50, truth50, truth_data50):
+def test_run_gates_correctors_over_the_cap_but_still_records(
+        disk50, truth50, truth_data50, monkeypatch):
     gamma, q = truth50
     J, j = truth_data50
+    monkeypatch.setattr(rc, "CORRECTOR_CAP", 1e-30)
     cfg = rc.ReconstructionConfig(k1=K1_DEFAULT, k2=K2_DEFAULT,
-                                  max_outer_iterations=3, corrector_cap=1e-30)
+                                  max_outer_iterations=3)
     trace = rc.run(disk50, J, j, (gamma, q), cfg)
     recorded = [max(r.max_corr_gamma_sq, r.max_corr_q_sq) for r in trace.records]
     assert max(recorded) > 1e-30
@@ -430,8 +432,9 @@ def test_run_differentiates_each_high_frequency_field_once(
         return gradient(u)
 
     monkeypatch.setattr(fem, "gradient", counting)
+    monkeypatch.setattr(rc, "CORRECTOR_CAP", 1e-30)
     cfg = rc.ReconstructionConfig(k1=K1_DEFAULT, k2=K2_DEFAULT,
-                                  max_outer_iterations=3, corrector_cap=1e-30)
+                                  max_outer_iterations=3)
     trace = rc.run(disk50, J, j, (gamma, q), cfg)
     assert len(trace.records) == 3
     assert len(calls) == len(trace.records)
