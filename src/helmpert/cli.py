@@ -248,7 +248,7 @@ def _solver_failure(out_dir: Path, command: str, err: Exception,
     return EXIT_SOLVER
 
 
-def cmd_mesh(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_mesh(cfg: dict, out_dir: Path) -> int:
     n = _require_scalar_mesh_points(cfg)
     mesh_obj = meshmod.build_disk_mesh(float(cfg["mesh"]["radius"]), n)
     artifacts = [_echo_config(out_dir, cfg), "mesh.txt"]
@@ -262,7 +262,7 @@ def cmd_mesh(cfg: dict, out_dir: Path, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_forward(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_forward(cfg: dict, out_dir: Path) -> int:
     _, mesh_obj, gamma, q = _medium(cfg)
     bc = boundary_from_config(cfg, mesh_obj)
     k1, k2 = resolve_frequencies(cfg)
@@ -314,7 +314,7 @@ def _probe_centers(cfg: dict, mesh_radius: float) -> List[Tuple[float, float]]:
     return [(x, y) for y in axis for x in axis if math.hypot(x, y) <= limit]
 
 
-def cmd_probe(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_probe(cfg: dict, out_dir: Path) -> int:
     if cfg["boundary"]["condition"] != "neumann":
         raise ConfigError("probe measurements need flux data; set "
                           "boundary.condition to 'neumann'")
@@ -426,7 +426,7 @@ def _reconstruction_config(cfg: dict, mesh_obj: Optional[TriangleMesh],
     )
 
 
-def cmd_reconstruct(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
     ph, mesh_obj, gamma_true, q_true = _medium(cfg)
     k1, k2 = resolve_frequencies(cfg)
     rc_cfg = _reconstruction_config(cfg, mesh_obj, ph, k1, k2)
@@ -470,6 +470,11 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
         raise ConfigError("the sweep uses the phase boundary profile on "
                           "every mesh")
 
+    # more threads than the CPUs this process may run on (its affinity mask,
+    # where the platform has one) only adds contention
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = min(max(1, int(jobs)), cpus)
     ph = phantom_from_config(cfg)
     # base frequencies are placeholders: the sweep replaces them per cell
     base_cfg = _reconstruction_config(cfg, None, ph,
@@ -518,8 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON experiment configuration")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides output.directory)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel runs inside sweeps (at most the usable CPUs)")
         p.add_argument("--mesh-points", dest="mesh_points", type=int,
                        default=None,
                        help="override mesh.n_boundary_points")
@@ -528,6 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-precision", dest="eps_precision", type=float,
                        default=None,
                        help="override reconstruction.eps_precision")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="cells run in parallel (at most the usable CPUs)")
     return parser
 
 
@@ -538,12 +544,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         apply_flag_overrides(cfg, args)
         out_dir = _prepare_out(cfg)
-        # more threads than the CPUs this process may run on (its affinity
-        # mask, where the platform has one) only adds contention
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        jobs = min(max(1, int(args.jobs)), cpus)
-        return command(cfg, out_dir, jobs)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, out_dir, args.jobs)
+        return command(cfg, out_dir)
     except (ConfigError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,9 +10,10 @@ the mass energy q*|u|^2 at the probe center; collecting it at several
 amplitudes is what makes those interior quantities recoverable from the
 boundary.
 
-The perturbed medium blends element coefficients with the exactly clipped
-covered-area fraction, so that probes smaller than the local element size
-still displace the correct amount of material.
+The perturbed medium blends element coefficients with the covered-area
+fraction, clipped exactly by signed sectors in one vectorized call, so that
+probes smaller than the local element size still displace the correct
+amount of material.
 
 A probe changes the operator A only on the elements its disk covers, so a
 sweep factors A once (factor_medium, which also solves the unperturbed
@@ -148,82 +149,41 @@ def internal_data(u: ComplexField, gamma: CoefficientField, q: CoefficientField,
                         j=q.values * val_sq, k=k)
 
 
-def _cross2(ax: float, ay: float, bx: float, by: float) -> float:
-    return ax * by - ay * bx
+def disk_triangle_area(center, radius: float, verts):
+    """Area of the intersection of a disk with a ccw triangle (3, 2), as a
+    float, or with each of a stack (m, 3, 2) of them, as an (m,) array.
 
-
-def disk_triangle_area(center, radius: float, verts) -> float:
-    """Area of the intersection of a disk with a ccw triangle.
-
-    Green's theorem around the intersection boundary: straight pieces are the
-    in-disk parts of the triangle edges, circular arcs connect each exit
-    crossing to the next entry crossing. Tangential contact counts as no
-    crossing.
+    Signed sectors: each edge (a, b), taken relative to the centre, adds the
+    signed area the disk shares with the triangle (centre, a, b). The edge
+    a + t (b - a) meets the circle at t0 <= t1, clipped to [0, 1] (t0 = t1
+    where the line misses), at p and q; its share is the triangle
+    (centre, p, q) plus the sectors from a to p and from q to b. A triangle
+    that no edge enters and that does not hold the centre gets exactly 0.
     """
-    cx, cy = float(center[0]), float(center[1])
-    p = np.asarray(verts, dtype=np.float64) - np.array([cx, cy])
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    def angle(u, v):
+        return np.arctan2(cross(u, v), (u * v).sum(axis=-1))
+
     r2 = radius * radius
-    total = 0.0
-    events: List[Tuple[int, np.ndarray]] = []  # (+1 enter / -1 exit, point)
-    inside = [float(v @ v) <= r2 for v in p]
-    for i in range(3):
-        a = p[i]
-        b = p[(i + 1) % 3]
-        d = b - a
-        aa = float(d @ d)
-        if aa == 0.0:
-            continue
-        bb = 2.0 * float(a @ d)
-        cc = float(a @ a) - r2
-        disc = bb * bb - 4.0 * aa * cc
-        if disc <= 0.0:
-            if inside[i] and inside[(i + 1) % 3]:
-                total += 0.5 * _cross2(a[0], a[1], b[0], b[1])
-            continue
-        sq = math.sqrt(disc)
-        t0 = (-bb - sq) / (2.0 * aa)
-        t1 = (-bb + sq) / (2.0 * aa)
-        lo = max(t0, 0.0)
-        hi = min(t1, 1.0)
-        if hi - lo <= 1e-12:
-            continue
-        pa = a + lo * d
-        pb = a + hi * d
-        total += 0.5 * _cross2(pa[0], pa[1], pb[0], pb[1])
-        if t0 > 0.0:
-            events.append((1, pa))
-        if t1 < 1.0:
-            events.append((-1, pb))
-    if not events:
-        if all(inside):
-            return total
-        if _origin_in_triangle(p):
-            return math.pi * r2
-        return 0.0
-    n = len(events)
-    for idx in range(n):
-        kind, pt = events[idx]
-        if kind != -1:
-            continue
-        jdx = (idx + 1) % n
-        while events[jdx][0] != 1:
-            jdx = (jdx + 1) % n
-        a0 = math.atan2(pt[1], pt[0])
-        a1 = math.atan2(events[jdx][1][1], events[jdx][1][0])
-        da = a1 - a0
-        while da < 0.0:
-            da += 2.0 * math.pi
-        total += 0.5 * r2 * da
-    return total
-
-
-def _origin_in_triangle(p: np.ndarray) -> bool:
-    for i in range(3):
-        a = p[i]
-        b = p[(i + 1) % 3]
-        if _cross2(b[0] - a[0], b[1] - a[1], -a[0], -a[1]) < 0.0:
-            return False
-    return True
+    a = np.asarray(verts, dtype=np.float64) - np.asarray(center, dtype=np.float64)
+    b = np.roll(a, -1, axis=-2)
+    d = b - a
+    dd = (d * d).sum(axis=-1)
+    ad = (a * d).sum(axis=-1)
+    sq = np.sqrt(np.maximum(ad * ad - dd * ((a * a).sum(axis=-1) - r2), 0.0))
+    # a zero-length edge gets t0 = t1 = 0 and so no share
+    scale = np.where(dd > 0.0, dd, 1.0)
+    t0 = np.clip((-ad - sq) / scale, 0.0, 1.0)
+    t1 = np.clip((-ad + sq) / scale, 0.0, 1.0)
+    # exact at t = 0 and t = 1, and p = q where t0 = t1: no spurious angle at
+    # a vertex next to the centre, no spurious chord outside the disk
+    p, q = (a * (1.0 - t[..., None]) + b * t[..., None] for t in (t0, t1))
+    share = cross(p, q) + r2 * (angle(a, p) + angle(q, b))
+    meets = (t1 > t0).any(axis=-1) | (cross(a, b) > 0.0).all(axis=-1)
+    area = np.where(meets, 0.5 * share.sum(axis=-1), 0.0)
+    return float(area) if area.ndim == 0 else area
 
 
 def probe_element_fractions(mesh: TriangleMesh,
@@ -235,11 +195,9 @@ def probe_element_fractions(mesh: TriangleMesh,
     # candidate prefilter: the disk must meet the triangle bounding box
     near = ((lo[:, 0] - probe.radius <= zx) & (zx <= hi[:, 0] + probe.radius)
             & (lo[:, 1] - probe.radius <= zy) & (zy <= hi[:, 1] + probe.radius))
+    cut = disk_triangle_area((zx, zy), probe.radius, mesh.nodes[mesh.triangles[near]])
     frac = np.zeros(mesh.n_triangles)
-    for t in np.nonzero(near)[0]:
-        cut = disk_triangle_area((zx, zy), probe.radius, mesh.nodes[mesh.triangles[t]])
-        if cut > 0.0:
-            frac[t] = min(cut / area[t], 1.0)
+    frac[near] = np.clip(cut / area[near], 0.0, 1.0)
     return frac
 
 

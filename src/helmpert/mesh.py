@@ -106,7 +106,7 @@ class TriangleMesh:
 
     nodes: (n_nodes, 2) float64. triangles: (n_tris, 3) int32, positively
     oriented. boundary_nodes: indices on the circle, one closed loop in
-    increasing angle. element_areas: positive areas per triangle.
+    increasing angle.
     """
 
     nodes: np.ndarray
@@ -114,17 +114,12 @@ class TriangleMesh:
     boundary_nodes: np.ndarray
     n_boundary_points: int
     radius: float
-    element_areas: np.ndarray = None
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int32)
         self.boundary_nodes = np.ascontiguousarray(self.boundary_nodes, dtype=np.int32)
-        if self.element_areas is None:
-            area, _, _ = kernels.element_geometry(self.nodes, self.triangles)
-            self.element_areas = area
-        self.element_areas = np.ascontiguousarray(self.element_areas, dtype=np.float64)
-        for arr in (self.nodes, self.triangles, self.boundary_nodes, self.element_areas):
+        for arr in (self.nodes, self.triangles, self.boundary_nodes):
             arr.flags.writeable = False
 
     @property
@@ -143,8 +138,17 @@ class TriangleMesh:
 
     @cached_property
     def geometry(self):
-        """(area, b, c) per element; grad(phi_i) = (b_i, c_i)/(2 area)."""
-        return kernels.element_geometry(self.nodes, self.triangles)
+        """(area, b, c) per element; grad(phi_i) = (b_i, c_i)/(2 area).
+        Locked like the mesh arrays, because every caller shares them."""
+        geometry = kernels.element_geometry(self.nodes, self.triangles)
+        for arr in geometry:
+            arr.flags.writeable = False
+        return geometry
+
+    @property
+    def element_areas(self) -> np.ndarray:
+        """Signed area per triangle, positive for the ccw ones."""
+        return self.geometry[0]
 
     @cached_property
     def csr_pattern(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,7 +219,6 @@ def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
         area = np.abs(area)
     keep = area > 1e-12 * radius ** 2
     triangles = triangles[keep]
-    area = area[keep]
 
     mesh = TriangleMesh(
         nodes=nodes,
@@ -223,7 +226,6 @@ def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
         boundary_nodes=boundary,
         n_boundary_points=n,
         radius=float(radius),
-        element_areas=area,
     )
     _validate_mesh(mesh)
     return mesh

@@ -335,6 +335,14 @@ def test_sweep_caps_jobs_at_a_pinned_process(tmp_path, monkeypatch):
     assert manifest["summary"]["jobs"] == 1
 
 
+@pytest.mark.parametrize("command", ["mesh", "forward", "probe", "reconstruct"])
+def test_jobs_is_a_sweep_only_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--jobs", 2)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_sweep_rejects_fractional_exponent(tmp_path, capsys):
     # k1 = pi*10^2.5 is not the m=2 cell the sweep would otherwise run
     out = tmp_path / "out"

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from helmpert import fem, forward
 from helmpert import mesh as hm
@@ -71,6 +73,63 @@ def test_disk_triangle_area_against_monte_carlo():
         assert -1e-12 <= exact <= cap * (1.0 + 1e-9) + 1e-12
         # MC standard error is below 0.5 * tri_area / sqrt(n); 0.8% is ~7 sigma
         assert abs(exact - approx) <= 0.008 * tri_area + 1e-12
+
+
+@given(st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+       st.floats(0.05, 3.0), st.integers(0, 2))
+# a vertex 1e-38 from the centre: a + (b - a) is not b there
+@example(xs=[1e-38, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1e-38], radius=2.0, edge=0)
+def test_disk_triangle_area_adds_over_a_split(xs, radius, edge):
+    """Cutting a triangle at an edge midpoint splits the clipped area."""
+    verts = np.roll(ccw(np.reshape(xs[:6], (3, 2))), edge, axis=0)
+    center = xs[6:]
+    area = 0.5 * cross2(verts[1] - verts[0], verts[2] - verts[0])
+    assume(area > 1e-3)
+    mid = 0.5 * (verts[1] + verts[2])
+    whole = forward.disk_triangle_area(center, radius, verts)
+    halves = (forward.disk_triangle_area(center, radius, [verts[0], verts[1], mid])
+              + forward.disk_triangle_area(center, radius, [verts[0], mid, verts[2]]))
+    # the sector sum cancels: at a tangency it leaves about 1e-16 r^2
+    tol = 1e-12 * max(radius ** 2, area)
+    assert abs(whole - halves) <= tol
+    assert -tol <= whole <= min(math.pi * radius ** 2, area) + tol
+
+
+def test_disk_triangle_area_stack_matches_single_calls():
+    rng = np.random.default_rng(7)
+    verts = np.array([ccw(v) for v in rng.normal(size=(64, 3, 2))])
+    verts[0, 1] = verts[0, 0]  # a zero-length edge takes no share
+    stacked = forward.disk_triangle_area((0.3, -0.2), 0.8, verts)
+    single = [forward.disk_triangle_area((0.3, -0.2), 0.8, v) for v in verts]
+    assert stacked.shape == (64,)
+    assert all(type(s) is float for s in single)
+    np.testing.assert_array_equal(stacked, single)
+    assert 0.0 < np.count_nonzero(stacked) < 64
+
+
+def test_probe_element_fractions_cover_exactly_the_met_elements(disk50):
+    """Elements whose bounding box meets the disk but which stay outside it
+    get a fraction of exactly 0, not the roundoff of a sector sum."""
+    verts = disk50.nodes[disk50.triangles]
+    lo, hi = disk50.element_boxes
+    for center, radius in [((0.3, 0.2), 0.4), ((2.3, 1.1), 0.9),
+                           ((-1.7, 2.6), 0.25)]:
+        probe = forward.PerturbationProbe(center=center, radius=radius,
+                                          amplitude=1.0, gamma_tilde=1.0,
+                                          q_tilde=1.0)
+        frac = forward.probe_element_fractions(disk50, probe)
+        rel = verts - np.asarray(center)
+        nxt = np.roll(rel, -1, axis=1)
+        d = nxt - rel
+        t = np.clip(-(rel * d).sum(axis=2) / (d * d).sum(axis=2), 0.0, 1.0)
+        gap = np.hypot(*np.moveaxis(rel + t[:, :, None] * d, 2, 0)).min(axis=1)
+        holds = np.all(rel[:, :, 0] * nxt[:, :, 1] - rel[:, :, 1] * nxt[:, :, 0]
+                       > 0.0, axis=1)
+        meets = holds | (gap < radius)
+        boxed = np.all((lo - radius <= center) & (np.asarray(center) <= hi + radius),
+                       axis=1)
+        assert np.any(boxed & ~meets)
+        np.testing.assert_array_equal(frac > 0.0, meets)
 
 
 def test_probe_element_fractions_cover_disk_area(disk50):
