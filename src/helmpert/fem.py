@@ -5,19 +5,22 @@ Assembly follows the convention that the stored system represents
 K(gamma) - k^2 M(q) with K the coefficient-weighted stiffness and M the
 consistent mass. assemble_operator, K(a) + M(c) for nodal coefficients a and
 c, is the one assembly path: every load vector is such an operator applied
-to a nodal field. Assembly sums the element matrices into the data of the
-mesh's cached CSR pattern (TriangleMesh.csr_pattern), so no call rebuilds the
-sparsity structure. Coefficients enter through element_average (one-point
-centroid quadrature), adequate for the piecewise-constant phantoms used here.
-A boundary-value problem takes one path: assemble applies the boundary
+to a nodal field. Coefficients enter through element_average (one-point
+centroid quadrature), adequate for the piecewise-constant phantoms used here,
+so the CSR data of K + M is linear in the per-element coefficients: each
+mesh builds that linear map once (TriangleMesh.assembly_map, on the cached
+pattern TriangleMesh.csr_pattern), and every assembly is one product with
+it. A boundary-value problem takes one path: assemble applies the boundary
 condition and returns (matrix, rhs), Dirichlet data by row elimination with
 the symmetric column correction (eliminate_dirichlet, shared with the
-reconstruction's stacked corrector blocks), Neumann data as consistent edge
-loads. Every operator is real, and every linear solve goes through one
-factor object, Factor: a float64 sparse LU with a symmetric minimum-degree
-ordering, built once and reused for blocks of right-hand sides (a complex
-one as its real and imaginary columns), each column checked against a
-relative residual of 1e-10 (residual_gate). factor_solve is the one-shot
+reconstruction's stacked corrector blocks, a gather of the CSR data that
+each mesh caches per block count; explicit zeros are kept, so the
+eliminated pattern is fixed), Neumann data as consistent edge loads. Every
+operator is real, and every linear solve goes through one factor object,
+Factor: a float64 sparse LU with a symmetric minimum-degree ordering, built
+once and reused for blocks of right-hand sides (a complex one as its real
+and imaginary columns), each column checked against a relative residual of
+1e-10 (residual_gate). factor_solve is the one-shot
 form; solve_bvp is factor_solve(*assemble(...)). Factor.refined_solve solves
 a system near the factored one (or a stack of nodal blocks near copies of
 it) by defect correction on the same LU, behind the same gate, and factors
@@ -116,8 +119,11 @@ class BoundaryCondition:
 
 
 def element_average(mesh: TriangleMesh, nodal: np.ndarray) -> np.ndarray:
-    """Mean of a nodal field over the vertices of each element."""
-    return nodal[mesh.triangles].mean(axis=1)
+    """Mean of a nodal field, (n,) or (n, m), over the vertices of each
+    element, summed in vertex order (bit-equal to nodal[tri].mean(axis=1))."""
+    t = mesh.triangles
+    corner = [np.take(nodal, t[:, i], axis=0) for i in range(3)]
+    return (corner[0] + corner[1] + corner[2]) / 3.0
 
 
 def assemble_operator_elementwise(
@@ -125,15 +131,12 @@ def assemble_operator_elementwise(
     stiff_elem: np.ndarray,
     mass_elem: np.ndarray,
 ) -> sp.csr_matrix:
-    """K + M from per-element (centroid) coefficient values."""
-    area, b, c = mesh.geometry
-    local = kernels.local_matrices(area, b, c,
-                                   np.ascontiguousarray(stiff_elem, dtype=np.float64),
-                                   np.ascontiguousarray(mass_elem, dtype=np.float64))
-    indptr, indices, slot = mesh.csr_pattern
-    data = np.bincount(slot, weights=local.ravel(), minlength=len(indices))
+    """K + M from per-element (centroid) coefficient values: the mesh's
+    assembly map applied to the stacked coefficients."""
+    coeffs = np.concatenate([stiff_elem, mass_elem], dtype=np.float64)
+    indptr, indices, _ = mesh.csr_pattern
     n = mesh.n_nodes
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return sp.csr_matrix((mesh.assembly_map @ coeffs, indices, indptr), shape=(n, n))
 
 
 def assemble_operator(
@@ -141,14 +144,18 @@ def assemble_operator(
     stiff_nodal: Optional[np.ndarray],
     mass_nodal: Optional[np.ndarray],
 ) -> sp.csr_matrix:
-    """K(stiff) + M(mass) with signed nodal coefficient fields.
+    """K(stiff) + M(mass) with signed nodal coefficient fields, averaged per
+    element as one (n, 2) pair.
 
     Corrector coefficients may vanish or change sign; no positivity checks.
     """
-    n_tris = mesh.n_triangles
-    sc = np.zeros(n_tris) if stiff_nodal is None else element_average(mesh, stiff_nodal)
-    mc = np.zeros(n_tris) if mass_nodal is None else element_average(mesh, mass_nodal)
-    return assemble_operator_elementwise(mesh, sc, mc)
+    pair = np.zeros((mesh.n_nodes, 2))
+    if stiff_nodal is not None:
+        pair[:, 0] = stiff_nodal
+    if mass_nodal is not None:
+        pair[:, 1] = mass_nodal
+    centroid = element_average(mesh, pair)
+    return assemble_operator_elementwise(mesh, centroid[:, 0], centroid[:, 1])
 
 
 def masked_field_norms(mesh: TriangleMesh, values: np.ndarray,
@@ -210,38 +217,39 @@ def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray
                         ) -> Tuple[sp.csr_matrix, np.ndarray]:
     """Eliminate the boundary rows and columns of every stacked nodal block.
 
-    The matrix holds one or more nodal blocks (matrix.shape[0] is a multiple
-    of mesh.n_nodes); boundary rows and columns become identity, and the
-    known values move to the rhs so the pattern stays symmetric. values
-    covers the boundary nodes of all blocks in order; without it the data is
-    homogeneous and the rhs keeps its dtype.
+    The matrix holds blocks x blocks nodal blocks, each on the mesh's CSR
+    pattern (matrix.shape[0] is a multiple of mesh.n_nodes); boundary rows
+    and columns become identity, and the known values move to the rhs so
+    the pattern stays symmetric. values covers the boundary nodes of all
+    blocks in order; without it the data is homogeneous and the rhs keeps
+    its dtype. Raises ValueError for a matrix off that stacked pattern.
     """
     n = matrix.shape[0]
-    bnodes = np.concatenate([mesh.boundary_nodes + offset
-                             for offset in range(0, n, mesh.n_nodes)])
-    interior = np.ones(n)
-    interior[bnodes] = 0.0
+    if matrix.shape != (n, n) or n % mesh.n_nodes:
+        raise ValueError("matrix must stack square nodal blocks of the mesh")
+    gather = mesh.dirichlet_gather(n // mesh.n_nodes)
+    bnodes = gather.boundary
     if values is None:
+        interior = np.ones(n)
+        interior[bnodes] = 0.0
         rhs = rhs * interior
     else:
         u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
         u_bc[bnodes] = values
         rhs = rhs - matrix @ u_bc
         rhs[bnodes] = values
-    # a masked copy of the canonical CSR data: interior entries stay (exact
-    # zeros dropped), a boundary row keeps only its diagonal, set to one
+    # the mesh's cached gather of the canonical CSR data: interior entries
+    # stay (explicit zeros too, so the pattern is fixed), a boundary row
+    # keeps only its diagonal, set to one
     csr = matrix.tocsr()
     csr.sum_duplicates()
-    inner = interior.astype(bool)
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    diag = ~inner[rows] & (csr.indices == rows)
-    if np.count_nonzero(diag) != len(bnodes):
-        raise ValueError("matrix pattern lacks a boundary diagonal entry")
-    keep = (inner[rows] & inner[csr.indices] & (csr.data != 0)) | diag
-    data = np.where(diag, 1.0, csr.data)[keep]
-    indptr = np.zeros(n + 1, dtype=csr.indptr.dtype)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    return sp.csr_matrix((data, csr.indices[keep], indptr), shape=(n, n)), rhs
+    if not (np.array_equal(csr.indptr, gather.indptr)
+            and np.array_equal(csr.indices, gather.indices)):
+        raise ValueError("matrix is off the mesh's stacked CSR pattern")
+    data = csr.data[gather.keep]
+    data[gather.diagonal] = 1.0
+    return sp.csr_matrix((data, gather.out_indices, gather.out_indptr),
+                         shape=(n, n)), rhs
 
 
 def _boundary_segments(mesh: TriangleMesh) -> Tuple[np.ndarray, np.ndarray]:

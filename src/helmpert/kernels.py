@@ -1,10 +1,11 @@
 """Vectorized numpy kernels for P1 element assembly and gradient recovery.
 
 Four functions cover every per-element loop of the package: geometry, the
-local stiffness/mass blocks (every matrix and load vector is assembled from
-them), exact element gradients and their area-weighted nodal average.
-Scatter accumulation uses bincount, which keeps them usable on meshes with a
-few hundred thousand elements.
+local stiffness/mass blocks (each mesh's assembly map is built from the unit
+blocks, and the probe sweep's per-disk changes from scaled ones), exact
+element gradients and their area-weighted nodal average. Scatter
+accumulation uses bincount, which keeps them usable on meshes with a few
+hundred thousand elements.
 """
 
 import numpy as np

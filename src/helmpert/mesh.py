@@ -14,9 +14,10 @@ a built mesh is immutable (arrays are locked) and safe to share.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import Delaunay
 
 from . import kernels
@@ -100,6 +101,20 @@ class PhantomSpec:
         raise ValueError(f"unknown coefficient kind {which!r}")
 
 
+class DirichletGather(NamedTuple):
+    """How to eliminate the boundary rows and columns of a stack of nodal
+    blocks from its CSR data (TriangleMesh.dirichlet_gather)."""
+
+    boundary: np.ndarray  # boundary rows of every block, in block order
+    indptr: np.ndarray  # canonical pattern of the stacked operator
+    indices: np.ndarray
+    keep: np.ndarray  # data positions that stay: interior rows and columns,
+    # and the boundary diagonals
+    diagonal: np.ndarray  # the boundary diagonals' positions among the kept
+    out_indptr: np.ndarray  # pattern of the eliminated operator
+    out_indices: np.ndarray
+
+
 @dataclass(eq=False)
 class TriangleMesh:
     """Conforming P1 triangulation of the disk.
@@ -114,6 +129,7 @@ class TriangleMesh:
     boundary_nodes: np.ndarray
     n_boundary_points: int
     radius: float
+    _dirichlet_gathers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
@@ -155,9 +171,9 @@ class TriangleMesh:
         """(indptr, indices, slot) of the P1 matrix pattern, canonical CSR.
 
         slot[9 e + 3 i + j] is the position in the CSR data of element e's
-        local entry (i, j), so an assembled matrix's data is a bincount of
-        the element matrices over slot. Built on first use; locked like the
-        mesh arrays, because every matrix assembled on the mesh shares it.
+        local entry (i, j); assembly_map is built from it. Built on first
+        use; locked like the mesh arrays, because every matrix assembled on
+        the mesh shares it.
         """
         n = self.n_nodes
         t = self.triangles.astype(np.int64)
@@ -169,6 +185,68 @@ class TriangleMesh:
         for arr in (indptr, indices, slot):
             arr.flags.writeable = False
         return indptr, indices, slot
+
+    @cached_property
+    def assembly_map(self) -> sp.csr_matrix:
+        """Sparse map E from per-element coefficients to assembled CSR data.
+
+        E @ concat(s, m) is the data, on csr_pattern, of K(s) + M(m) for
+        centroid stiffness coefficients s and mass coefficients m, one per
+        element. Row p of E holds, for each element with a local entry in
+        slot p, that entry of its unit stiffness (column e) and of its unit
+        mass (column n_tris + e), each in increasing element order. Built
+        on first use; locked like csr_pattern.
+        """
+        n_tris = self.n_triangles
+        area, b, c = self.geometry
+        ones, zeros = np.ones(n_tris), np.zeros(n_tris)
+        unit = np.concatenate([kernels.local_matrices(area, b, c, ones, zeros),
+                               kernels.local_matrices(area, b, c, zeros, ones)])
+        _, indices, slot = self.csr_pattern
+        # E^T has one row per column of E, its nine entries at the element's
+        # slots; the CSR transpose is a stable counting sort into E's rows
+        transpose = sp.csr_matrix(
+            (unit.ravel(), np.tile(slot, 2), 9 * np.arange(2 * n_tris + 1)),
+            shape=(2 * n_tris, len(indices)))
+        E = transpose.T.tocsr()
+        for arr in (E.data, E.indices, E.indptr):
+            arr.flags.writeable = False
+        return E
+
+    def dirichlet_gather(self, blocks: int) -> DirichletGather:
+        """The gather that eliminates the boundary rows and columns of a
+        blocks x blocks stack of operators on csr_pattern: interior entries
+        stay, a boundary row keeps only its diagonal. Built once per block
+        count and kept with the mesh, its arrays locked."""
+        gather = self._dirichlet_gathers.get(blocks)
+        if gather is not None:
+            return gather
+        indptr, indices, _ = self.csr_pattern
+        unit = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                             shape=(self.n_nodes, self.n_nodes))
+        stack = sp.bmat([[unit] * blocks] * blocks, format="csr")
+        n = stack.shape[0]
+        boundary = (self.boundary_nodes
+                    + self.n_nodes * np.arange(blocks)[:, None]).ravel()
+        inner = np.ones(n, dtype=bool)
+        inner[boundary] = False
+        rows = np.repeat(np.arange(n), np.diff(stack.indptr))
+        cols = stack.indices
+        diag = ~inner[rows] & (cols == rows)
+        if np.count_nonzero(diag) != len(boundary):
+            raise ValueError("mesh pattern lacks a boundary diagonal entry")
+        keep = (inner[rows] & inner[cols]) | diag
+        out_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows[keep], minlength=n), out=out_indptr[1:])
+        gather = DirichletGather(
+            boundary=boundary.astype(np.int32),
+            indptr=stack.indptr.astype(np.int32), indices=cols.astype(np.int32),
+            keep=np.flatnonzero(keep), diagonal=np.flatnonzero(diag[keep]),
+            out_indptr=out_indptr, out_indices=cols[keep].astype(np.int32))
+        for arr in gather:
+            arr.flags.writeable = False
+        self._dirichlet_gathers[blocks] = gather
+        return gather
 
     @cached_property
     def element_boxes(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -132,38 +132,78 @@ def test_pattern_fill_matches_coo_assembly(fixture, request):
     rng = np.random.default_rng(5)
     stiff = rng.uniform(0.5, 3.0, mesh.n_triangles)
     mass = rng.uniform(-2.0, 2.0, mesh.n_triangles)
-    got = fem.assemble_operator_elementwise(mesh, stiff, mass)
-    want = coo_reference(mesh, stiff, mass)
-    assert got.has_canonical_format
-    assert got.nnz == want.nnz
-    np.testing.assert_array_equal(got.indptr, want.indptr)
-    np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_allclose(got.data, want.data, rtol=0.0,
-                               atol=1e-14 * abs(want.data).max())
+    a = rng.uniform(0.5, 3.0, mesh.n_nodes)
+    c = rng.uniform(-2.0, 2.0, mesh.n_nodes)
+    a_elem = a[mesh.triangles].mean(axis=1)
+    c_elem = c[mesh.triangles].mean(axis=1)
+    none = np.zeros(mesh.n_triangles)
+    cases = [(fem.assemble_operator_elementwise(mesh, stiff, mass), stiff, mass),
+             (fem.assemble_operator(mesh, a, c), a_elem, c_elem),
+             (fem.assemble_operator(mesh, a, None), a_elem, none),
+             (fem.assemble_operator(mesh, None, c), none, c_elem)]
+    for got, stiff_elem, mass_elem in cases:
+        want = coo_reference(mesh, stiff_elem, mass_elem)
+        assert got.has_canonical_format
+        assert got.nnz == want.nnz
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=0.0,
+                                   atol=1e-14 * abs(want.data).max())
 
 
-def test_pattern_is_built_once_per_mesh():
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_element_average_is_the_vertex_mean(disk50, shape):
+    nodal = np.random.default_rng(8).standard_normal((disk50.n_nodes, *shape))
+    np.testing.assert_array_equal(fem.element_average(disk50, nodal),
+                                  nodal[disk50.triangles].mean(axis=1))
+
+
+def test_pattern_is_built_once_per_mesh(monkeypatch):
     mesh = hm.build_disk_mesh(8.0, 40)
-    assert "csr_pattern" not in vars(mesh)  # lazy: mesh set-up builds none
+    # lazy: mesh set-up builds neither the pattern nor the map
+    assert "csr_pattern" not in vars(mesh)
+    assert "assembly_map" not in vars(mesh)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return local_matrices(*args)
+
+    local_matrices = kernels.local_matrices
+    monkeypatch.setattr(kernels, "local_matrices", counted)
     ones = np.ones(mesh.n_nodes)
     a = fem.assemble_operator(mesh, ones, None)
+    assembly_map = mesh.assembly_map
     b = fem.assemble_operator(mesh, None, ones)
+    c = fem.assemble_operator_elementwise(mesh, np.ones(mesh.n_triangles),
+                                          np.ones(mesh.n_triangles))
+    # the unit stiffness and the unit mass, once, for the map; none per call
+    assert len(calls) == 2
+    assert mesh.assembly_map is assembly_map
     indptr, indices, _ = mesh.csr_pattern
-    for matrix in (a, b):
+    for matrix in (a, b, c):
         assert np.shares_memory(matrix.indices, indices)
         assert np.shares_memory(matrix.indptr, indptr)
     assert not indices.flags.writeable
+    for arr in (assembly_map.data, assembly_map.indices, assembly_map.indptr):
+        assert not arr.flags.writeable
+    assert assembly_map.shape == (len(indices), 2 * mesh.n_triangles)
+    assert assembly_map.has_canonical_format
 
 
 def test_meshes_do_not_share_a_pattern():
     m1 = hm.build_disk_mesh(8.0, 40)
     m2 = hm.build_disk_mesh(8.0, 40)
     assert not np.shares_memory(m1.csr_pattern[1], m2.csr_pattern[1])
-    # the pattern lives and dies with its mesh
-    dead = weakref.ref(m1.csr_pattern[1])
+    assert not np.shares_memory(m1.assembly_map.data, m2.assembly_map.data)
+    eliminated(m1, fem.assemble_operator(m1, np.ones(m1.n_nodes), None))
+    # the pattern, the map and the Dirichlet gather live and die with their
+    # mesh
+    dead = [weakref.ref(m1.csr_pattern[1]), weakref.ref(m1.assembly_map),
+            weakref.ref(m1.dirichlet_gather(1).keep)]
     del m1
     gc.collect()
-    assert dead() is None
+    assert all(ref() is None for ref in dead)
 
 
 # ---------------------------------------------------------------------------
@@ -525,26 +565,53 @@ def eliminate_by_products(mesh, matrix, rhs, values=None):
 
 @pytest.mark.parametrize("k", [0.0, 0.35])
 def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
-    # k = 0 leaves exact zeros in the stiffness, which both drop
     phantom = hm.PhantomSpec()
     gamma = hm.coefficient_from_phantom(disk100, phantom, "conductivity")
     q = hm.coefficient_from_phantom(disk100, phantom, "permittivity")
     a = fem.assemble_operator(disk100, gamma.values, -(k ** 2) * q.values)
     coupling = fem.assemble_operator(disk100, None, 0.3 * q.values)
     block = sp.bmat([[a, coupling], [coupling, a]], format="csr")
+    # an explicit zero on an interior entry: the reference drops it, the
+    # gather keeps it, so the eliminated pattern is the same for every call
+    zeroed = a.copy()
+    indptr = zeroed.indptr
+    interior = np.setdiff1d(np.arange(disk100.n_nodes), disk100.boundary_nodes)
+    zeroed.data[indptr[interior[0]]:indptr[interior[0] + 1]] = 0.0
     n = disk100.n_nodes
     data = np.exp(1j * boundary_angles(disk100))
     cases = [(a, np.ones(n, dtype=np.complex128), data),
              (a, np.ones(n), None),
+             (zeroed, np.ones(n), None),
              (block, np.ones(2 * n), None),
              (block.tocsc(), np.ones(2 * n), None)]
     for matrix, rhs, values in cases:
+        # the second call goes through the gather the first one cached
+        first, _ = fem.eliminate_dirichlet(disk100, matrix, rhs, values)
         got, got_rhs = fem.eliminate_dirichlet(disk100, matrix, rhs, values)
+        assert np.shares_memory(got.indices, first.indices)
         want, want_rhs = eliminate_by_products(disk100, matrix, rhs, values)
+        kept = got.nnz
+        got = got.copy()  # the gathered pattern is locked
+        got.eliminate_zeros()
+        assert got.nnz < kept if matrix is zeroed else got.nnz == kept
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(got_rhs, want_rhs)
+
+
+def test_eliminate_dirichlet_rejects_a_matrix_off_the_mesh_pattern(disk50, truth50):
+    gamma, q = truth50
+    n = disk50.n_nodes
+    a = fem.assemble_operator(disk50, gamma.values, -q.values)
+    dropped = a.copy()
+    dropped.data[1] = 0.0
+    dropped.eliminate_zeros()
+    half = sp.bmat([[a, None], [None, a]], format="csr")
+    for matrix in (sp.identity(n, format="csr"), dropped, half,
+                   sp.identity(n + 1, format="csr")):
+        with pytest.raises(ValueError):
+            fem.eliminate_dirichlet(disk50, matrix, np.zeros(matrix.shape[0]))
 
 
 def test_eliminate_dirichlet_two_blocks(disk50, truth50):
