@@ -105,13 +105,17 @@ class DirichletGather(NamedTuple):
     """How to eliminate the boundary rows and columns of a stack of nodal
     blocks from its CSR data (TriangleMesh.dirichlet_gather)."""
 
-    boundary: np.ndarray  # boundary rows of every block, in block order
-    indptr: np.ndarray  # canonical pattern of the stacked operator
+    # boundary rows of every block, in block order
+    boundary: np.ndarray
+    # canonical pattern of the stacked operator
+    indptr: np.ndarray
     indices: np.ndarray
-    keep: np.ndarray  # data positions that stay: interior rows and columns,
-    # and the boundary diagonals
-    diagonal: np.ndarray  # the boundary diagonals' positions among the kept
-    out_indptr: np.ndarray  # pattern of the eliminated operator
+    # data positions that stay (interior rows and columns, boundary
+    # diagonals), and the boundary diagonals' positions among them
+    keep: np.ndarray
+    diagonal: np.ndarray
+    # pattern of the eliminated operator
+    out_indptr: np.ndarray
     out_indices: np.ndarray
 
 
