@@ -10,22 +10,29 @@ centroid quadrature), adequate for the piecewise-constant phantoms used here,
 so the CSR data of K + M is linear in the per-element coefficients: each
 mesh builds that linear map once (TriangleMesh.assembly_map, on the cached
 pattern TriangleMesh.csr_pattern), and every assembly is one product with
-it. A boundary-value problem takes one path: assemble applies the boundary
-condition and returns (matrix, rhs), Dirichlet data by row elimination with
-the symmetric column correction (eliminate_dirichlet, shared with the
-reconstruction's stacked corrector blocks, a gather of the CSR data that
-each mesh caches per block count; explicit zeros are kept, so the
-eliminated pattern is fixed), Neumann data as consistent edge loads. Every
-operator is real, and every linear solve goes through one factor object,
-Factor: a float64 sparse LU with a symmetric minimum-degree ordering, built
-once and reused for blocks of right-hand sides (a complex one as its real
-and imaginary columns), each column checked against a relative residual of
-1e-10 (residual_gate). factor_solve is the one-shot
-form; solve_bvp is factor_solve(*assemble(...)). Factor.refined_solve solves
-a system near the factored one (or a stack of nodal blocks near copies of
-it) by defect correction on the same LU, behind the same gate, and factors
-the system itself only when the refinement misses the gate: that is how
-each reconstruction pass solves its corrector on its forward factor.
+it (the unit mass M(1) is kept as TriangleMesh.unit_mass). A boundary-value
+problem takes one path: assemble applies the boundary condition and returns
+(matrix, rhs), Dirichlet data by row elimination with the symmetric column
+correction, Neumann data as consistent edge loads. There is one Dirichlet
+elimination, eliminate_dirichlet_data: a gather, cached per mesh and block
+count, from the data of a stack of nodal blocks on the mesh pattern to the
+eliminated CSR data (explicit zeros are kept, so the eliminated pattern is
+fixed). eliminate_dirichlet hands it a stacked matrix's block data; the
+reconstruction's q-corrector hands it the data of its four blocks from one
+product with the assembly map. Gradients are two products with per-mesh
+maps (TriangleMesh.gradient_map, TriangleMesh.average_map), and the masked
+integral norms dot products with cached lumped weights. Every operator is
+real, and every linear solve goes through one factor object, Factor: a
+float64 sparse LU with a symmetric minimum-degree ordering, built once and
+reused for blocks of right-hand sides (a complex one as its real and
+imaginary columns), each column checked against a relative residual of
+1e-10 (residual_gate). factor_solve is the one-shot form; solve_bvp is
+factor_solve(*assemble(...)). Factor.refined_solve solves a system near the
+factored one (or a stack of nodal blocks near copies of it) by defect
+correction on the same LU, stopping once the residual is at roundoff,
+behind the same gate, and factors the system itself only when the
+refinement misses the gate: that is how each reconstruction pass solves its
+corrector on its forward factor.
 """
 
 import math
@@ -36,10 +43,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import kernels
 from .mesh import TriangleMesh
 
 RESIDUAL_RTOL = 1e-10
+# a refined solve stops once its worst column's relative residual is this
+# close to roundoff: further steps stagnate at the working precision
+REFINE_FLOOR = 1e3 * np.finfo(float).eps
 # Every operator here is symmetric in pattern: a minimum-degree ordering of
 # A + A^T, with SuperLU preferring diagonal pivots (at its default pivot
 # threshold), fills about a third less than COLAMD on these meshes.
@@ -164,19 +173,17 @@ def masked_field_norms(mesh: TriangleMesh, values: np.ndarray,
 
     l_inf is the max over masked nodes; l1 and l2 use mass-lumped quadrature
     over the elements whose three vertices are all masked, so the same
-    measure backs both integral norms.
+    measure backs both integral norms: l1 = w . |v| and l2 = sqrt(w . |v|^2)
+    with the mesh's cached nodal weights w of the mask
+    (TriangleMesh.lumped_weights).
     """
     if not np.any(node_mask):
         raise ValueError("node mask selects no nodes")
     v = np.abs(np.asarray(values))
     linf = float(v[node_mask].max())
-    area, _, _ = mesh.geometry
-    elem_in = node_mask[mesh.triangles].all(axis=1)
-    tri = mesh.triangles[elem_in]
-    w = area[elem_in] / 3.0
-    l1 = float(np.sum(w * v[tri].sum(axis=1)))
-    l2 = float(math.sqrt(np.sum(w * (v[tri] ** 2).sum(axis=1))))
-    return linf, l1, l2
+    nodes, weights = mesh.lumped_weights(node_mask)
+    v = v[nodes]
+    return linf, float(weights @ v), float(math.sqrt(weights @ (v * v)))
 
 
 def assemble(
@@ -201,7 +208,7 @@ def assemble(
     matrix = assemble_operator(mesh, gamma.values, -(k ** 2) * q.values)
     rhs = np.zeros(mesh.n_nodes, dtype=np.complex128)
     if source is not None:
-        rhs -= assemble_operator(mesh, None, np.ones(mesh.n_nodes)) @ source.values
+        rhs -= mesh.unit_mass @ source.values
     if bc.kind == "dirichlet":
         return eliminate_dirichlet(mesh, matrix, rhs, bc.data)
     nxt, lengths = _boundary_segments(mesh)
@@ -223,32 +230,55 @@ def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray
     the pattern stays symmetric. values covers the boundary nodes of all
     blocks in order; without it the data is homogeneous and the rhs keeps
     its dtype. Raises ValueError for a matrix off that stacked pattern.
+    The blocks' CSR data goes through eliminate_dirichlet_data.
     """
     n = matrix.shape[0]
-    if matrix.shape != (n, n) or n % mesh.n_nodes:
+    nodes = mesh.n_nodes
+    if matrix.shape != (n, n) or n % nodes:
         raise ValueError("matrix must stack square nodal blocks of the mesh")
-    gather = mesh.dirichlet_gather(n // mesh.n_nodes)
-    bnodes = gather.boundary
-    if values is None:
-        interior = np.ones(n)
-        interior[bnodes] = 0.0
-        rhs = rhs * interior
-    else:
-        u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
-        u_bc[bnodes] = values
-        rhs = rhs - matrix @ u_bc
-        rhs[bnodes] = values
-    # the mesh's cached gather of the canonical CSR data: interior entries
-    # stay (explicit zeros too, so the pattern is fixed), a boundary row
-    # keeps only its diagonal, set to one
+    blocks = n // nodes
     csr = matrix.tocsr()
     csr.sum_duplicates()
-    if not (np.array_equal(csr.indptr, gather.indptr)
-            and np.array_equal(csr.indices, gather.indices)):
-        raise ValueError("matrix is off the mesh's stacked CSR pattern")
-    data = csr.data[gather.keep]
-    data[gather.diagonal] = 1.0
-    return sp.csr_matrix((data, gather.out_indices, gather.out_indptr),
+    parts = [csr] if blocks == 1 else [
+        csr[r * nodes:(r + 1) * nodes, c * nodes:(c + 1) * nodes]
+        for r in range(blocks) for c in range(blocks)]
+    indptr, indices, _ = mesh.csr_pattern
+    for part in parts:
+        if not (np.array_equal(part.indptr, indptr)
+                and np.array_equal(part.indices, indices)):
+            raise ValueError("matrix is off the mesh's stacked CSR pattern")
+    if values is not None:
+        u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
+        u_bc[mesh.dirichlet_gather(blocks).boundary] = values
+        rhs = rhs - matrix @ u_bc
+    data = csr.data if blocks == 1 else np.column_stack([p.data for p in parts])
+    return eliminate_dirichlet_data(mesh, data, rhs, values)
+
+
+def eliminate_dirichlet_data(mesh: TriangleMesh, data: np.ndarray,
+                             rhs: np.ndarray, values: Optional[np.ndarray] = None
+                             ) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """The eliminated system of a blocks x blocks stack given by its
+    blocks' data on csr_pattern: data is (nnz, blocks^2), column r blocks + c
+    block (r, c), or (nnz,) for one block.
+
+    The mesh's cached gather (TriangleMesh.dirichlet_gather) picks the
+    entries that stay, explicit zeros too, so the eliminated pattern is
+    fixed; boundary diagonals are set to one. The rhs's boundary entries
+    become values (zero without them); the column correction of
+    inhomogeneous values is the caller's (eliminate_dirichlet makes it).
+    """
+    nnz = len(mesh.csr_pattern[1])
+    blocks = math.isqrt(data.size // nnz)
+    if data.shape[0] != nnz or data.size != blocks * blocks * nnz:
+        raise ValueError("data must hold square blocks of the mesh pattern")
+    gather = mesh.dirichlet_gather(blocks)
+    out = np.take(data, gather.keep)
+    out[gather.diagonal] = 1.0
+    rhs = rhs.copy()
+    rhs[gather.boundary] = 0.0 if values is None else values
+    n = blocks * mesh.n_nodes
+    return sp.csr_matrix((out, gather.indices, gather.indptr),
                          shape=(n, n)), rhs
 
 
@@ -310,8 +340,11 @@ class Factor:
         eliminate_dirichlet uses); F^-1 acts on each block of each column.
         The step x <- x + F^-1 (rhs - matrix x) runs from x = 0 until a step
         fails to halve the worst column's relative residual (residual_gate's
-        measure). A result that misses RESIDUAL_RTOL (or is not finite)
-        counts in fallbacks and is replaced by factor_solve(matrix, rhs).
+        measure), or an accepted step brings it to REFINE_FLOOR: there the
+        correction has stagnated at the working precision, and another
+        step would cost a triangular solve and gain nothing. A result that
+        misses RESIDUAL_RTOL (or is not finite) counts in fallbacks and is
+        replaced by factor_solve(matrix, rhs).
         """
         n = self.matrix.shape[0]
         if matrix.shape[0] % n:
@@ -332,6 +365,8 @@ class Factor:
             if not step_rel < 0.5 * rel:
                 break
             x, res, rel = step, step_res, step_rel
+            if rel <= REFINE_FLOOR:
+                break
         if rel <= RESIDUAL_RTOL:
             return _from_real_columns(x, rhs), rel
         self.fallbacks += 1
@@ -410,10 +445,13 @@ def solve_bvp(
 
 
 def gradient(u: ComplexField) -> GradientField:
+    """Exact element gradients and their area-weighted nodal average: one
+    product with each of the mesh's gradient maps, the complex field taken
+    as its [Re, Im] pair columns."""
     mesh = u.mesh
-    area, b, c = mesh.geometry
-    tri = kernels.triangle_gradients(u.values, mesh.triangles, b, c, area)
-    node = kernels.nodal_average(tri, mesh.triangles, area, mesh.n_nodes)
+    pairs = np.ascontiguousarray(u.values).view(np.float64).reshape(-1, 2)
+    tri = (mesh.gradient_map @ pairs).view(np.complex128).reshape(-1, 2)
+    node = (mesh.average_map @ tri.view(np.float64)).view(np.complex128)
     return GradientField(mesh=mesh, tri_values=tri, node_values=node)
 
 

@@ -1,11 +1,12 @@
 """Vectorized numpy kernels for P1 element assembly and gradient recovery.
 
-Four functions cover every per-element loop of the package: geometry, the
-local stiffness/mass blocks (each mesh's assembly map is built from the unit
+Four functions cover the per-element loops: geometry, the local
+stiffness/mass blocks (each mesh's assembly map is built from the unit
 blocks, and the probe sweep's per-disk changes from scaled ones), exact
-element gradients and their area-weighted nodal average. Scatter
-accumulation uses bincount, which keeps them usable on meshes with a few
-hundred thousand elements.
+element gradients (the point gradient of forward.sample_field) and their
+area-weighted nodal average (the reference for the mesh's gradient maps,
+through which fem.gradient goes). Scatter accumulation uses bincount, which
+keeps them usable on meshes with a few hundred thousand elements.
 """
 
 import numpy as np

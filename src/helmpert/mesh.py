@@ -26,6 +26,9 @@ MIN_BOUNDARY_POINTS = 16
 
 MESH_FORMAT_HEADER = "helmpert-mesh 1"
 
+# node masks whose lumped weights a mesh keeps (TriangleMesh.lumped_weights)
+LUMPED_WEIGHT_MASKS = 8
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -103,20 +106,19 @@ class PhantomSpec:
 
 class DirichletGather(NamedTuple):
     """How to eliminate the boundary rows and columns of a stack of nodal
-    blocks from its CSR data (TriangleMesh.dirichlet_gather)."""
+    blocks from its blocks' CSR data (TriangleMesh.dirichlet_gather)."""
 
     # boundary rows of every block, in block order
     boundary: np.ndarray
-    # canonical pattern of the stacked operator
-    indptr: np.ndarray
-    indices: np.ndarray
-    # data positions that stay (interior rows and columns, boundary
-    # diagonals), and the boundary diagonals' positions among them
+    # position of every entry of the eliminated operator in the block data,
+    # an (nnz, blocks^2) array read in C order whose column r blocks + c
+    # holds block (r, c) on csr_pattern; int32
     keep: np.ndarray
+    # positions of the boundary diagonals among those entries
     diagonal: np.ndarray
     # pattern of the eliminated operator
-    out_indptr: np.ndarray
-    out_indices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
 @dataclass(eq=False)
@@ -134,6 +136,7 @@ class TriangleMesh:
     n_boundary_points: int
     radius: float
     _dirichlet_gathers: dict = field(default_factory=dict, init=False, repr=False)
+    _lumped_weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
@@ -217,40 +220,131 @@ class TriangleMesh:
             arr.flags.writeable = False
         return E
 
+    @cached_property
+    def unit_mass(self) -> sp.csr_matrix:
+        """M(1), the consistent mass matrix: assembly_map applied to unit
+        mass coefficients. Built on first use; locked like csr_pattern."""
+        n_tris = self.n_triangles
+        indptr, indices, _ = self.csr_pattern
+        data = self.assembly_map @ np.concatenate([np.zeros(n_tris),
+                                                   np.ones(n_tris)])
+        data.flags.writeable = False
+        return sp.csr_matrix((data, indices, indptr),
+                             shape=(self.n_nodes, self.n_nodes))
+
     def dirichlet_gather(self, blocks: int) -> DirichletGather:
         """The gather that eliminates the boundary rows and columns of a
         blocks x blocks stack of operators on csr_pattern: interior entries
         stay, a boundary row keeps only its diagonal. Built once per block
-        count and kept with the mesh, its arrays locked."""
+        count by index arithmetic on csr_pattern and kept with the mesh,
+        its arrays locked."""
         gather = self._dirichlet_gathers.get(blocks)
         if gather is not None:
             return gather
         indptr, indices, _ = self.csr_pattern
-        unit = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                             shape=(self.n_nodes, self.n_nodes))
-        stack = sp.bmat([[unit] * blocks] * blocks, format="csr")
-        n = stack.shape[0]
-        boundary = (self.boundary_nodes
-                    + self.n_nodes * np.arange(blocks)[:, None]).ravel()
+        n, nnz, squares = self.n_nodes, len(indices), blocks * blocks
+        length = np.diff(indptr)
+        rows = np.repeat(np.arange(n, dtype=np.int32), length)
         inner = np.ones(n, dtype=bool)
-        inner[boundary] = False
-        rows = np.repeat(np.arange(n), np.diff(stack.indptr))
-        cols = stack.indices
-        diag = ~inner[rows] & (cols == rows)
-        if np.count_nonzero(diag) != len(boundary):
+        inner[self.boundary_nodes] = False
+        # one row per block (r, c) of the stack, one column per pattern
+        # entry p; int32 throughout
+        grid = np.arange(blocks, dtype=np.int32)
+        r = np.repeat(grid, blocks)[:, None]
+        c = np.tile(grid, blocks)[:, None]
+        entry = np.arange(nnz, dtype=np.int32)
+        # where entry p of block (r, c) sits in the stacked canonical CSR
+        # data: band r, node row i, block column c, then p's offset in row i
+        position = (r * (blocks * nnz) + (blocks - 1) * indptr[rows]
+                    + c * length[rows] + entry)
+        diag = (r == c) & ~inner[rows] & (rows == indices)
+        if np.count_nonzero(diag) != blocks * len(self.boundary_nodes):
             raise ValueError("mesh pattern lacks a boundary diagonal entry")
-        keep = (inner[rows] & inner[cols]) | diag
-        out_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows[keep], minlength=n), out=out_indptr[1:])
+        stays = (inner[rows] & inner[indices]) | diag
+        order = np.empty(squares * nnz, dtype=np.int32)
+        order[position.ravel()] = np.arange(squares * nnz, dtype=np.int32)
+        # every entry that stays, in the stacked canonical order
+        kept = order[stays.ravel()[order]]
+        out_indptr = np.zeros(blocks * n + 1, dtype=np.int32)
+        np.cumsum(np.bincount((r * n + rows).ravel()[kept], minlength=blocks * n),
+                  out=out_indptr[1:])
         gather = DirichletGather(
-            boundary=boundary.astype(np.int32),
-            indptr=stack.indptr.astype(np.int32), indices=cols.astype(np.int32),
-            keep=np.flatnonzero(keep), diagonal=np.flatnonzero(diag[keep]),
-            out_indptr=out_indptr, out_indices=cols[keep].astype(np.int32))
+            boundary=(self.boundary_nodes + n * grid[:, None]).ravel(),
+            keep=(entry * squares + (r * blocks + c)).ravel()[kept],
+            diagonal=np.flatnonzero(diag.ravel()[kept]).astype(np.int32),
+            indptr=out_indptr,
+            indices=(c * n + indices).ravel()[kept])
         for arr in gather:
             arr.flags.writeable = False
         self._dirichlet_gathers[blocks] = gather
         return gather
+
+    @cached_property
+    def gradient_map(self) -> sp.csr_matrix:
+        """Sparse map G (2 n_tris x n_nodes) from nodal values to the exact
+        P1 gradient of every element: rows 2 e and 2 e + 1 are element e's
+        x and y derivatives, so (G @ u).reshape(n_tris, 2) holds the element
+        gradients. Built on first use; locked like csr_pattern."""
+        area, b, c = self.geometry
+        n_tris = self.n_triangles
+        inv2a = (0.5 / area)[:, None]
+        G = sp.csr_matrix(
+            (np.stack([b * inv2a, c * inv2a], axis=1).ravel(),
+             np.repeat(self.triangles, 2, axis=0).ravel(),
+             3 * np.arange(2 * n_tris + 1, dtype=np.int32)),
+            shape=(2 * n_tris, self.n_nodes))
+        for arr in (G.data, G.indices, G.indptr):
+            arr.flags.writeable = False
+        return G
+
+    @cached_property
+    def average_map(self) -> sp.csr_matrix:
+        """Sparse map A (n_nodes x n_tris), the area-weighted average of
+        per-element values onto the nodes: row i holds area_e / (the area
+        of the elements around i) for each element e at node i, in
+        increasing element order. Built on first use; locked like
+        csr_pattern."""
+        area, _, _ = self.geometry
+        t = self.triangles
+        n_tris = self.n_triangles
+        around = np.bincount(t.ravel(), weights=np.repeat(area, 3),
+                             minlength=self.n_nodes)
+        # built as A^T, one row of three entries per element, and
+        # transposed (a stable counting sort into A's rows)
+        transpose = sp.csr_matrix(
+            ((area[:, None] / around[t]).ravel(), t.ravel(),
+             3 * np.arange(n_tris + 1, dtype=np.int32)),
+            shape=(n_tris, self.n_nodes))
+        A = transpose.T.tocsr()
+        for arr in (A.data, A.indices, A.indptr):
+            arr.flags.writeable = False
+        return A
+
+    def lumped_weights(self, node_mask: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """(nodes, weights): the mass-lumped quadrature weight of each node
+        over the elements whose three vertices are all in node_mask (a third
+        of each such element's area per vertex), for the nodes where it is
+        positive. Kept with the mesh per mask, keyed by the mask's bytes, so
+        a mask changed in place gets its own weights; the last
+        LUMPED_WEIGHT_MASKS masks are kept, their arrays locked."""
+        mask = np.asarray(node_mask, dtype=bool)
+        key = mask.tobytes()
+        lumped = self._lumped_weights.get(key)
+        if lumped is None:
+            area, _, _ = self.geometry
+            inside = mask[self.triangles].all(axis=1)
+            weights = np.bincount(self.triangles[inside].ravel(),
+                                  weights=np.repeat(area[inside] / 3.0, 3),
+                                  minlength=self.n_nodes)
+            nodes = np.flatnonzero(weights > 0).astype(np.int32)
+            lumped = (nodes, weights[nodes])
+            for arr in lumped:
+                arr.flags.writeable = False
+            if len(self._lumped_weights) >= LUMPED_WEIGHT_MASKS:
+                self._lumped_weights.pop(next(iter(self._lumped_weights)), None)
+            self._lumped_weights[key] = lumped
+        return lumped
 
     @cached_property
     def element_boxes(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -314,11 +408,15 @@ def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
 
 
 def _edge_counts(triangles: np.ndarray):
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
-    )
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    """Distinct edges (lo, hi), in lexicographic order, and how many
+    elements share each; sorted as the 1-D keys lo n + hi."""
+    first = triangles.ravel()
+    second = triangles[:, [1, 2, 0]].ravel()
+    n = int(first.max()) + 1
+    keys = np.minimum(first, second).astype(np.int64) * n
+    keys += np.maximum(first, second)
+    keys, counts = np.unique(keys, return_counts=True)
+    uniq = np.stack(np.divmod(keys, n), axis=1).astype(triangles.dtype)
     return uniq, counts
 
 

@@ -160,9 +160,10 @@ def test_element_average_is_the_vertex_mean(disk50, shape):
 
 def test_pattern_is_built_once_per_mesh(monkeypatch):
     mesh = hm.build_disk_mesh(8.0, 40)
-    # lazy: mesh set-up builds neither the pattern nor the map
-    assert "csr_pattern" not in vars(mesh)
-    assert "assembly_map" not in vars(mesh)
+    # lazy: mesh set-up builds none of the pattern and the maps
+    for name in ("csr_pattern", "assembly_map", "unit_mass", "gradient_map",
+                 "average_map"):
+        assert name not in vars(mesh)
     calls = []
 
     def counted(*args):
@@ -189,6 +190,23 @@ def test_pattern_is_built_once_per_mesh(monkeypatch):
         assert not arr.flags.writeable
     assert assembly_map.shape == (len(indices), 2 * mesh.n_triangles)
     assert assembly_map.has_canonical_format
+    # the unit mass is the assembled M(1), kept
+    np.testing.assert_array_equal(mesh.unit_mass.data, b.data)
+    assert mesh.unit_mass is mesh.unit_mass
+    assert not mesh.unit_mass.data.flags.writeable
+    # the gradient maps: built on the first gradient, the same objects after
+    u = fem.ComplexField(mesh, ones)
+    fem.gradient(u)
+    maps = (mesh.gradient_map, mesh.average_map)
+    fem.gradient(u)
+    assert (mesh.gradient_map, mesh.average_map) == maps
+    assert maps[0].shape == (2 * mesh.n_triangles, mesh.n_nodes)
+    assert maps[1].shape == (mesh.n_nodes, mesh.n_triangles)
+    for m in maps:
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        for arr in (m.data, m.indices, m.indptr):
+            assert not arr.flags.writeable
+    assert len(calls) == 2
 
 
 def test_meshes_do_not_share_a_pattern():
@@ -196,11 +214,18 @@ def test_meshes_do_not_share_a_pattern():
     m2 = hm.build_disk_mesh(8.0, 40)
     assert not np.shares_memory(m1.csr_pattern[1], m2.csr_pattern[1])
     assert not np.shares_memory(m1.assembly_map.data, m2.assembly_map.data)
+    for name in ("gradient_map", "average_map", "unit_mass"):
+        assert not np.shares_memory(getattr(m1, name).data,
+                                    getattr(m2, name).data)
     eliminated(m1, fem.assemble_operator(m1, np.ones(m1.n_nodes), None))
-    # the pattern, the map and the Dirichlet gather live and die with their
-    # mesh
+    fem.masked_field_norms(m1, np.ones(m1.n_nodes), interior_mask(m1))
+    # the pattern, the maps, the Dirichlet gather and the lumped weights
+    # live and die with their mesh
     dead = [weakref.ref(m1.csr_pattern[1]), weakref.ref(m1.assembly_map),
-            weakref.ref(m1.dirichlet_gather(1).keep)]
+            weakref.ref(m1.dirichlet_gather(1).keep),
+            weakref.ref(m1.gradient_map), weakref.ref(m1.average_map),
+            weakref.ref(m1.unit_mass),
+            weakref.ref(m1.lumped_weights(interior_mask(m1))[1])]
     del m1
     gc.collect()
     assert all(ref() is None for ref in dead)
@@ -570,7 +595,7 @@ def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
     q = hm.coefficient_from_phantom(disk100, phantom, "permittivity")
     a = fem.assemble_operator(disk100, gamma.values, -(k ** 2) * q.values)
     coupling = fem.assemble_operator(disk100, None, 0.3 * q.values)
-    block = sp.bmat([[a, coupling], [coupling, a]], format="csr")
+    block = sp.bmat([[a, coupling], [0.5 * coupling, 2.0 * a]], format="csr")
     # an explicit zero on an interior entry: the reference drops it, the
     # gather keeps it, so the eliminated pattern is the same for every call
     zeroed = a.copy()
@@ -612,6 +637,11 @@ def test_eliminate_dirichlet_rejects_a_matrix_off_the_mesh_pattern(disk50, truth
                    sp.identity(n + 1, format="csr")):
         with pytest.raises(ValueError):
             fem.eliminate_dirichlet(disk50, matrix, np.zeros(matrix.shape[0]))
+    # block data of the wrong length, or of a non-square block count
+    nnz = a.nnz
+    for data in (np.zeros(nnz + 1), np.zeros((nnz, 3)), np.zeros((nnz - 1, 4))):
+        with pytest.raises(ValueError):
+            fem.eliminate_dirichlet_data(disk50, data, np.zeros(n))
 
 
 def test_eliminate_dirichlet_two_blocks(disk50, truth50):
@@ -677,6 +707,26 @@ def test_gradient_of_constant_field_vanishes(disk50):
     g = fem.gradient(u)
     assert np.max(np.abs(g.tri_values)) < 1e-12
     assert np.max(np.abs(g.node_values)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["disk50", "disk100"])
+def test_gradient_maps_match_the_kernels(fixture, request):
+    mesh = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(17)
+    u = fem.ComplexField(mesh, rng.standard_normal(mesh.n_nodes)
+                         + 1j * rng.standard_normal(mesh.n_nodes))
+    area, b, c = mesh.geometry
+    tri = kernels.triangle_gradients(u.values, mesh.triangles, b, c, area)
+    node = kernels.nodal_average(tri, mesh.triangles, area, mesh.n_nodes)
+    got = fem.gradient(u)
+    for have, want in ((got.tri_values, tri), (got.node_values, node)):
+        assert have.shape == want.shape and have.dtype == want.dtype
+        np.testing.assert_allclose(have, want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+    # a field that is no contiguous array of its own
+    strided = fem.ComplexField(mesh, np.stack([u.values, u.values], axis=1)[:, 1])
+    np.testing.assert_array_equal(fem.gradient(strided).node_values,
+                                  got.node_values)
 
 
 def test_gradient_recovery_improves_with_refinement(disk50, disk100):
@@ -763,3 +813,41 @@ def test_masked_field_norms_interior_only(disk50):
     assert linf == 1.0
     assert 0.0 < l1 < disk50.element_areas.sum()
     assert abs(l2 - math.sqrt(l1)) < 1e-12
+
+
+def masked_norms_by_elements(mesh, values, node_mask):
+    """(l_inf, l1, l2) summed over the fully masked elements, per call."""
+    v = np.abs(np.asarray(values))
+    area, _, _ = mesh.geometry
+    inside = node_mask[mesh.triangles].all(axis=1)
+    tri = mesh.triangles[inside]
+    w = area[inside] / 3.0
+    return (float(v[node_mask].max()), float(np.sum(w * v[tri].sum(axis=1))),
+            float(math.sqrt(np.sum(w * (v[tri] ** 2).sum(axis=1)))))
+
+
+def test_masked_field_norms_match_the_element_sums():
+    mesh = hm.build_disk_mesh(8.0, 50)
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    # non-finite values off the mask stay out of every norm
+    values[mesh.boundary_nodes[0]] = np.nan
+    mask = interior_mask(mesh)
+    disk = mesh.node_radii() < 6.0
+    for node_mask in (mask, disk, mask, disk):
+        np.testing.assert_allclose(
+            fem.masked_field_norms(mesh, values, node_mask),
+            masked_norms_by_elements(mesh, values, node_mask), rtol=1e-13)
+    # a mask changed in place gets its own weights
+    mask[np.flatnonzero(mask)[::7]] = False
+    np.testing.assert_allclose(
+        fem.masked_field_norms(mesh, values, mask),
+        masked_norms_by_elements(mesh, values, mask), rtol=1e-13)
+    nodes, weights = mesh.lumped_weights(mask)
+    assert not weights.flags.writeable and np.all(weights > 0)
+    # the mesh keeps the weights of its last few masks only
+    for node in np.flatnonzero(mask)[:hm.LUMPED_WEIGHT_MASKS + 2]:
+        other = mask.copy()
+        other[node] = False
+        fem.masked_field_norms(mesh, values, other)
+    assert len(mesh._lumped_weights) == hm.LUMPED_WEIGHT_MASKS

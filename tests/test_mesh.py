@@ -45,6 +45,18 @@ def test_disk_mesh_invariants(n):
     _boundary_edge_check(mesh)
 
 
+def test_edge_counts_match_the_row_unique(disk50):
+    # the 1-D keys lo n + hi sort in the lexicographic order of (lo, hi)
+    t = disk50.triangles
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                    axis=1)
+    want, want_counts = np.unique(edges, axis=0, return_counts=True)
+    got, counts = hm._edge_counts(t)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(counts, want_counts)
+    assert got.dtype == want.dtype
+
+
 def test_mesh_400_boundary_points():
     mesh = hm.build_disk_mesh(8.0, 400)
     assert len(mesh.boundary_nodes) == 400

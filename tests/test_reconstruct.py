@@ -256,6 +256,85 @@ def test_correctors_on_their_pass_factor_match_a_fresh_factorization(
     assert lu.fallbacks == 0
 
 
+class SystemSpy:
+    """Stands in for a pass factor and keeps the system it is asked to
+    solve."""
+
+    def refined_solve(self, matrix, rhs):
+        self.system = (matrix, rhs)
+        return np.zeros(rhs.shape), 0.0
+
+
+@pytest.mark.parametrize("fixture", ["disk50", "disk100"])
+@pytest.mark.parametrize("k", [K2_DEFAULT, 0.35])
+def test_q_corrector_system_is_the_stacked_blocks(fixture, k, request):
+    # the block data filled through the mesh's two-block gather is, bit for
+    # bit, sp.bmat of the three assembled blocks, then eliminate_dirichlet
+    mesh = request.getfixturevalue(fixture)
+    phantom = hm.PhantomSpec()
+    gamma = hm.coefficient_from_phantom(mesh, phantom, "conductivity")
+    q = hm.coefficient_from_phantom(mesh, phantom, "permittivity")
+    u0, _ = forward_pass(mesh, gamma, q, k)
+    re, im = u0.values.real, u0.values.imag
+    u2 = re * re + im * im
+    j = 1.1 * q.values * u2
+    eps0 = random_misfit(mesh, 4, 0.5)
+    spy = SystemSpy()
+    rc.solve_q_corrector(u0, eps0, j, gamma, q, k, spy)
+    got, got_rhs = spy.system
+
+    k_sq, qv = k ** 2, q.values
+    a11 = fem.assemble_operator(mesh, gamma.values,
+                                k_sq * (2.0 * qv * re * re - j) / u2)
+    a12 = fem.assemble_operator(mesh, None, 2.0 * k_sq * qv * re * im / u2)
+    a22 = fem.assemble_operator(mesh, gamma.values,
+                                k_sq * (2.0 * qv * im * im - j) / u2)
+    load = k_sq * (fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
+                   @ (eps0.values * u0.values))
+    want, want_rhs = fem.eliminate_dirichlet(
+        mesh, sp.bmat([[a11, a12], [a12, a22]], format="csr"),
+        np.concatenate([load.real, load.imag]))
+    for have, ref in ((got.data, want.data), (got.indices, want.indices),
+                      (got.indptr, want.indptr), (got_rhs, want_rhs)):
+        np.testing.assert_array_equal(have, ref)
+    assert got.shape == want.shape
+
+
+class CountingLU:
+    """Counts the triangular solves of a factor's LU."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("k, corrector, most", [
+    (K1_DEFAULT, rc.solve_gamma_corrector, 3),
+    (K2_DEFAULT, rc.solve_q_corrector, 4)])
+def test_refined_solve_stops_at_roundoff(disk50, truth50, k, corrector, most):
+    # each defect-correction step gains three to five digits here; the
+    # refinement stops at the first one whose residual is at roundoff
+    # (REFINE_FLOOR), where one more would gain nothing
+    gamma, q = truth50
+    u0, lu = forward_pass(disk50, gamma, q, k)
+    if corrector is rc.solve_gamma_corrector:
+        args = (u0, random_misfit(disk50, 3, 0.3), gamma, q, k)
+    else:
+        j = q.values * np.abs(u0.values) ** 2
+        args = (u0, random_misfit(disk50, 4, 0.5), j, gamma, q, k)
+    spy = SystemSpy()
+    corrector(*args, spy)
+    lu._lu = CountingLU(lu._lu)
+    _, rel = lu.refined_solve(*spy.system)
+    assert lu.fallbacks == 0
+    assert rel <= fem.REFINE_FLOOR
+    assert 2 <= lu._lu.solves <= most
+
+
 def test_q_corrector_of_zero_misfit_is_zero(disk50, truth50):
     gamma, q = truth50
     u0, lu = forward_pass(disk50, gamma, q, K2_DEFAULT)
