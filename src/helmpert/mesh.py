@@ -112,7 +112,9 @@ class DirichletGather(NamedTuple):
     boundary: np.ndarray
     # position of every entry of the eliminated operator in the block data,
     # an (nnz, blocks^2) array read in C order whose column r blocks + c
-    # holds block (r, c) on csr_pattern; int32
+    # holds block (r, c) on csr_pattern; intp, because np.take casts any
+    # other index type on every call (int32: 0.8 ms instead of 0.14 ms for
+    # the 80k entries of a two-block gather on mesh 200)
     keep: np.ndarray
     # positions of the boundary diagonals among those entries
     diagonal: np.ndarray
@@ -248,7 +250,7 @@ class TriangleMesh:
         inner = np.ones(n, dtype=bool)
         inner[self.boundary_nodes] = False
         # one row per block (r, c) of the stack, one column per pattern
-        # entry p; int32 throughout
+        # entry p; int32 while building
         grid = np.arange(blocks, dtype=np.int32)
         r = np.repeat(grid, blocks)[:, None]
         c = np.tile(grid, blocks)[:, None]
@@ -270,7 +272,7 @@ class TriangleMesh:
                   out=out_indptr[1:])
         gather = DirichletGather(
             boundary=(self.boundary_nodes + n * grid[:, None]).ravel(),
-            keep=(entry * squares + (r * blocks + c)).ravel()[kept],
+            keep=(entry * squares + (r * blocks + c)).ravel()[kept].astype(np.intp),
             diagonal=np.flatnonzero(diag.ravel()[kept]).astype(np.int32),
             indptr=out_indptr,
             indices=(c * n + indices).ravel()[kept])
@@ -337,7 +339,7 @@ class TriangleMesh:
             weights = np.bincount(self.triangles[inside].ravel(),
                                   weights=np.repeat(area[inside] / 3.0, 3),
                                   minlength=self.n_nodes)
-            nodes = np.flatnonzero(weights > 0).astype(np.int32)
+            nodes = np.flatnonzero(weights > 0)
             lumped = (nodes, weights[nodes])
             for arr in lumped:
                 arr.flags.writeable = False
