@@ -17,11 +17,12 @@ correction, Neumann data as consistent edge loads. There is one Dirichlet
 elimination, eliminate_dirichlet_data: a gather, cached per mesh and block
 count, from the data of a stack of nodal blocks on the mesh pattern to the
 eliminated CSR data (explicit zeros are kept, so the eliminated pattern is
-fixed). eliminate_dirichlet hands it a stacked matrix's block data; the
-reconstruction's q-corrector hands it the data of its four blocks from one
-product with the assembly map. Gradients are two products with per-mesh
-maps (TriangleMesh.gradient_map, TriangleMesh.average_map), and the masked
-integral norms dot products with cached lumped weights. Every operator is
+fixed) for homogeneous data. eliminate_dirichlet makes the column
+correction of a boundary condition's values and hands it one operator's
+data; the reconstruction's q-corrector hands it the data of its four
+blocks from one product with the assembly map. Gradients are two products
+with per-mesh maps (TriangleMesh.gradient_map, TriangleMesh.average_map),
+and the masked integral norms dot products with cached lumped weights. Every operator is
 real, and every linear solve goes through one factor object, Factor: a
 float64 sparse LU with a symmetric minimum-degree ordering, built once and
 reused for blocks of right-hand sides (a complex one as its real and
@@ -222,51 +223,45 @@ def assemble(
 def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray,
                         values: Optional[np.ndarray] = None
                         ) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """Eliminate the boundary rows and columns of every stacked nodal block.
+    """Eliminate the boundary rows and columns of a nodal operator on the
+    mesh's CSR pattern.
 
-    The matrix holds blocks x blocks nodal blocks, each on the mesh's CSR
-    pattern (matrix.shape[0] is a multiple of mesh.n_nodes); boundary rows
-    and columns become identity, and the known values move to the rhs so
-    the pattern stays symmetric. values covers the boundary nodes of all
-    blocks in order; without it the data is homogeneous and the rhs keeps
-    its dtype. Raises ValueError for a matrix off that stacked pattern.
-    The blocks' CSR data goes through eliminate_dirichlet_data.
+    Boundary rows and columns become identity, and the known values move to
+    the rhs so the matrix stays symmetric. Without values the data is
+    homogeneous and the rhs keeps its dtype. Raises ValueError for a matrix
+    off the pattern. The matrix's CSR data goes through
+    eliminate_dirichlet_data.
     """
-    n = matrix.shape[0]
-    nodes = mesh.n_nodes
-    if matrix.shape != (n, n) or n % nodes:
-        raise ValueError("matrix must stack square nodal blocks of the mesh")
-    blocks = n // nodes
+    n = mesh.n_nodes
+    if matrix.shape != (n, n):
+        raise ValueError("matrix must be a nodal operator of the mesh")
     csr = matrix.tocsr()
     csr.sum_duplicates()
-    parts = [csr] if blocks == 1 else [
-        csr[r * nodes:(r + 1) * nodes, c * nodes:(c + 1) * nodes]
-        for r in range(blocks) for c in range(blocks)]
     indptr, indices, _ = mesh.csr_pattern
-    for part in parts:
-        if not (np.array_equal(part.indptr, indptr)
-                and np.array_equal(part.indices, indices)):
-            raise ValueError("matrix is off the mesh's stacked CSR pattern")
+    if not (np.array_equal(csr.indptr, indptr)
+            and np.array_equal(csr.indices, indices)):
+        raise ValueError("matrix is off the mesh's CSR pattern")
     if values is not None:
         u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
-        u_bc[mesh.dirichlet_gather(blocks).boundary] = values
+        u_bc[mesh.boundary_nodes] = values
         rhs = rhs - matrix @ u_bc
-    data = csr.data if blocks == 1 else np.column_stack([p.data for p in parts])
-    return eliminate_dirichlet_data(mesh, data, rhs, values)
+    matrix, rhs = eliminate_dirichlet_data(mesh, csr.data, rhs)
+    if values is not None:
+        rhs[mesh.boundary_nodes] = values
+    return matrix, rhs
 
 
 def eliminate_dirichlet_data(mesh: TriangleMesh, data: np.ndarray,
-                             rhs: np.ndarray, values: Optional[np.ndarray] = None
-                             ) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """The eliminated system of a blocks x blocks stack given by its
-    blocks' data on csr_pattern: data is (nnz, blocks^2), column r blocks + c
-    block (r, c), or (nnz,) for one block.
+                             rhs: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """The eliminated system, for homogeneous Dirichlet data, of a
+    blocks x blocks stack given by its blocks' data on csr_pattern: data is
+    (nnz, blocks^2), column r blocks + c block (r, c), or (nnz,) for one
+    block.
 
     The mesh's cached gather (TriangleMesh.dirichlet_gather) picks the
     entries that stay, explicit zeros too, so the eliminated pattern is
-    fixed; boundary diagonals are set to one. The rhs's boundary entries
-    become values (zero without them); the column correction of
-    inhomogeneous values is the caller's (eliminate_dirichlet makes it).
+    fixed; boundary diagonals are set to one and the rhs's boundary entries
+    to zero (eliminate_dirichlet moves inhomogeneous values to the rhs).
     """
     nnz = len(mesh.csr_pattern[1])
     blocks = math.isqrt(data.size // nnz)
@@ -276,7 +271,7 @@ def eliminate_dirichlet_data(mesh: TriangleMesh, data: np.ndarray,
     out = np.take(data, gather.keep)
     out[gather.diagonal] = 1.0
     rhs = rhs.copy()
-    rhs[gather.boundary] = 0.0 if values is None else values
+    rhs[gather.boundary] = 0.0
     n = blocks * mesh.n_nodes
     return sp.csr_matrix((out, gather.indices, gather.indptr),
                          shape=(n, n)), rhs
@@ -337,7 +332,8 @@ class Factor:
 
         matrix is an operator near the factored one F, or a stack of nodal
         blocks of F's size near blockdiag(F, ...) (the layout
-        eliminate_dirichlet uses); F^-1 acts on each block of each column.
+        eliminate_dirichlet_data fills); F^-1 acts on each block of each
+        column.
         The step x <- x + F^-1 (rhs - matrix x) runs from x = 0 until a step
         fails to halve the worst column's relative residual (residual_gate's
         measure), or an accepted step brings it to REFINE_FLOOR: there the

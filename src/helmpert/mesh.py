@@ -14,7 +14,7 @@ a built mesh is immutable (arrays are locked) and safe to share.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,9 +25,6 @@ from . import kernels
 MIN_BOUNDARY_POINTS = 16
 
 MESH_FORMAT_HEADER = "helmpert-mesh 1"
-
-# node masks whose lumped weights a mesh keeps (TriangleMesh.lumped_weights)
-LUMPED_WEIGHT_MASKS = 8
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,7 @@ class TriangleMesh:
     n_boundary_points: int
     radius: float
     _dirichlet_gathers: dict = field(default_factory=dict, init=False, repr=False)
-    _lumped_weights: dict = field(default_factory=dict, init=False, repr=False)
+    _lumped_weights: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
@@ -327,25 +324,23 @@ class TriangleMesh:
         """(nodes, weights): the mass-lumped quadrature weight of each node
         over the elements whose three vertices are all in node_mask (a third
         of each such element's area per vertex), for the nodes where it is
-        positive. Kept with the mesh per mask, keyed by the mask's bytes, so
-        a mask changed in place gets its own weights; the last
-        LUMPED_WEIGHT_MASKS masks are kept, their arrays locked."""
+        positive. The mesh keeps the weights of the last mask, keyed by its
+        bytes, so a mask changed in place gets its own weights; their arrays
+        are locked."""
         mask = np.asarray(node_mask, dtype=bool)
         key = mask.tobytes()
-        lumped = self._lumped_weights.get(key)
-        if lumped is None:
-            area, _, _ = self.geometry
-            inside = mask[self.triangles].all(axis=1)
-            weights = np.bincount(self.triangles[inside].ravel(),
-                                  weights=np.repeat(area[inside] / 3.0, 3),
-                                  minlength=self.n_nodes)
-            nodes = np.flatnonzero(weights > 0)
-            lumped = (nodes, weights[nodes])
-            for arr in lumped:
-                arr.flags.writeable = False
-            if len(self._lumped_weights) >= LUMPED_WEIGHT_MASKS:
-                self._lumped_weights.pop(next(iter(self._lumped_weights)), None)
-            self._lumped_weights[key] = lumped
+        if self._lumped_weights is not None and self._lumped_weights[0] == key:
+            return self._lumped_weights[1]
+        area, _, _ = self.geometry
+        inside = mask[self.triangles].all(axis=1)
+        weights = np.bincount(self.triangles[inside].ravel(),
+                              weights=np.repeat(area[inside] / 3.0, 3),
+                              minlength=self.n_nodes)
+        nodes = np.flatnonzero(weights > 0)
+        lumped = (nodes, weights[nodes])
+        for arr in lumped:
+            arr.flags.writeable = False
+        self._lumped_weights = (key, lumped)
         return lumped
 
     @cached_property

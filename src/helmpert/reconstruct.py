@@ -385,6 +385,8 @@ def run(
     mesh.unit_mass
     mesh.dirichlet_gather(2)
     mesh.lumped_weights(unknown_mask)
+    mesh.gradient_map
+    mesh.average_map
 
     trace = ReconstructionTrace()
     best_corr = math.inf

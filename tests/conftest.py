@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from helmpert import disentangle, fem
@@ -47,6 +48,26 @@ def interior_mask(mesh):
     mask = np.ones(mesh.n_nodes, dtype=bool)
     mask[mesh.boundary_nodes] = False
     return mask
+
+
+def eliminate_by_products(mesh, matrix, rhs, values=None):
+    """Dirichlet elimination of every nodal block of a stacked matrix by
+    diagonal products: the reference for the gathered elimination (it drops
+    explicit zeros, which the gather keeps)."""
+    n = matrix.shape[0]
+    bnodes = np.concatenate([mesh.boundary_nodes + offset
+                             for offset in range(0, n, mesh.n_nodes)])
+    interior = np.ones(n)
+    interior[bnodes] = 0.0
+    if values is None:
+        rhs = rhs * interior
+    else:
+        u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
+        u_bc[bnodes] = values
+        rhs = rhs - matrix @ u_bc
+        rhs[bnodes] = values
+    d_int = sp.diags(interior)
+    return (d_int @ matrix @ d_int + sp.diags(1.0 - interior)).tocsr(), rhs
 
 
 def max_element_diameter(mesh):

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from helmpert import fem, kernels
 from helmpert import mesh as hm
 
-from conftest import constant_field, interior_mask
+from conftest import constant_field, eliminate_by_products, interior_mask
 
 # First two zeros of the zeroth-order Bessel function; resonances of the unit
 # disk with constant data sit at these wavenumbers.
@@ -501,9 +501,13 @@ def test_residual_gate_checks_each_column():
     assert fem.residual_gate(identity, y, cols, 1, gate=False) < fem.RESIDUAL_RTOL
 
 
-def eliminated(mesh, matrix):
-    """matrix with the boundary rows and columns of every block eliminated."""
-    return fem.eliminate_dirichlet(mesh, matrix, np.zeros(matrix.shape[0]))[0]
+def eliminated(mesh, *blocks):
+    """One operator, or the 2 x 2 stack of blocks (0, 0), (0, 1), (1, 0),
+    (1, 1), each on the mesh pattern, with the boundary rows and columns of
+    every block eliminated."""
+    data = np.column_stack([block.data for block in blocks])
+    rhs = np.zeros(math.isqrt(len(blocks)) * mesh.n_nodes)
+    return fem.eliminate_dirichlet_data(mesh, data, rhs)[0]
 
 
 def near_systems(mesh, gamma, q, k):
@@ -515,9 +519,8 @@ def near_systems(mesh, gamma, q, k):
     single = fem.assemble_operator(mesh, gamma.values + rng.uniform(-1, 1, n),
                                    -(k ** 2) * q.values)
     coupling = fem.assemble_operator(mesh, None, rng.uniform(-1, 1, n))
-    stacked = sp.bmat([[single, coupling], [coupling, forward]], format="csr")
     return (eliminated(mesh, forward), eliminated(mesh, single),
-            eliminated(mesh, stacked))
+            eliminated(mesh, single, coupling, coupling, forward))
 
 
 def test_refined_solve_matches_factor_solve_on_a_near_factor(disk50, truth50):
@@ -570,24 +573,6 @@ def test_refined_solve_rejects_a_foreign_block_size(disk50, truth50):
                            np.ones(disk50.n_nodes + 1))
 
 
-def eliminate_by_products(mesh, matrix, rhs, values=None):
-    """The diagonal-product elimination the masked copy replaced."""
-    n = matrix.shape[0]
-    bnodes = np.concatenate([mesh.boundary_nodes + offset
-                             for offset in range(0, n, mesh.n_nodes)])
-    interior = np.ones(n)
-    interior[bnodes] = 0.0
-    if values is None:
-        rhs = rhs * interior
-    else:
-        u_bc = np.zeros(n, dtype=np.result_type(rhs, values))
-        u_bc[bnodes] = values
-        rhs = rhs - matrix @ u_bc
-        rhs[bnodes] = values
-    d_int = sp.diags(interior)
-    return (d_int @ matrix @ d_int + sp.diags(1.0 - interior)).tocsr(), rhs
-
-
 @pytest.mark.parametrize("k", [0.0, 0.35])
 def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
     phantom = hm.PhantomSpec()
@@ -596,6 +581,8 @@ def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
     a = fem.assemble_operator(disk100, gamma.values, -(k ** 2) * q.values)
     coupling = fem.assemble_operator(disk100, None, 0.3 * q.values)
     block = sp.bmat([[a, coupling], [0.5 * coupling, 2.0 * a]], format="csr")
+    block_data = np.column_stack([a.data, coupling.data, 0.5 * coupling.data,
+                                  2.0 * a.data])
     # an explicit zero on an interior entry: the reference drops it, the
     # gather keeps it, so the eliminated pattern is the same for every call
     zeroed = a.copy()
@@ -604,15 +591,22 @@ def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
     zeroed.data[indptr[interior[0]]:indptr[interior[0] + 1]] = 0.0
     n = disk100.n_nodes
     data = np.exp(1j * boundary_angles(disk100))
-    cases = [(a, np.ones(n, dtype=np.complex128), data),
-             (a, np.ones(n), None),
-             (zeroed, np.ones(n), None),
-             (block, np.ones(2 * n), None),
-             (block.tocsc(), np.ones(2 * n), None)]
-    for matrix, rhs, values in cases:
+
+    def operator(matrix, rhs, values):
+        return fem.eliminate_dirichlet(disk100, matrix, rhs, values)
+
+    def blocks(matrix, rhs, values):
+        return fem.eliminate_dirichlet_data(disk100, block_data, rhs)
+
+    cases = [(operator, a, np.ones(n, dtype=np.complex128), data),
+             (operator, a, np.ones(n), None),
+             (operator, zeroed, np.ones(n), None),
+             (operator, a.tocsc(), np.ones(n), data),
+             (blocks, block, np.ones(2 * n), None)]
+    for eliminate, matrix, rhs, values in cases:
         # the second call goes through the gather the first one cached
-        first, _ = fem.eliminate_dirichlet(disk100, matrix, rhs, values)
-        got, got_rhs = fem.eliminate_dirichlet(disk100, matrix, rhs, values)
+        first, _ = eliminate(matrix, rhs, values)
+        got, got_rhs = eliminate(matrix, rhs, values)
         assert np.shares_memory(got.indices, first.indices)
         want, want_rhs = eliminate_by_products(disk100, matrix, rhs, values)
         kept = got.nnz
@@ -633,7 +627,14 @@ def test_eliminate_dirichlet_rejects_a_matrix_off_the_mesh_pattern(disk50, truth
     dropped.data[1] = 0.0
     dropped.eliminate_zeros()
     half = sp.bmat([[a, None], [None, a]], format="csr")
-    for matrix in (sp.identity(n, format="csr"), dropped, half,
+    # as many entries as the pattern: two rows of one length swapped
+    lengths = np.diff(a.indptr)
+    i, j = np.flatnonzero(lengths == np.bincount(lengths).argmax())[:2]
+    rows = np.arange(n)
+    rows[[i, j]] = j, i
+    swapped = a[rows]
+    assert swapped.nnz == a.nnz
+    for matrix in (sp.identity(n, format="csr"), dropped, half, swapped,
                    sp.identity(n + 1, format="csr")):
         with pytest.raises(ValueError):
             fem.eliminate_dirichlet(disk50, matrix, np.zeros(matrix.shape[0]))
@@ -649,9 +650,10 @@ def test_eliminate_dirichlet_two_blocks(disk50, truth50):
     a = fem.assemble_operator(disk50, gamma.values, -q.values)
     coupling = fem.assemble_operator(disk50, None, q.values)
     matrix = sp.bmat([[a, coupling], [coupling, 2.0 * a]], format="csr")
+    data = np.column_stack([a.data, coupling.data, coupling.data, 2.0 * a.data])
     n = disk50.n_nodes
     rhs = np.random.default_rng(13).standard_normal(2 * n)
-    mat, out = fem.eliminate_dirichlet(disk50, matrix, rhs)
+    mat, out = fem.eliminate_dirichlet_data(disk50, data, rhs)
 
     bnodes = np.concatenate([disk50.boundary_nodes, disk50.boundary_nodes + n])
     interior = np.setdiff1d(np.arange(2 * n), bnodes)
@@ -845,9 +847,5 @@ def test_masked_field_norms_match_the_element_sums():
         masked_norms_by_elements(mesh, values, mask), rtol=1e-13)
     nodes, weights = mesh.lumped_weights(mask)
     assert not weights.flags.writeable and np.all(weights > 0)
-    # the mesh keeps the weights of its last few masks only
-    for node in np.flatnonzero(mask)[:hm.LUMPED_WEIGHT_MASKS + 2]:
-        other = mask.copy()
-        other[node] = False
-        fem.masked_field_norms(mesh, values, other)
-    assert len(mesh._lumped_weights) == hm.LUMPED_WEIGHT_MASKS
+    # the same mask again is served from the mesh
+    assert mesh.lumped_weights(mask.copy())[1] is weights

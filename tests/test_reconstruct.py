@@ -12,7 +12,7 @@ from helmpert import diagnostics, fem, forward
 from helmpert import mesh as hm
 from helmpert import reconstruct as rc
 
-from conftest import constant_field
+from conftest import constant_field, eliminate_by_products
 
 K1_DEFAULT = math.pi * 1e3
 K2_DEFAULT = math.pi * 1e-3
@@ -219,7 +219,7 @@ def q_corrector_by_kind(mesh, u0, eps0, j, gamma, q, k):
     ones = np.ones(mesh.n_nodes)
     rhs = k ** 2 * np.concatenate([mass(ones) @ (eps0.values * re),
                                    mass(ones) @ (eps0.values * im)])
-    sol, _ = fem.factor_solve(*fem.eliminate_dirichlet(mesh, matrix, rhs))
+    sol, _ = fem.factor_solve(*eliminate_by_products(mesh, matrix, rhs))
     return sol[:mesh.n_nodes] + 1j * sol[mesh.n_nodes:]
 
 
@@ -269,7 +269,8 @@ class SystemSpy:
 @pytest.mark.parametrize("k", [K2_DEFAULT, 0.35])
 def test_q_corrector_system_is_the_stacked_blocks(fixture, k, request):
     # the block data filled through the mesh's two-block gather is, bit for
-    # bit, sp.bmat of the three assembled blocks, then eliminate_dirichlet
+    # bit, sp.bmat of the three assembled blocks with the boundary rows and
+    # columns of both blocks eliminated by diagonal products
     mesh = request.getfixturevalue(fixture)
     phantom = hm.PhantomSpec()
     gamma = hm.coefficient_from_phantom(mesh, phantom, "conductivity")
@@ -291,13 +292,15 @@ def test_q_corrector_system_is_the_stacked_blocks(fixture, k, request):
                                 k_sq * (2.0 * qv * im * im - j) / u2)
     load = k_sq * (fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
                    @ (eps0.values * u0.values))
-    want, want_rhs = fem.eliminate_dirichlet(
+    want, want_rhs = eliminate_by_products(
         mesh, sp.bmat([[a11, a12], [a12, a22]], format="csr"),
         np.concatenate([load.real, load.imag]))
+    assert got.shape == want.shape
+    # the products drop explicit zeros; the gather kept none here
+    assert np.count_nonzero(got.data) == got.nnz
     for have, ref in ((got.data, want.data), (got.indices, want.indices),
                       (got.indptr, want.indptr), (got_rhs, want_rhs)):
         np.testing.assert_array_equal(have, ref)
-    assert got.shape == want.shape
 
 
 class CountingLU:
