@@ -279,12 +279,11 @@ def cmd_forward(cfg: dict, out_dir: Path) -> int:
         u2 = fem.solve_bvp(mesh_obj, gamma, q, k2, bc)
     except (SingularSystem, NonConvergence) as err:
         return _solver_failure(out_dir, "forward", err, artifacts)
-    data1 = forward.internal_data(u1, gamma, q, k1)
-    data2 = forward.internal_data(u2, gamma, q, k2)
+    J = forward.internal_data(u1, gamma, q, k1).J
+    j = forward.mass_energy(u2, q)
     _field_csv(out_dir / "field_k1.csv", mesh_obj, {"u": u1.values})
     _field_csv(out_dir / "field_k2.csv", mesh_obj, {"u": u2.values})
-    _field_csv(out_dir / "internal_data.csv", mesh_obj,
-               {"J": data1.J, "j": data2.j})
+    _field_csv(out_dir / "internal_data.csv", mesh_obj, {"J": J, "j": j})
     artifacts += ["field_k1.csv", "field_k2.csv", "internal_data.csv"]
     _write_manifest(out_dir, "forward", artifacts,
                     {"k1": k1, "k2": k2, "n_nodes": mesh_obj.n_nodes})

@@ -35,9 +35,9 @@ def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
     bc = dirichlet_condition(mesh, config)
     u1 = fem.solve_bvp(mesh, gamma_true, q_true, config.k1, bc)
     u2 = fem.solve_bvp(mesh, gamma_true, q_true, config.k2, bc)
-    data1 = forward.internal_data(u1, gamma_true, q_true, config.k1)
-    data2 = forward.internal_data(u2, gamma_true, q_true, config.k2)
-    return run(mesh, data1.J, data2.j, (gamma_true, q_true), config)
+    J = forward.internal_data(u1, gamma_true, q_true, config.k1).J
+    j = forward.mass_energy(u2, q_true)
+    return run(mesh, J, j, (gamma_true, q_true), config)
 
 
 STATUS_FAILED = "Failed"

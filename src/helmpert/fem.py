@@ -24,10 +24,13 @@ blocks from one product with the assembly map. Gradients are two products
 with per-mesh maps (TriangleMesh.gradient_map, TriangleMesh.average_map),
 and the masked integral norms dot products with cached lumped weights. Every operator is
 real, and every linear solve goes through one factor object, Factor: a
-float64 sparse LU with a symmetric minimum-degree ordering, built once and
-reused for blocks of right-hand sides (a complex one as its real and
-imaginary columns), each column checked against a relative residual of
-1e-10 (residual_gate). factor_solve is the one-shot form; solve_bvp is
+float64 sparse LU with a symmetric minimum-degree ordering, analysed once
+per sparsity pattern (LUOrder: later matrices of the pattern are factored
+symmetrically permuted, to the same factors bit for bit) and with
+supernode constants measured on these operators, built once and reused for
+blocks of right-hand sides (a complex one as its real and imaginary
+columns), each column checked against a relative residual of 1e-10
+(residual_gate). factor_solve is the one-shot form; solve_bvp is
 factor_solve(*assemble(...)). Factor.refined_solve solves a system near the
 factored one (or a stack of nodal blocks near copies of it) by defect
 correction on the same LU, stopping once the residual is at roundoff,
@@ -36,9 +39,11 @@ refinement misses the gate: that is how each reconstruction pass solves its
 corrector on its forward factor.
 """
 
+import hashlib
 import math
+import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,9 +57,26 @@ RESIDUAL_RTOL = 1e-10
 REFINE_FLOOR = 1e3 * np.finfo(float).eps
 # Every operator here is symmetric in pattern: a minimum-degree ordering of
 # A + A^T, with SuperLU preferring diagonal pivots (at its default pivot
-# threshold), fills about a third less than COLAMD on these meshes.
+# threshold), fills about a third less than COLAMD on these meshes. The
+# ordering depends on the pattern only, so Factor analyses it once per
+# pattern (LUOrder) and factors later matrices of the pattern pre-permuted,
+# with the NATURAL ordering and the same fill.
 LU_ORDERING = "MMD_AT_PLUS_A"
 LU_OPTIONS = dict(SymmetricMode=True)
+# SuperLU's supernode relaxation and panel width, measured on these
+# operators (one CPU, interleaved, on the reused order): (1, 1) factors the
+# eliminated mesh-200 forward operators in 7.8-8.1 ms against 9.9-10.4 ms
+# at scipy's defaults (5, 10), the mesh-400 Neumann one at k = 0.35 in 54
+# against 82 ms, with the same fill. The panel width is what counts: widths
+# 2, 4 and 10 were slower on every mesh, and relax 1-5 within noise at
+# width 1. Strongly indefinite operators, whose pivoting fills many times
+# more, lose instead (mesh 200 at k = 5: 473 against 334 ms).
+LU_RELAX = 1
+LU_PANEL_SIZE = 1
+# the orders Factor keeps, first in first out: a mesh has at most three
+# patterns here (Neumann, eliminated and the two-block corrector), and two
+# sweep cells may run at once
+LU_ORDER_PATTERNS = 8
 
 
 class SingularSystem(Exception):
@@ -292,33 +314,123 @@ def boundary_weights(mesh: TriangleMesh) -> np.ndarray:
     return 0.5 * (lengths + np.roll(lengths, 1))
 
 
+class LUOrder(NamedTuple):
+    """The fill-reducing order of one sparsity pattern, as a symmetric
+    permutation: P A P^T = A[perm][:, perm] for every matrix A of the
+    pattern, and A x = b is P A P^T y = b[perm] with x = y[inverse]. Its CSC
+    form is (np.take(csr.data, gather), indices, indptr) for A's canonical
+    CSR form csr; each column keeps its rows in A's order."""
+
+    perm: np.ndarray
+    inverse: np.ndarray
+    # intp, because np.take casts any other index type on every call
+    gather: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+_lu_orders: dict = {}
+_lu_orders_lock = threading.Lock()
+
+
+def _pattern_key(csr: sp.csr_matrix) -> bytes:
+    """Digest of a CSR matrix's shape and index arrays."""
+    digest = hashlib.sha256(np.array(
+        [*csr.shape, csr.nnz, csr.indptr.itemsize, csr.indices.itemsize]))
+    digest.update(csr.indptr)
+    digest.update(csr.indices)
+    return digest.digest()
+
+
+def _lu_order(csr: sp.csr_matrix, perm_c: np.ndarray) -> LUOrder:
+    """The LUOrder of csr's pattern from the column order perm_c that
+    SuperLU chose for it, postorder included: SuperLU factors A's column c
+    as column perm_c[c], so column j of P A P^T is A's column perm[j] with
+    its rows r renumbered perm_c[r]. The gather is built from the CSR to
+    CSC transposition of the entry positions."""
+    n, nnz = csr.shape[0], csr.nnz
+    inverse = perm_c.astype(np.intp)
+    perm = np.argsort(inverse)
+    csc = sp.csr_matrix((np.arange(nnz), csr.indices, csr.indptr),
+                        shape=csr.shape).tocsc()
+    lengths = np.diff(csc.indptr)[perm]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    src = np.repeat(csc.indptr[perm] - indptr[:-1], lengths) + np.arange(nnz)
+    order = LUOrder(perm=perm, inverse=inverse,
+                    gather=csc.data[src].astype(np.intp),
+                    indptr=indptr, indices=perm_c[csc.indices[src]])
+    for arr in order:
+        arr.flags.writeable = False
+    return order
+
+
+def _splu(matrix: sp.csc_matrix, ordering: str):
+    try:
+        return spla.splu(matrix, permc_spec=ordering, relax=LU_RELAX,
+                         panel_size=LU_PANEL_SIZE, options=LU_OPTIONS)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from exc
+
+
 class Factor:
     """Float64 sparse LU of a real matrix, gated solves over rhs blocks.
 
-    The LU is built once, with LU_ORDERING and LU_OPTIONS; solve takes a
-    right-hand side of shape (n,) or (n, m), real or complex, and solves a
-    complex block as the real columns [Re, Im] of one triangular solve.
-    refined_solve solves a nearby system on the same LU. Raises TypeError on
-    a complex matrix and SingularSystem on breakdown.
+    The first Factor of a sparsity pattern factors with LU_ORDERING and
+    keeps SuperLU's column order as the pattern's LUOrder; later ones
+    factor the symmetrically permuted matrix P A P^T with the NATURAL
+    ordering, which skips the minimum-degree analysis and gives the same
+    fill (LU_ORDER_PATTERNS orders are kept). Both use LU_OPTIONS, LU_RELAX
+    and LU_PANEL_SIZE. solve takes a right-hand side of shape (n,) or
+    (n, m), real or complex, and solves a complex block as the real columns
+    [Re, Im] of one triangular solve; matrix is the caller's, and the gate
+    measures the residual against it. refined_solve solves a nearby system
+    on the same LU. Raises TypeError on a complex matrix and SingularSystem
+    on breakdown.
     """
 
     def __init__(self, matrix: sp.spmatrix):
         if np.iscomplexobj(matrix):
             raise TypeError("Factor takes a real matrix")
-        self.matrix = matrix.tocsc().astype(np.float64, copy=False)
+        self.matrix = matrix.astype(np.float64, copy=False)
         # refined solves that missed the gate and factored their own matrix
         self.fallbacks = 0
-        try:
-            self._lu = spla.splu(self.matrix, permc_spec=LU_ORDERING,
-                                 options=LU_OPTIONS)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
+        csr = self.matrix.tocsr()
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
+        key = _pattern_key(csr)
+        self._order = _lu_orders.get(key)
+        if self._order is None:
+            self._lu = _splu(csr.tocsc(), LU_ORDERING)
+            with _lu_orders_lock:
+                _lu_orders[key] = _lu_order(csr, self._lu.perm_c)
+                if len(_lu_orders) > LU_ORDER_PATTERNS:
+                    del _lu_orders[next(iter(_lu_orders))]
+        else:
+            order = self._order
+            permuted = sp.csc_matrix(
+                (np.take(csr.data, order.gather), order.indices, order.indptr),
+                shape=csr.shape)
+            # rows stay in A's order within each column, so SuperLU runs the
+            # arithmetic of LU_ORDERING on A and the factors are bit for bit
+            # the same; splu would sort them, and SuperLU needs no sorted
+            # rows, so the matrix (free of duplicates) is marked canonical
+            permuted.has_canonical_format = True
+            self._lu = _splu(permuted, "NATURAL")
+
+    def _lu_solve(self, cols: np.ndarray) -> np.ndarray:
+        """The LU's solution of A y = cols, in A's row order."""
+        if self._order is None:
+            return self._lu.solve(cols)
+        y = self._lu.solve(np.take(cols, self._order.perm, axis=0))
+        return np.take(y, self._order.inverse, axis=0)
 
     def solve(self, rhs: np.ndarray, gate: bool = True) -> Tuple[np.ndarray, float]:
         """Solution and its relative residual (see residual_gate)."""
         cols = _real_columns(rhs)
         try:
-            y = self._lu.solve(cols)
+            y = self._lu_solve(cols)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         if not np.all(np.isfinite(y)):
@@ -350,7 +462,7 @@ class Factor:
 
         def near_solve(r):
             side = r.reshape(-1, n, r.size // r.shape[0]).transpose(1, 0, 2)
-            y = self._lu.solve(side.reshape(n, -1))
+            y = self._lu_solve(side.reshape(n, -1))
             return y.reshape(side.shape).transpose(1, 0, 2).reshape(r.shape)
 
         x, res, rel = np.zeros_like(cols), cols, math.inf

@@ -141,12 +141,17 @@ def _check_disks(mesh: TriangleMesh,
                 f"the interior region of radius {limit:.3f}")
 
 
+def mass_energy(u: ComplexField, q: CoefficientField) -> np.ndarray:
+    """The nodal mass energy q |u|^2, the j of internal_data without the
+    gradient that J needs."""
+    return q.values * np.abs(u.values) ** 2
+
+
 def internal_data(u: ComplexField, gamma: CoefficientField, q: CoefficientField,
                   k: float) -> InternalData:
     grad_sq = fem.gradient(u).node_magnitude_squared()
-    val_sq = np.abs(u.values) ** 2
     return InternalData(mesh=u.mesh, J=gamma.values * grad_sq,
-                        j=q.values * val_sq, k=k)
+                        j=mass_energy(u, q), k=k)
 
 
 def disk_triangle_area(center, radius: float, verts):

@@ -2,7 +2,9 @@
 
 import gc
 import math
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -571,6 +573,147 @@ def test_refined_solve_rejects_a_foreign_block_size(disk50, truth50):
     with pytest.raises(ValueError):
         near.refined_solve(sp.identity(disk50.n_nodes + 1, format="csr"),
                            np.ones(disk50.n_nodes + 1))
+
+
+@pytest.fixture
+def fresh_orders(monkeypatch):
+    """An empty map of LU orders for one test, so that its first factor of
+    each pattern analyses the pattern."""
+    orders = {}
+    monkeypatch.setattr(fem, "_lu_orders", orders)
+    return orders
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Every spla.splu call as (permc_spec, relax, panel_size, options, lu)."""
+    calls = []
+    real_splu = spla.splu
+
+    def recording_splu(matrix, permc_spec=None, relax=None, panel_size=None,
+                       options=None, **kwargs):
+        lu = real_splu(matrix, permc_spec=permc_spec, relax=relax,
+                       panel_size=panel_size, options=options, **kwargs)
+        calls.append((permc_spec, relax, panel_size, options, lu))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    return calls
+
+
+def fresh_lu(matrix):
+    """The LU of matrix with its own minimum-degree analysis."""
+    return spla.splu(sp.csc_matrix(matrix), permc_spec=fem.LU_ORDERING,
+                     relax=fem.LU_RELAX, panel_size=fem.LU_PANEL_SIZE,
+                     options=fem.LU_OPTIONS)
+
+
+def operators_of_one_pattern(mesh, gamma, q, kind):
+    """Two operators with one sparsity pattern and different values: the
+    forward operator at two wavenumbers, or the two-block corrector system
+    near two forward operators."""
+    if kind == "two-block":
+        return [near_systems(mesh, gamma, q, k)[2] for k in (300.0, 0.35)]
+    bc = fem.BoundaryCondition(kind, np.exp(1j * boundary_angles(mesh)))
+    return [fem.assemble(mesh, gamma, q, k, bc)[0] for k in (math.pi * 1e3, 0.35)]
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "two-block"])
+def test_later_factors_of_a_pattern_reuse_its_order(disk50, truth50, kind,
+                                                    fresh_orders, splu_calls):
+    gamma, q = truth50
+    first, second = operators_of_one_pattern(disk50, gamma, q, kind)
+    fem.Factor(first)
+    lu = fem.Factor(second)
+    assert [call[0] for call in splu_calls] == [fem.LU_ORDERING, "NATURAL"]
+    for _, relax, panel_size, options, _ in splu_calls:
+        assert (relax, panel_size) == (fem.LU_RELAX, fem.LU_PANEL_SIZE)
+        assert options == fem.LU_OPTIONS
+    assert len(fresh_orders) == 1
+    reused, fresh = splu_calls[1][-1], fresh_lu(second)
+    assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
+    rhs = np.random.default_rng(31).standard_normal((second.shape[0], 2))
+    x, rel = lu.solve(rhs)
+    ref = fresh.solve(rhs)
+    assert rel <= fem.RESIDUAL_RTOL
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    # each column of the permuted matrix keeps its rows in the matrix's
+    # order, so SuperLU makes the same arithmetic: the solves agree exactly
+    np.testing.assert_array_equal(x, ref)
+    assert lu.matrix is second
+
+
+def test_lu_orders_are_keyed_by_pattern(disk50, disk100, fresh_orders,
+                                        splu_calls):
+    def operators():
+        for mesh in (disk50, disk100):
+            one = constant_field(mesh, 1.0)
+            data = np.ones(len(mesh.boundary_nodes))
+            for kind in ("neumann", "dirichlet"):
+                bc = fem.BoundaryCondition(kind, data)
+                yield fem.assemble(mesh, one, one, 0.35, bc)[0]
+
+    for matrix in operators():
+        fem.Factor(matrix)
+    # the Neumann and the eliminated operator of one mesh, and the two
+    # meshes, each analyse their own pattern
+    assert [call[0] for call in splu_calls] == [fem.LU_ORDERING] * 4
+    assert len(fresh_orders) == 4
+    for matrix in operators():
+        fem.Factor(matrix)
+    assert [call[0] for call in splu_calls[4:]] == ["NATURAL"] * 4
+    for order in fresh_orders.values():
+        assert all(not arr.flags.writeable for arr in order)
+        assert order.gather.dtype == order.perm.dtype == np.intp
+        np.testing.assert_array_equal(order.perm[order.inverse],
+                                      np.arange(len(order.perm)))
+
+
+def test_lu_orders_keep_the_latest_patterns(fresh_orders, splu_calls):
+    sizes = range(1, fem.LU_ORDER_PATTERNS + 2)
+    for n in sizes:
+        fem.Factor(sp.identity(n, format="csr"))
+    assert len(fresh_orders) == fem.LU_ORDER_PATTERNS
+    del splu_calls[:]
+    # the first pattern went out first
+    fem.Factor(sp.identity(sizes[-1], format="csr"))
+    fem.Factor(sp.identity(sizes[0], format="csr"))
+    assert [call[0] for call in splu_calls] == ["NATURAL", fem.LU_ORDERING]
+
+
+def test_threads_factoring_a_new_pattern_solve_correctly(disk50, truth50,
+                                                         fresh_orders):
+    gamma, q = truth50
+    bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(disk50)))
+    matrices = [fem.assemble(disk50, gamma, q, k, bc)[0]
+                for k in (0.35, 0.7, 1.4, 2.8)]
+    rhs = np.random.default_rng(32).standard_normal(disk50.n_nodes)
+    start = threading.Barrier(2)
+
+    def solve_all(group):
+        start.wait()
+        return [fem.Factor(matrix).solve(rhs)[0] for matrix in group]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        solved = sum(pool.map(solve_all, [matrices[:2], matrices[2:]]), [])
+    for matrix, x in zip(matrices, solved):
+        np.testing.assert_array_equal(x, fresh_lu(matrix).solve(rhs))
+    assert len(fresh_orders) == 1
+
+
+def test_factor_takes_unsorted_duplicate_entries(fresh_orders):
+    dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    # row 0 holds (0, 1) twice and out of order
+    matrix = sp.csr_matrix((np.array([0.5, 4.0, 0.5, 1.0, 3.0, 1.0, 1.0, 2.0]),
+                            np.array([1, 0, 1, 0, 1, 2, 1, 2]),
+                            np.array([0, 3, 6, 8])), shape=(3, 3))
+    data = matrix.data.copy()
+    rhs = np.array([1.0, -2.0, 0.5])
+    for _ in range(2):  # the analysed pattern, then the reused order
+        x, _ = fem.Factor(matrix).solve(rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-14)
+    np.testing.assert_array_equal(matrix.data, data)
+    assert len(fresh_orders) == 1
 
 
 @pytest.mark.parametrize("k", [0.0, 0.35])
