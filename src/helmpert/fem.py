@@ -24,14 +24,15 @@ blocks from one product with the assembly map. Gradients are two products
 with per-mesh maps (TriangleMesh.gradient_map, TriangleMesh.average_map),
 and the masked integral norms dot products with cached lumped weights. Every operator is
 real, and every linear solve goes through one factor object, Factor: a
-float64 sparse LU with a symmetric minimum-degree ordering, analysed once
-per sparsity pattern (LUOrder: later matrices of the pattern are factored
-symmetrically permuted, to the same factors bit for bit) and with
-supernode constants measured on these operators, built once and reused for
-blocks of right-hand sides (a complex one as its real and imaginary
-columns), each column checked against a relative residual of 1e-10
-(residual_gate). factor_solve is the one-shot form; solve_bvp is
-factor_solve(*assemble(...)). Factor.refined_solve solves a system near the
+float64 sparse LU with a symmetric minimum-degree ordering, built once and
+reused for blocks of right-hand sides (a complex one as its real and
+imaginary columns), each column checked against a relative residual of
+1e-10 (residual_gate). The ordering is analysed once per sparsity pattern
+(LUOrder): later matrices of the pattern are factored symmetrically
+permuted, to the same factors bit for bit, and every LU uses supernode
+constants measured on these operators (LU_RELAX, LU_PANEL_SIZE).
+factor_solve is the one-shot form; solve_bvp is factor_solve(*assemble(...)).
+Factor.refined_solve solves a system near the
 factored one (or a stack of nodal blocks near copies of it) by defect
 correction on the same LU, stopping once the residual is at roundoff,
 behind the same gate, and factors the system itself only when the
@@ -380,7 +381,7 @@ class Factor:
     keeps SuperLU's column order as the pattern's LUOrder; later ones
     factor the symmetrically permuted matrix P A P^T with the NATURAL
     ordering, which skips the minimum-degree analysis and gives the same
-    fill (LU_ORDER_PATTERNS orders are kept). Both use LU_OPTIONS, LU_RELAX
+    factors bit for bit (LU_ORDER_PATTERNS orders are kept). Both use LU_OPTIONS, LU_RELAX
     and LU_PANEL_SIZE. solve takes a right-hand side of shape (n,) or
     (n, m), real or complex, and solves a complex block as the real columns
     [Re, Im] of one triangular solve; matrix is the caller's, and the gate

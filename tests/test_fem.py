@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -681,24 +682,39 @@ def test_lu_orders_keep_the_latest_patterns(fresh_orders, splu_calls):
     assert [call[0] for call in splu_calls] == ["NATURAL", fem.LU_ORDERING]
 
 
-def test_threads_factoring_a_new_pattern_solve_correctly(disk50, truth50,
-                                                         fresh_orders):
+def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
+                                                          fresh_orders):
+    # more threads than CPUs, switching often: all start on one new mesh
+    # pattern, then factor more small patterns than the map keeps
     gamma, q = truth50
     bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(disk50)))
-    matrices = [fem.assemble(disk50, gamma, q, k, bc)[0]
-                for k in (0.35, 0.7, 1.4, 2.8)]
-    rhs = np.random.default_rng(32).standard_normal(disk50.n_nodes)
-    start = threading.Barrier(2)
+    rng = np.random.default_rng(32)
+    groups = []
+    for k in (0.35, 0.7, 1.4, 2.8):
+        small = [sp.diags([rng.uniform(-1, 1, n - 1), rng.uniform(4, 5, n),
+                           rng.uniform(-1, 1, n - 1)], [-1, 0, 1], format="csr")
+                 for n in rng.permutation(np.arange(20, 22 + fem.LU_ORDER_PATTERNS))]
+        groups.append([fem.assemble(disk50, gamma, q, k, bc)[0]] + small)
+    start = threading.Barrier(len(groups))
 
     def solve_all(group):
-        start.wait()
-        return [fem.Factor(matrix).solve(rhs)[0] for matrix in group]
+        start.wait(timeout=60)
+        return [fem.Factor(matrix).solve(np.ones(matrix.shape[0]))[0]
+                for matrix in group]
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        solved = sum(pool.map(solve_all, [matrices[:2], matrices[2:]]), [])
-    for matrix, x in zip(matrices, solved):
-        np.testing.assert_array_equal(x, fresh_lu(matrix).solve(rhs))
-    assert len(fresh_orders) == 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            futures = [pool.submit(solve_all, group) for group in groups]
+            solved = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for group, xs in zip(groups, solved):
+        for matrix, x in zip(group, xs):
+            np.testing.assert_array_equal(
+                x, fresh_lu(matrix).solve(np.ones(matrix.shape[0])))
+    assert len(fresh_orders) == fem.LU_ORDER_PATTERNS
 
 
 def test_factor_takes_unsorted_duplicate_entries(fresh_orders):
