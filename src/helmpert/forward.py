@@ -40,9 +40,12 @@ from .mesh import Point2, TriangleMesh
 # keep their whole disk strictly inside the complement
 DEFAULT_INTERIOR_FRACTION = 0.75
 
-# identity columns per block solve of (A^-1)_SS: a few dense (n_nodes, 16)
-# arrays at a time, however many nodes a disk covers
-INVERSE_BLOCK_COLUMNS = 16
+# identity columns per block solve of (A^-1)_SS: a few dense (n_nodes, 8)
+# arrays at a time, however many nodes a disk covers. A solve on a reused
+# LU order holds three of them (the block, its permuted copy and SuperLU's
+# own copy); at 8 columns the mesh-400 sweep peaks about 2.5 MB lower than
+# with two blocks of 16, in the same time within noise
+INVERSE_BLOCK_COLUMNS = 8
 
 # barycentric slack of the point location: a point it accepts lies in the
 # element scaled by 1 + 3 LOCATE_SLACK about its centroid, so bounding boxes
