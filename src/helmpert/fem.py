@@ -407,8 +407,9 @@ class Factor:
         self._order = _lu_orders.get(key)
         if self._order is None:
             self._lu = _splu(csr.tocsc(), LU_ORDERING)
+            order = _lu_order(csr, self._lu.perm_c)
             with _lu_orders_lock:
-                _lu_orders[key] = _lu_order(csr, self._lu.perm_c)
+                _lu_orders[key] = order
                 if len(_lu_orders) > LU_ORDER_PATTERNS:
                     del _lu_orders[next(iter(_lu_orders))]
         else:
