@@ -11,7 +11,6 @@ breakdown (reported in a structured error file).
 
 import argparse
 import copy
-import csv
 import json
 import math
 import os
@@ -50,6 +49,7 @@ class ConfigError(ValueError):
 
 def default_config() -> dict:
     ph = PhantomSpec()
+    rc = reconstruct.ReconstructionConfig
     return {
         "mesh": {"radius": ph.disk_radius, "n_boundary_points": 50},
         "phantom": {
@@ -65,16 +65,17 @@ def default_config() -> dict:
         "frequencies": {"k1": None, "k2": None, "m": 3},
         "boundary": {"condition": "dirichlet", "profile": "phase",
                      "convention": "xy", "value": 1.0},
-        "probes": {"amplitudes": [0.5, 1.5, 2.0, 3.0],
+        "probes": {"amplitudes": list(disentangle.AmplitudeQuad().as_tuple()),
                    "radii": [0.4, 0.2, 0.1],
                    "centers": [[2.3, 1.1]],
                    "grid_spacing": None,
                    "gamma_tilde": 0.5,
                    "q_tilde": 3.0},
-        "reconstruction": {"eps_precision": 1e-3, "max_iterations": 50,
-                           "floor_grad": 1e-60, "floor_u": 1e-12,
-                           "gamma_guess": 3.5, "q_guess": 11.5,
-                           "damping": 1.0},
+        "reconstruction": {"eps_precision": rc.eps_precision,
+                           "max_iterations": rc.max_outer_iterations,
+                           "floor_grad": rc.floor_grad, "floor_u": rc.floor_u,
+                           "gamma_guess": rc.gamma_guess,
+                           "q_guess": rc.q_guess, "damping": rc.damping},
         "output": {"directory": "out"},
     }
 
@@ -229,11 +230,7 @@ def _field_csv(path: Path, mesh_obj: TriangleMesh,
         else:
             names.append(name)
             cols.append(values)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*cols):
-            writer.writerow([repr(float(v)) for v in row])
+    reconstruct.write_csv(path, names, zip(*cols))
 
 
 def _solver_failure(out_dir: Path, command: str, err: Exception,
@@ -343,24 +340,21 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
 
     samples = {z: forward.sample_field(u, (z.x, z.y))
                for z in {p.center for p in probes}}
-    with open(out_dir / "probe_compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z.x", "z.y", "r", "lambda", "D", "predicted",
-                         "rel_gap"])
-        for meas in measurements:
-            z = meas.probe.center
-            tag = meshmod.classify_point((z.x, z.y), ph)
-            val, grad = samples[z]
-            predicted = forward.predict_probe(ph.conductivity[tag],
-                                              ph.permittivity[tag], grad, val,
-                                              k, meas.probe)
-            gap = abs(meas.D - predicted) / max(abs(predicted),
-                                                np.finfo(float).tiny)
-            writer.writerow([repr(float(z.x)), repr(float(z.y)),
-                             repr(float(meas.probe.radius)),
-                             repr(float(meas.probe.amplitude)),
-                             repr(float(meas.D)), repr(float(predicted)),
-                             repr(float(gap))])
+    compare_rows = []
+    for meas in measurements:
+        z = meas.probe.center
+        tag = meshmod.classify_point((z.x, z.y), ph)
+        val, grad = samples[z]
+        predicted = forward.predict_probe(ph.conductivity[tag],
+                                          ph.permittivity[tag], grad, val,
+                                          k, meas.probe)
+        gap = abs(meas.D - predicted) / max(abs(predicted),
+                                            np.finfo(float).tiny)
+        compare_rows.append([z.x, z.y, meas.probe.radius,
+                             meas.probe.amplitude, meas.D, predicted, gap])
+    reconstruct.write_csv(out_dir / "probe_compare.csv",
+                          ["z.x", "z.y", "r", "lambda", "D", "predicted",
+                           "rel_gap"], compare_rows)
     artifacts.append("probe_compare.csv")
 
     # four distinct amplitudes at one (center, radius) admit the algebraic
@@ -377,8 +371,7 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
         for (zx, zy, r), pairs in sorted(groups.items()):
             try:
                 point = disentangle.recover(pairs)
-            except (disentangle.NoRoot, disentangle.DegenerateData,
-                    ValueError) as err:
+            except (disentangle.NoRoot, ValueError) as err:
                 n_recover_failed += 1
                 print(f"recover failed at ({zx:g}, {zy:g}) r={r:g}: {err}",
                       file=sys.stderr)
@@ -386,12 +379,9 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
             recover_rows.append([zx, zy, r, point.F, point.G, point.a,
                                  point.b, point.residual])
     if recover_rows:
-        with open(out_dir / "recover.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z.x", "z.y", "r", "F", "G", "a", "b",
-                             "residual"])
-            for row in recover_rows:
-                writer.writerow([repr(float(v)) for v in row])
+        reconstruct.write_csv(out_dir / "recover.csv",
+                              ["z.x", "z.y", "r", "F", "G", "a", "b",
+                               "residual"], recover_rows)
         artifacts.append("recover.csv")
 
     _write_manifest(out_dir, "probe", artifacts,

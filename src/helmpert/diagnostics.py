@@ -7,7 +7,6 @@ A failed cell is a trace with status Failed, the error in its detail and no
 records; it never aborts the grid.
 """
 
-import csv
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +18,7 @@ from . import mesh as meshmod
 from .mesh import PhantomSpec, TriangleMesh
 from .reconstruct import (STATUS_CONVERGED, IterationRecord,
                           ReconstructionConfig, ReconstructionTrace,
-                          dirichlet_condition, run)
+                          dirichlet_condition, run, write_csv)
 
 
 def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
@@ -114,15 +113,12 @@ def frequency_sweep(
 
 def save_sweep_summary_csv(path, sweep: SweepResult) -> None:
     """One row per cell: status, iteration count, and final misfits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config", "m", "mesh_points", "status", "iterations",
-                         "final_misfit_J_linf", "final_misfit_j_linf",
-                         "detail"])
-        for (m, n), trace in sweep.traces.items():
-            # a failed cell has no records: its final misfits are NaN
-            last = trace.records[-1] if trace.records else IterationRecord(0)
-            writer.writerow([cell_key((m, n)), m, n, trace.status,
-                             len(trace.records),
-                             repr(float(last.misfit_J_linf)),
-                             repr(float(last.misfit_j_linf)), trace.detail])
+    rows = []
+    for (m, n), trace in sweep.traces.items():
+        # a failed cell has no records: its final misfits are NaN
+        last = trace.records[-1] if trace.records else IterationRecord(0)
+        rows.append([cell_key((m, n)), m, n, trace.status, len(trace.records),
+                     last.misfit_J_linf, last.misfit_j_linf, trace.detail])
+    write_csv(path, ["config", "m", "mesh_points", "status", "iterations",
+                     "final_misfit_J_linf", "final_misfit_j_linf", "detail"],
+              rows)

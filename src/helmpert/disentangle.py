@@ -8,7 +8,8 @@ with F the gradient energy, G the (negated, frequency-scaled) mass energy,
 and (a, b) the material contrast ratios inside the probe. The gradient
 channel carries the polarization-tensor factor of a disk inclusion,
 f(x) = 2(x-1)/(x+1) (Ammari & Kang, Polarization and Moment Tensors, 2007),
-odd about contrast 1 in the sense f(1/x) = -f(x). The affine G-term is
+odd about contrast 1 in the sense f(1/x) = -f(x); it is forward.f_contrast,
+the law predict_probe evaluates. The affine G-term is
 annihilated by the second-order divided-difference d, which factors as F
 times a rational function Q of the amplitudes and a alone. Because
 f(x) = 2 - 4/(x+1), the ratio of two such d values is a Moebius function of
@@ -22,7 +23,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .forward import InternalData
+from .forward import InternalData, f_contrast
 from .mesh import TriangleMesh
 
 # contrast ratios a the recovery accepts; a fit outside is NoRoot
@@ -34,8 +35,8 @@ DEGENERACY_RTOL = 1e-12
 class DegenerateData(Exception):
     """The divided differences vanish: no gradient-channel signal.
 
-    ``recover`` never raises it (it returns the F = 0 fit instead); callers
-    still list it among the recovery outcomes they catch.
+    ``recover`` never raises it (it returns the F = 0 fit instead); it stays
+    because perfbench/workloads.py lists it in RECOVER_ERRORS.
     """
 
 
@@ -78,13 +79,6 @@ class RecoveredPoint:
             raise ValueError("gradient energy F cannot be negative")
         if not math.isnan(self.a) and self.a <= 0:
             raise ValueError("contrast ratio a must be positive (or nan when F = 0)")
-
-
-def f_contrast(x: float) -> float:
-    """Disk polarization factor 2(x-1)/(x+1) of the gradient channel."""
-    if x == -1.0:
-        raise ValueError("contrast factor has a pole at -1")
-    return 2.0 * (x - 1.0) / (x + 1.0)
 
 
 def d_triple(pairs: Sequence[Tuple[float, float]]) -> float:

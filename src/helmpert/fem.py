@@ -13,24 +13,27 @@ pattern TriangleMesh.csr_pattern), and every assembly is one product with
 it (the unit mass M(1) is kept as TriangleMesh.unit_mass). A boundary-value
 problem takes one path: assemble applies the boundary condition and returns
 (matrix, rhs), Dirichlet data by row elimination with the symmetric column
-correction, Neumann data as consistent edge loads. There is one Dirichlet
-elimination, eliminate_dirichlet_data: a gather, cached per mesh and block
-count, from the data of a stack of nodal blocks on the mesh pattern to the
-eliminated CSR data (explicit zeros are kept, so the eliminated pattern is
-fixed) for homogeneous data. eliminate_dirichlet makes the column
-correction of a boundary condition's values and hands it one operator's
-data; the reconstruction's q-corrector hands it the data of its four
-blocks from one product with the assembly map. Gradients are two products
-with per-mesh maps (TriangleMesh.gradient_map, TriangleMesh.average_map),
-and the masked integral norms dot products with cached lumped weights. Every operator is
-real, and every linear solve goes through one factor object, Factor: a
-float64 sparse LU with a symmetric minimum-degree ordering, built once and
-reused for blocks of right-hand sides (a complex one as its real and
-imaginary columns), each column checked against a relative residual of
-1e-10 (residual_gate). The ordering is analysed once per sparsity pattern
-(LUOrder): later matrices of the pattern are factored symmetrically
-permuted, to the same factors bit for bit, and every LU uses supernode
-constants measured on these operators (LU_RELAX, LU_PANEL_SIZE).
+correction, Neumann data as consistent edge loads. Integrals along the
+boundary loop have one quadrature, the trapezoid weights of
+boundary_weights, which the probe datum and its adjoint use. There is one
+Dirichlet elimination, eliminate_dirichlet_data: a gather, cached per mesh
+and block count, from the data of a stack of nodal blocks on the mesh
+pattern to the eliminated CSR data (explicit zeros are kept, so the
+eliminated pattern is fixed) for homogeneous data. eliminate_dirichlet
+makes the column correction of a boundary condition's values and hands it
+one operator's data; the reconstruction's q-corrector hands it the data of
+its four blocks from one product with the assembly map. Gradients are two
+products with per-mesh maps (TriangleMesh.gradient_map,
+TriangleMesh.average_map), and the masked integral norms dot products with
+cached lumped weights. Every operator is real, and every linear solve goes
+through one factor object, Factor: a float64 sparse LU with a symmetric
+minimum-degree ordering, built once and reused for blocks of right-hand
+sides (a complex one as its real and imaginary columns), each column
+checked against a relative residual of 1e-10 (residual_gate). The ordering
+is analysed once per sparsity pattern (LUOrder): later matrices of the
+pattern are factored symmetrically permuted, to the same factors bit for
+bit, and every LU uses supernode constants measured on these operators
+(LU_RELAX, LU_PANEL_SIZE).
 factor_solve is the one-shot form; solve_bvp is factor_solve(*assemble(...)).
 Factor.refined_solve solves a system near the
 factored one (or a stack of nodal blocks near copies of it) by defect
@@ -44,7 +47,7 @@ import hashlib
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -243,6 +246,16 @@ def assemble(
     return matrix, rhs
 
 
+def _canonical_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """matrix as canonical CSR (sorted, no duplicates), canonicalized on a
+    copy where it is not, so the caller's matrix never changes."""
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    return csr
+
+
 def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray,
                         values: Optional[np.ndarray] = None
                         ) -> Tuple[sp.csr_matrix, np.ndarray]:
@@ -258,8 +271,7 @@ def eliminate_dirichlet(mesh: TriangleMesh, matrix: sp.spmatrix, rhs: np.ndarray
     n = mesh.n_nodes
     if matrix.shape != (n, n):
         raise ValueError("matrix must be a nodal operator of the mesh")
-    csr = matrix.tocsr()
-    csr.sum_duplicates()
+    csr = _canonical_csr(matrix)
     indptr, indices, _ = mesh.csr_pattern
     if not (np.array_equal(csr.indptr, indptr)
             and np.array_equal(csr.indices, indices)):
@@ -309,8 +321,9 @@ def _boundary_segments(mesh: TriangleMesh) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def boundary_weights(mesh: TriangleMesh) -> np.ndarray:
-    """Trapezoid weight of each boundary node (half its two segments), the
-    quadrature of boundary_integral: sum(w * f * conj(g)) over the loop."""
+    """Trapezoid weight of each boundary node (half its two segments): the
+    one boundary quadrature, the integral of f conj(g) along the loop being
+    sum(w * f[boundary_nodes] * conj(g))."""
     _, lengths = _boundary_segments(mesh)
     return 0.5 * (lengths + np.roll(lengths, 1))
 
@@ -399,10 +412,7 @@ class Factor:
         self.matrix = matrix.astype(np.float64, copy=False)
         # refined solves that missed the gate and factored their own matrix
         self.fallbacks = 0
-        csr = self.matrix.tocsr()
-        if not csr.has_canonical_format:
-            csr = csr.copy()
-            csr.sum_duplicates()
+        csr = _canonical_csr(self.matrix)
         key = _pattern_key(csr)
         self._order = _lu_orders.get(key)
         if self._order is None:
@@ -567,21 +577,3 @@ def gradient(u: ComplexField) -> GradientField:
     node = (mesh.average_map @ tri.view(np.float64)).view(np.complex128)
     return GradientField(mesh=mesh, tri_values=tri, node_values=node)
 
-
-def boundary_integral(f: Union[ComplexField, np.ndarray], g: Union[ComplexField, np.ndarray]) -> complex:
-    """Trapezoidal integral of f * conj(g) along the boundary loop."""
-    if isinstance(f, ComplexField):
-        mesh = f.mesh
-        fv = f.values
-    else:
-        raise TypeError("f must be a ComplexField (need its mesh)")
-    if isinstance(g, ComplexField):
-        if g.mesh is not mesh:
-            raise ValueError("fields must share a mesh")
-        gv = g.values
-    else:
-        gv = np.asarray(g, dtype=np.complex128)
-        if gv.shape != fv.shape:
-            raise ValueError("g must match f in shape")
-    b = mesh.boundary_nodes
-    return complex(np.sum(boundary_weights(mesh) * fv[b] * np.conj(gv[b])))

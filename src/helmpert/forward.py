@@ -24,6 +24,9 @@ and each amplitude costs one |S| x |S| dense solve. probe_sweep is the two
 steps in one call.
 measure_probe is the reference path: two full factorizations per probe,
 with the datum solved for in difference form.
+predict_probe and the recovery that inverts it (disentangle) share one
+contrast law, f_contrast; sample_field takes a point's gradient from the
+rows of the mesh's gradient map that fem.gradient uses.
 """
 
 import math
@@ -101,11 +104,12 @@ class InternalData:
 
 @dataclass
 class ProbeMeasurement:
-    """Rescaled boundary-energy datum of one probe."""
+    """Boundary-energy datum of one probe: raw is the boundary integral of
+    the field change against the conjugated data, D = raw.real / area."""
 
     probe: PerturbationProbe
     D: float
-    boundary_integral_raw: complex
+    raw: complex
 
 
 def boundary_phase(mesh: TriangleMesh, convention: str = "xy") -> np.ndarray:
@@ -240,18 +244,25 @@ def measure_probe(
     perturbed = fem.assemble_operator_elementwise(mesh, stiff_e, mass_e)
     d, _ = fem.factor_solve(perturbed, (perturbed - matrix) @ u)
 
-    phi = np.zeros(mesh.n_nodes, dtype=np.complex128)
-    phi[mesh.boundary_nodes] = bc.data
-    raw = fem.boundary_integral(ComplexField(mesh, d), phi)
-    return ProbeMeasurement(probe=probe, D=raw.real / probe.area,
-                            boundary_integral_raw=raw)
+    w = fem.boundary_weights(mesh)
+    raw = complex(np.sum(w * d[mesh.boundary_nodes] * np.conj(bc.data)))
+    return ProbeMeasurement(probe=probe, D=raw.real / probe.area, raw=raw)
+
+
+def f_contrast(x: float) -> float:
+    """Disk polarization factor 2(x-1)/(x+1) of the gradient channel (Ammari
+    & Kang, Polarization and Moment Tensors, 2007), x the conductivity
+    contrast ratio."""
+    if x == -1.0:
+        raise ValueError("contrast factor has a pole at -1")
+    return 2.0 * (x - 1.0) / (x + 1.0)
 
 
 def predict_probe(gamma_at_z: float, q_at_z: float, grad_u_at_z, u_at_z: complex,
                   k: float, probe: PerturbationProbe) -> float:
     """Closed-form small-probe limit of the rescaled datum.
 
-    The gradient channel carries the disk polarization factor 2(a-1)/(a+1)
+    The gradient channel carries the disk polarization factor f_contrast(a)
     with a the conductivity amplitude ratio, so it changes sign with a - 1;
     the value channel is linear in the permittivity amplitude ratio.
     """
@@ -264,33 +275,30 @@ def predict_probe(gamma_at_z: float, q_at_z: float, grad_u_at_z, u_at_z: complex
     val_sq = float(abs(complex(u_at_z)) ** 2)
     a = probe.amplitude * probe.gamma_tilde / gamma_at_z
     b = probe.amplitude * probe.q_tilde / q_at_z
-    return (gamma_at_z * grad_sq * 2.0 * (a - 1.0) / (a + 1.0)
+    return (gamma_at_z * grad_sq * f_contrast(a)
             - k ** 2 * q_at_z * val_sq * (b - 1.0))
 
 
 def sample_field(u: ComplexField, p) -> Tuple[complex, np.ndarray]:
-    """Value and gradient of the P1 field at an interior point."""
+    """Value and gradient of the P1 field at an interior point: the
+    barycentric interpolant of the containing element, and that element's
+    rows of the mesh's gradient map, so the gradient is bit for bit
+    fem.gradient(u).tri_values of the element."""
     mesh = u.mesh
-    x, y = float(p[0]), float(p[1])
-    t = _containing_triangle(mesh, x, y)
+    t, (l0, l1, l2) = _containing_triangle(mesh, float(p[0]), float(p[1]))
     i, jn, kn = mesh.triangles[t]
-    (x0, y0), (x1, y1), (x2, y2) = mesh.nodes[[i, jn, kn]]
-    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
-    l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
-    l0 = 1.0 - l1 - l2
     value = l0 * u.values[i] + l1 * u.values[jn] + l2 * u.values[kn]
-    area, b, c = mesh.geometry
-    one = slice(t, t + 1)
-    grad = kernels.triangle_gradients(u.values, mesh.triangles[one], b[one],
-                                      c[one], area[one])[0]
-    return complex(value), grad
+    pairs = np.ascontiguousarray(u.values).view(np.float64).reshape(-1, 2)
+    grad = (mesh.gradient_map[2 * t:2 * t + 2] @ pairs).view(np.complex128)
+    return complex(value), grad.ravel()
 
 
-def _containing_triangle(mesh: TriangleMesh, x: float, y: float) -> int:
+def _containing_triangle(mesh: TriangleMesh, x: float, y: float
+                         ) -> Tuple[int, Tuple[float, float, float]]:
     """First element, in index order, whose barycentric coordinates of the
-    point pass -LOCATE_SLACK; only elements whose bounding box, widened by
-    LOCATE_BOX_PAD times the mesh radius, holds the point are tested."""
+    point pass -LOCATE_SLACK, and those coordinates; only elements whose
+    bounding box, widened by LOCATE_BOX_PAD times the mesh radius, holds the
+    point are tested."""
     lo, hi = mesh.element_boxes
     pad = LOCATE_BOX_PAD * mesh.radius
     near = np.nonzero((lo[:, 0] - pad <= x) & (x <= hi[:, 0] + pad)
@@ -306,10 +314,11 @@ def _containing_triangle(mesh: TriangleMesh, x: float, y: float) -> int:
     l2 = (e1[:, 0] * ry - rx * e1[:, 1]) / det
     ok = ((l1 >= -LOCATE_SLACK) & (l2 >= -LOCATE_SLACK)
           & (l1 + l2 <= 1.0 + LOCATE_SLACK))
-    hits = near[ok]
+    hits = np.flatnonzero(ok)
     if len(hits) == 0:
         raise ValueError(f"point ({x}, {y}) is outside the mesh")
-    return int(hits[0])
+    h = hits[0]
+    return int(near[h]), (1.0 - l1[h] - l2[h], l1[h], l2[h])
 
 
 def probe_sweep(
@@ -403,7 +412,7 @@ def measure_on_medium(medium: FactoredMedium,
             x = _update_solve(np.eye(len(support)) + green @ d_a, u[support])
             raw = complex(v[support] @ (d_a @ x))
             out[i] = ProbeMeasurement(probe=probe, D=raw.real / probe.area,
-                                      boundary_integral_raw=raw)
+                                      raw=raw)
     return out
 
 

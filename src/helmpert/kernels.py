@@ -2,11 +2,11 @@
 
 Four functions cover the per-element loops: geometry, the local
 stiffness/mass blocks (each mesh's assembly map is built from the unit
-blocks, and the probe sweep's per-disk changes from scaled ones), exact
-element gradients (the point gradient of forward.sample_field) and their
-area-weighted nodal average (the reference for the mesh's gradient maps,
-through which fem.gradient goes). Scatter accumulation uses bincount, which
-keeps them usable on meshes with a few hundred thousand elements.
+blocks, and the probe sweep's per-disk changes from scaled ones), and two
+that only the tests call, as references for the mesh's gradient maps: exact
+element gradients and their area-weighted nodal average. Scatter
+accumulation uses bincount, which keeps them usable on meshes with a few
+hundred thousand elements.
 """
 
 import numpy as np

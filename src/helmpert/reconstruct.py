@@ -47,7 +47,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from . import fem
 from .fem import (BoundaryCondition, CoefficientField, ComplexField,
                   GradientField, NonConvergence, SingularSystem)
 from .forward import boundary_phase
-from .mesh import TriangleMesh
+from .mesh import PhantomSpec, TriangleMesh
 
 GAMMA_VALUE_FLOOR = 1e-6  # absolute clamp applied to updated coefficients
 STALL_WINDOW = 10  # iterations without a new corrector-magnitude minimum
@@ -89,7 +89,7 @@ class ReconstructionConfig:
     floor_u: float = 1e-12
     boundary_data: Optional[BoundaryCondition] = None
     phase_convention: str = "xy"
-    known_annulus_radius: float = 6.0
+    known_annulus_radius: float = PhantomSpec.annulus_radius
     gamma_guess: float = 3.5
     q_guess: float = 11.5
     damping: float = 1.0
@@ -170,7 +170,7 @@ def compute_gamma_error(
     J: np.ndarray,
     grad0: GradientField,
     gamma0: CoefficientField,
-    floor_grad: float = 1e-60,
+    floor_grad: float = ReconstructionConfig.floor_grad,
     region_mask: Optional[np.ndarray] = None,
 ) -> Tuple[CoefficientField, float]:
     """E0 = J / |grad u0|^2 - gamma0 and its sup norm; grad0 is grad u0."""
@@ -182,7 +182,7 @@ def compute_q_error(
     j: np.ndarray,
     u0: ComplexField,
     q0: CoefficientField,
-    floor_u: float = 1e-12,
+    floor_u: float = ReconstructionConfig.floor_u,
     region_mask: Optional[np.ndarray] = None,
 ) -> Tuple[CoefficientField, float]:
     """eps0 = j / |u0|^2 - q0 and its sup norm."""
@@ -488,14 +488,20 @@ def _record_truth_errors(rec: IterationRecord, gamma0: CoefficientField,
 TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)] + ["status"]
 
 
-def save_trace_csv(path, trace: ReconstructionTrace) -> None:
-    """One row per iteration; the status column is filled on the last row."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The CSV writer of every table: floats (numpy's too) as repr(float(v)),
+    which parses back to the same double, other values as they are."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        last = len(trace.records) - 1
-        for i, rec in enumerate(trace.records):
-            row = [getattr(rec, col) for col in TRACE_COLUMNS[:-1]]
-            row = [repr(float(v)) if isinstance(v, float) else v for v in row]
-            row.append(trace.status if i == last else "")
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def save_trace_csv(path, trace: ReconstructionTrace) -> None:
+    """One row per iteration; the status column is filled on the last row."""
+    last = len(trace.records) - 1
+    write_csv(path, TRACE_COLUMNS,
+              [[getattr(rec, col) for col in TRACE_COLUMNS[:-1]]
+               + [trace.status if i == last else ""]
+               for i, rec in enumerate(trace.records)])

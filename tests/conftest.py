@@ -70,6 +70,12 @@ def eliminate_by_products(mesh, matrix, rhs, values=None):
     return (d_int @ matrix @ d_int + sp.diags(1.0 - interior)).tocsr(), rhs
 
 
+def boundary_quadrature(mesh, f, g):
+    """The integral of f conj(g) along the boundary loop by
+    fem.boundary_weights, f nodal and g per boundary node."""
+    return np.sum(fem.boundary_weights(mesh) * f[mesh.boundary_nodes] * np.conj(g))
+
+
 def max_element_diameter(mesh):
     """Longest element edge of the mesh."""
     p = mesh.nodes[mesh.triangles]

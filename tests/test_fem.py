@@ -1,4 +1,4 @@
-"""Assembly, boundary conditions, solves, gradients, boundary integrals."""
+"""Assembly, boundary conditions, solves, gradients, boundary quadrature."""
 
 import gc
 import math
@@ -15,7 +15,8 @@ import scipy.sparse.linalg as spla
 from helmpert import fem, kernels
 from helmpert import mesh as hm
 
-from conftest import constant_field, eliminate_by_products, interior_mask
+from conftest import (boundary_quadrature, constant_field, eliminate_by_products,
+                      interior_mask)
 
 # First two zeros of the zeroth-order Bessel function; resonances of the unit
 # disk with constant data sit at these wavenumbers.
@@ -804,6 +805,26 @@ def test_eliminate_dirichlet_rejects_a_matrix_off_the_mesh_pattern(disk50, truth
             fem.eliminate_dirichlet_data(disk50, data, np.zeros(n))
 
 
+def test_eliminate_dirichlet_leaves_a_non_canonical_matrix_unchanged(disk50, truth50):
+    gamma, q = truth50
+    a = fem.assemble_operator(disk50, gamma.values, -q.values)
+    # every entry stored twice, as two halves: CSR with duplicates
+    doubled = sp.csr_matrix((np.repeat(0.5 * a.data, 2), np.repeat(a.indices, 2),
+                             2 * a.indptr), shape=a.shape)
+    assert not doubled.has_canonical_format
+    before = [arr.copy() for arr in (doubled.data, doubled.indices, doubled.indptr)]
+    rhs = np.ones(disk50.n_nodes)
+    got, got_rhs = fem.eliminate_dirichlet(disk50, doubled, rhs)
+    fem.Factor(doubled)
+    assert doubled.nnz == 2 * a.nnz
+    for have, want in zip((doubled.data, doubled.indices, doubled.indptr), before):
+        np.testing.assert_array_equal(have, want)
+    want, want_rhs = fem.eliminate_dirichlet(disk50, a, rhs)
+    for have, ref in ((got.indptr, want.indptr), (got.indices, want.indices),
+                      (got.data, want.data), (got_rhs, want_rhs)):
+        np.testing.assert_array_equal(have, ref)
+
+
 def test_eliminate_dirichlet_two_blocks(disk50, truth50):
     gamma, q = truth50
     a = fem.assemble_operator(disk50, gamma.values, -q.values)
@@ -902,51 +923,34 @@ def test_gradient_recovery_improves_with_refinement(disk50, disk100):
 
 
 # ---------------------------------------------------------------------------
-# boundary integrals
+# boundary quadrature
 
 
-def test_boundary_integral_of_ones_is_circumference(disk50):
-    ones = fem.ComplexField(mesh=disk50, values=np.ones(disk50.n_nodes))
-    got = fem.boundary_integral(ones, ones)
-    assert isinstance(got, complex)
+def test_boundary_weights_integrate_ones_to_the_circumference(disk50):
+    ones = np.ones(len(disk50.boundary_nodes))
+    got = boundary_quadrature(disk50, np.ones(disk50.n_nodes), ones)
     assert abs(got - 16.0 * math.pi) < 0.01 * 16.0 * math.pi
     # the triangle's loop has unequal segments (1, sqrt 2, 1); the trapezoid
     # rule is exact for the perimeter and for x + iy along each edge
     mesh = unit_right_triangle()
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     ones = np.ones(mesh.n_nodes)
-    assert fem.boundary_integral(fem.ComplexField(mesh, ones), ones) == pytest.approx(
+    assert boundary_quadrature(mesh, ones, ones) == pytest.approx(
         2.0 + math.sqrt(2.0), rel=1e-15)
-    linear = fem.boundary_integral(fem.ComplexField(mesh, x + 1j * y), ones)
+    linear = boundary_quadrature(mesh, x + 1j * y, ones)
     half = 0.5 + 0.5 * math.sqrt(2.0)
     assert linear == pytest.approx(half + 1j * half, rel=1e-15)
 
 
-def test_boundary_integral_trivial_and_phase_cases(disk50):
-    zero = fem.ComplexField(mesh=disk50, values=np.zeros(disk50.n_nodes))
-    ones = fem.ComplexField(mesh=disk50, values=np.ones(disk50.n_nodes))
-    assert fem.boundary_integral(zero, ones) == 0.0
+def test_boundary_weights_trivial_and_phase_cases(disk50):
+    ones = np.ones(len(disk50.boundary_nodes))
+    assert boundary_quadrature(disk50, np.zeros(disk50.n_nodes), ones) == 0.0
     theta = np.arctan2(disk50.nodes[:, 1], disk50.nodes[:, 0])
-    phase = fem.ComplexField(mesh=disk50, values=np.exp(1j * theta))
-    paired = fem.boundary_integral(phase, phase)
+    phase = np.exp(1j * theta)
+    paired = boundary_quadrature(disk50, phase, phase[disk50.boundary_nodes])
     assert abs(paired - 16.0 * math.pi) < 0.01 * 16.0 * math.pi
     # A whole number of turns sums to zero against constant weight.
-    assert abs(fem.boundary_integral(phase, ones)) < 1e-10 * 16.0 * math.pi
-
-
-def test_boundary_integral_accepts_raw_arrays(disk50):
-    ones = fem.ComplexField(mesh=disk50, values=np.ones(disk50.n_nodes))
-    via_field = fem.boundary_integral(ones, ones)
-    via_array = fem.boundary_integral(ones, np.ones(disk50.n_nodes))
-    assert via_field == via_array
-    with pytest.raises(TypeError):
-        fem.boundary_integral(np.ones(disk50.n_nodes), ones)
-    with pytest.raises(ValueError):
-        fem.boundary_integral(ones, np.ones(3))
-    other = hm.build_disk_mesh(8.0, 50)
-    with pytest.raises(ValueError):
-        fem.boundary_integral(ones, fem.ComplexField(mesh=other,
-                                                     values=np.ones(other.n_nodes)))
+    assert abs(boundary_quadrature(disk50, phase, ones)) < 1e-10 * 16.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

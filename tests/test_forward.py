@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helmpert import fem, forward
 from helmpert import mesh as hm
 
-from conftest import constant_field
+from conftest import boundary_quadrature, constant_field
 
 
 def cross2(u, v):
@@ -238,9 +238,7 @@ def test_noop_probe_measures_nothing(disk50, truth50):
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
     meas = forward.measure_probe(disk50, gamma, q, k, bc, probe)
     u0 = fem.solve_bvp(disk50, gamma, q, k, bc)
-    phi = np.zeros(disk50.n_nodes, dtype=np.complex128)
-    phi[disk50.boundary_nodes] = bc.data
-    scale = abs(fem.boundary_integral(u0, phi)) / probe.area
+    scale = abs(boundary_quadrature(disk50, u0.values, bc.data)) / probe.area
     assert abs(meas.D) <= 1e-8 * scale
 
 
@@ -336,8 +334,7 @@ def test_probe_sweep_matches_measure_probe(disk100, disk200, phantom, case):
     for got, probe in zip(swept, probes):
         want = forward.measure_probe(mesh, gamma, q, 0.35, bc, probe)
         assert abs(got.D - want.D) <= 1e-10 * abs(want.D)
-        raw = want.boundary_integral_raw
-        assert abs(got.boundary_integral_raw - raw) <= 1e-10 * abs(raw)
+        assert abs(got.raw - want.raw) <= 1e-10 * abs(want.raw)
 
 
 def test_probe_sweep_noop_probe_measures_nothing(disk50, truth50):
@@ -348,9 +345,7 @@ def test_probe_sweep_noop_probe_measures_nothing(disk50, truth50):
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
     (meas,) = forward.probe_sweep(disk50, gamma, q, k, bc, [probe])
     u0 = fem.solve_bvp(disk50, gamma, q, k, bc)
-    phi = np.zeros(disk50.n_nodes, dtype=np.complex128)
-    phi[disk50.boundary_nodes] = bc.data
-    scale = abs(fem.boundary_integral(u0, phi)) / probe.area
+    scale = abs(boundary_quadrature(disk50, u0.values, bc.data)) / probe.area
     assert abs(meas.D) <= 1e-8 * scale
 
 
@@ -400,6 +395,18 @@ def test_sample_field_linear_exact(disk50):
         forward.sample_field(u, (9.0, 0.0))
 
 
+def test_sample_field_gradient_is_the_gradient_map_row(disk100):
+    rng = np.random.default_rng(5)
+    u = fem.ComplexField(disk100, rng.standard_normal(disk100.n_nodes)
+                         + 1j * rng.standard_normal(disk100.n_nodes))
+    tri = fem.gradient(u).tri_values
+    for p in ((2.3, 1.1), (-4.0, 0.7), (0.0, 0.0), (5.2, -3.1), (-1.5, -5.5)):
+        t, _ = forward._containing_triangle(disk100, *p)
+        _, grad = forward.sample_field(u, p)
+        assert grad.shape == (2,) and grad.dtype == np.complex128
+        np.testing.assert_array_equal(grad, tri[t])
+
+
 def linear_search_locate(mesh, x, y):
     """The containing element by testing every element, first hit in index
     order: the search the bounding-box prefilter narrows."""
@@ -440,7 +447,12 @@ def test_point_location_matches_the_linear_search(disk100):
             with pytest.raises(ValueError):
                 forward._containing_triangle(mesh, x, y)
         else:
-            assert forward._containing_triangle(mesh, x, y) == want
+            got, bary = forward._containing_triangle(mesh, x, y)
+            assert got == want
+            # the coordinates locate the point in that element
+            verts = mesh.nodes[mesh.triangles[got]]
+            np.testing.assert_allclose(np.asarray(bary) @ verts, (x, y),
+                                       rtol=0.0, atol=1e-12 * mesh.radius)
     with pytest.raises(ValueError):
         forward._containing_triangle(mesh, mesh.radius * 1.01, 0.0)
 

@@ -577,3 +577,22 @@ def test_save_trace_csv_round_trip(disk50, truth50, truth_data50, tmp_path):
         assert float(row["min_u_sq"]) == rec.min_u_sq
         assert int(row["n_gamma_clamped"]) == rec.n_gamma_clamped
         assert int(row["n_factor"]) == rec.n_factor
+
+
+def test_write_csv_round_trip(tmp_path):
+    # python floats, then numpy float64 scalars
+    floats = [0.1, 1.0 / 3.0, -2.5e-300, 6.02e23, math.nan, -math.inf,
+              *np.random.default_rng(3).standard_normal(4)]
+    rows = [[i, f"cell {i}", v, ""] for i, v in enumerate(floats)]
+    path = tmp_path / "table.csv"
+    rc.write_csv(path, ["n", "name", "value", "note"], rows)
+    with open(path, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ["n", "name", "value", "note"]
+    assert len(got) == len(rows) + 1
+    for (n, name, value, note), want in zip(got[1:], rows):
+        # ints and strings are written as they are, floats parse back exactly
+        assert (n, name, note) == (str(want[0]), want[1], want[3])
+        assert value == repr(float(want[2]))
+        parsed = float(value)
+        assert parsed == want[2] or (math.isnan(parsed) and math.isnan(want[2]))
