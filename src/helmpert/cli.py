@@ -202,9 +202,14 @@ def _prepare_out(cfg: dict) -> Path:
     return out_dir
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """The one JSON artifact format: sorted keys, two-space indent, final
+    newline."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _echo_config(out_dir: Path, cfg: dict) -> str:
-    (out_dir / "config_echo.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "config_echo.json", cfg)
     return "config_echo.json"
 
 
@@ -213,8 +218,7 @@ def _write_manifest(out_dir: Path, command: str, artifacts: Sequence[str],
     doc = {"command": command, "artifacts": sorted(artifacts)}
     if summary:
         doc["summary"] = summary
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "manifest.json", doc)
 
 
 def _field_csv(path: Path, mesh_obj: TriangleMesh,
@@ -237,8 +241,7 @@ def _solver_failure(out_dir: Path, command: str, err: Exception,
                     artifacts: List[str]) -> int:
     report = {"command": command, "error": type(err).__name__,
               "message": str(err)}
-    (out_dir / "error_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "error_report.json", report)
     artifacts.append("error_report.json")
     _write_manifest(out_dir, command, artifacts, {"status": "SolverFailure"})
     print(f"solver failure ({type(err).__name__}): {err}", file=sys.stderr)

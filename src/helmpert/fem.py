@@ -26,18 +26,25 @@ its four blocks from one product with the assembly map. Gradients are two
 products with per-mesh maps (TriangleMesh.gradient_map,
 TriangleMesh.average_map), and the masked integral norms dot products with
 cached lumped weights. Every operator is real, and every linear solve goes
-through one factor object, Factor: a float64 sparse LU with a symmetric
-minimum-degree ordering, built once and reused for blocks of right-hand
-sides (a complex one as its real and imaginary columns), each column
-checked against a relative residual of 1e-10 (residual_gate). The ordering
-is analysed once per sparsity pattern (LUOrder): later matrices of the
-pattern are factored symmetrically permuted, to the same factors bit for
-bit, and every LU uses supernode constants measured on these operators
-(LU_RELAX, LU_PANEL_SIZE).
+through one factor object, Factor, built once and reused for blocks of
+right-hand sides (a complex one as its real and imaginary columns), each
+column checked against a relative residual of 1e-10 (residual_gate). The
+matrix chooses the factorization. A symmetric matrix whose nonzero entries
+couple only rows whose diagonals share a sign, on a pattern whose reverse
+Cuthill-McKee band is narrow (BAND_HALF_WIDTH: the meshes of 50 and 100
+boundary points), is scaled by those signs S and factored by banded
+Cholesky (LAPACK dpbtrf) where S A is positive definite: the eliminated
+forward operator of a pass below the first resonance or above the top of
+the discrete spectrum. Every other matrix, and one whose Cholesky fails,
+gets a float64 sparse LU with a symmetric minimum-degree ordering. Both are
+analysed once per sparsity pattern (PatternOrders: the band, BandOrder,
+and the LU's order, LUOrder): later LUs of the pattern are factored
+symmetrically permuted, to the same factors bit for bit, and every LU uses
+supernode constants measured on these operators (LU_RELAX, LU_PANEL_SIZE).
 factor_solve is the one-shot form; solve_bvp is factor_solve(*assemble(...)).
 Factor.refined_solve solves a system near the
 factored one (or a stack of nodal blocks near copies of it) by defect
-correction on the same LU, stopping once the residual is at roundoff,
+correction on the same factor, stopping once the residual is at roundoff,
 behind the same gate, and factors the system itself only when the
 refinement misses the gate: that is how each reconstruction pass solves its
 corrector on its forward factor.
@@ -47,11 +54,14 @@ import hashlib
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import TriangleMesh
 
@@ -77,9 +87,17 @@ LU_OPTIONS = dict(SymmetricMode=True)
 # more, lose instead (mesh 200 at k = 5: 473 against 334 ms).
 LU_RELAX = 1
 LU_PANEL_SIZE = 1
-# the orders Factor keeps, first in first out: a mesh has at most three
-# patterns here (Neumann, eliminated and the two-block corrector), and two
-# sweep cells may run at once
+# A sign-definite matrix is factored by banded Cholesky (LAPACK dpbtrf) in
+# its pattern's reverse Cuthill-McKee order where that order's half-bandwidth
+# is at most this. Factor per call on one CPU, against the LU on its reused
+# order: the eliminated mesh-50 operator above the spectrum (half-bandwidth
+# 19) 0.06 against 0.16 ms, mesh 100 (40) 0.32 against 0.93 ms. The cap
+# sits between mesh 50's two-block corrector system (42) and mesh 200 (79),
+# so mesh 200 and mesh 400 keep SuperLU's factors bit for bit.
+BAND_HALF_WIDTH = 64
+# the patterns Factor keeps orders of, first in first out: a mesh has at
+# most three patterns here (Neumann, eliminated and the two-block
+# corrector), and two sweep cells may run at once
 LU_ORDER_PATTERNS = 8
 
 
@@ -346,8 +364,48 @@ class LUOrder(NamedTuple):
     indices: np.ndarray
 
 
-_lu_orders: dict = {}
-_lu_orders_lock = threading.Lock()
+class BandOrder(NamedTuple):
+    """The reverse Cuthill-McKee band of one structurally symmetric
+    sparsity pattern that holds every diagonal entry. Entry p of a matrix A
+    of the pattern, in canonical CSR form, is (rows[p], indices[p]), its
+    transpose is entry transpose[p], and row i's diagonal is entry
+    diagonal[i]. Row i of the band is A's row perm[i], as in LUOrder; the
+    entries `lower`, on or below the band's diagonal, go to the flat
+    positions `scatter` of a C-ordered (n, width + 1) array, whose transpose
+    is LAPACK's lower band storage of half-bandwidth width."""
+
+    # intp: a band is at most BAND_HALF_WIDTH wide, so its pattern is small
+    # (4,773 entries on mesh 100) and its gathers skip the int32 cast
+    perm: np.ndarray
+    inverse: np.ndarray
+    rows: np.ndarray
+    transpose: np.ndarray
+    diagonal: np.ndarray
+    lower: np.ndarray
+    scatter: np.ndarray
+    width: int
+
+
+class PatternOrders(NamedTuple):
+    """What Factor keeps of one sparsity pattern: its band (None where the
+    pattern has none within BAND_HALF_WIDTH) and its LU order (None before
+    the pattern's first LU)."""
+
+    band: Optional[BandOrder]
+    lu: Optional[LUOrder]
+
+
+_pattern_orders: dict = {}
+_pattern_orders_lock = threading.Lock()
+
+
+def _keep_orders(key: bytes, orders: PatternOrders) -> None:
+    """Record a pattern's orders, dropping the oldest pattern beyond
+    LU_ORDER_PATTERNS."""
+    with _pattern_orders_lock:
+        _pattern_orders[key] = orders
+        if len(_pattern_orders) > LU_ORDER_PATTERNS:
+            del _pattern_orders[next(iter(_pattern_orders))]
 
 
 def _pattern_key(csr: sp.csr_matrix) -> bytes:
@@ -359,6 +417,12 @@ def _pattern_key(csr: sp.csr_matrix) -> bytes:
     return digest.digest()
 
 
+def _entry_positions(csr: sp.csr_matrix) -> sp.csc_matrix:
+    """csr's pattern in CSC form, each entry holding its CSR position."""
+    return sp.csr_matrix((np.arange(csr.nnz, dtype=np.int32), csr.indices,
+                          csr.indptr), shape=csr.shape).tocsc()
+
+
 def _lu_order(csr: sp.csr_matrix, perm_c: np.ndarray) -> LUOrder:
     """The LUOrder of csr's pattern from the column order perm_c that
     SuperLU chose for it, postorder included: SuperLU factors A's column c
@@ -367,8 +431,7 @@ def _lu_order(csr: sp.csr_matrix, perm_c: np.ndarray) -> LUOrder:
     CSC transposition of the entry positions."""
     n, nnz = csr.shape[0], csr.nnz
     perm = np.argsort(perm_c).astype(np.int32)
-    csc = sp.csr_matrix((np.arange(nnz, dtype=np.int32), csr.indices,
-                         csr.indptr), shape=csr.shape).tocsc()
+    csc = _entry_positions(csr)
     lengths = np.diff(csc.indptr)[perm]
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(lengths, out=indptr[1:])
@@ -382,6 +445,113 @@ def _lu_order(csr: sp.csr_matrix, perm_c: np.ndarray) -> LUOrder:
     return order
 
 
+def _band_order(csr: sp.csr_matrix) -> Optional[BandOrder]:
+    """The BandOrder of csr's pattern, or None where the pattern is not
+    symmetric, misses a diagonal entry or has a reverse Cuthill-McKee
+    half-bandwidth above BAND_HALF_WIDTH. In a symmetric pattern the CSC
+    form of the entry positions has csr's own index arrays and holds, at
+    each entry, the position of its transpose."""
+    n = csr.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    diagonal = np.flatnonzero(rows == csr.indices)
+    positions = _entry_positions(csr)
+    if len(diagonal) != n or not (
+            np.array_equal(positions.indptr, csr.indptr)
+            and np.array_equal(positions.indices, csr.indices)):
+        return None
+    perm = reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)
+    inverse = np.argsort(perm)
+    below = inverse[rows] - inverse[csr.indices]
+    width = int(below.max(initial=0))
+    if width > BAND_HALF_WIDTH:
+        return None
+    lower = np.flatnonzero(below >= 0)
+    scatter = inverse[csr.indices[lower]] * (width + 1) + below[lower]
+    order = BandOrder(perm=perm, inverse=inverse, rows=rows,
+                      transpose=positions.data.astype(np.intp),
+                      diagonal=diagonal, lower=lower, scatter=scatter,
+                      width=width)
+    for arr in order[:-1]:
+        arr.flags.writeable = False
+    return order
+
+
+class BandCholesky(NamedTuple):
+    """The Cholesky factor L L^T of S A in the band of `order`, S the signs
+    of A's diagonal (held in band order), kept as the upper band storage of
+    L^T (factor)."""
+
+    order: BandOrder
+    signs: np.ndarray
+    factor: np.ndarray
+
+    def solve(self, cols: np.ndarray) -> np.ndarray:
+        """The solution of A y = cols: S A y = S cols, in the band's order."""
+        n = cols.shape[0]
+        # permuted as (m, n) rows, so that its transpose is the Fortran
+        # order dpbtrs solves in place
+        side = np.take(cols.reshape(n, -1).T, self.order.perm, axis=1)
+        side *= self.signs
+        y, _ = lapack.dpbtrs(self.factor, side.T, overwrite_b=1)
+        return np.take(y, self.order.inverse, axis=0).reshape(cols.shape)
+
+
+def _band_cholesky(csr: sp.csr_matrix, order: BandOrder
+                   ) -> Optional[BandCholesky]:
+    """The BandCholesky of csr, or None where csr is not symmetric, a
+    nonzero entry couples rows whose diagonals differ in sign, or S A is
+    not positive definite (dpbtrf fails). Given a symmetric matrix, S A is
+    symmetric exactly when its nonzero entries couple rows of one sign."""
+    data = csr.data
+    signs = np.where(data[order.diagonal] < 0, -1.0, 1.0)
+    scaled = data * signs[order.rows]
+    if not (np.array_equal(data, data[order.transpose])
+            and np.array_equal(scaled, scaled[order.transpose])):
+        return None
+    band = np.zeros((len(signs), order.width + 1))
+    np.put(band, order.scatter, scaled[order.lower])
+    lower, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
+    if info:
+        return None
+    return BandCholesky(order, signs[order.perm], _upper_band(lower))
+
+
+def _upper_band(lower: np.ndarray) -> np.ndarray:
+    """The upper band storage of L^T from dpbtrf's lower band storage of L.
+
+    OpenBLAS is slow on the other two routes, measured on mesh 100 (half
+    bandwidth 40): dpbtrf in upper storage takes 2.2 ms against 0.27 ms in
+    lower storage on two BLAS threads (equal on one), and dpbtrs in lower
+    storage 109 against 51 us for two columns, its transposed band solve
+    being the slow step. Entry d below the diagonal of L's column j, row d
+    of column j in the lower storage, is row width - d of column j + d in
+    the upper one: flat position d width + j (width + 1) + width of a
+    column-major buffer, one strided copy. The buffer's width leading
+    entries are the storage's unused corner, and the padding after its n
+    columns takes the overhang of the last columns."""
+    width, n = lower.shape[0] - 1, lower.shape[1]
+    flat = np.zeros((width + 1) * (n + width))
+    skewed = as_strided(flat[width:], shape=lower.shape,
+                        strides=(width * flat.itemsize,
+                                 (width + 1) * flat.itemsize))
+    skewed[...] = lower
+    return flat[:(width + 1) * n].reshape((width + 1, n), order="F")
+
+
+class LUSolver(NamedTuple):
+    """A SuperLU factor of A, or of P A P^T where order is A's LUOrder."""
+
+    lu: spla.SuperLU
+    order: Optional[LUOrder]
+
+    def solve(self, cols: np.ndarray) -> np.ndarray:
+        """The solution of A y = cols, in A's row order."""
+        if self.order is None:
+            return self.lu.solve(cols)
+        y = self.lu.solve(np.take(cols, self.order.perm, axis=0))
+        return np.take(y, self.order.inverse, axis=0)
+
+
 def _splu(matrix: sp.csc_matrix, ordering: str):
     try:
         return spla.splu(matrix, permc_spec=ordering, relax=LU_RELAX,
@@ -390,20 +560,55 @@ def _splu(matrix: sp.csc_matrix, ordering: str):
         raise SingularSystem(str(exc)) from exc
 
 
-class Factor:
-    """Float64 sparse LU of a real matrix, gated solves over rhs blocks.
+def _factorize(csr: sp.csr_matrix) -> Union[BandCholesky, LUSolver]:
+    """The one factorization of a canonical CSR matrix: its BandCholesky
+    where it has one, else its LUSolver. A new pattern's BandOrder is
+    analysed and kept first, its LUOrder at its first LU."""
+    key = _pattern_key(csr)
+    orders = _pattern_orders.get(key)
+    if orders is None:
+        orders = PatternOrders(band=_band_order(csr), lu=None)
+        _keep_orders(key, orders)
+    if orders.band is not None:
+        band = _band_cholesky(csr, orders.band)
+        if band is not None:
+            return band
+    if orders.lu is None:
+        lu = _splu(csr.tocsc(), LU_ORDERING)
+        _keep_orders(key, orders._replace(lu=_lu_order(csr, lu.perm_c)))
+        return LUSolver(lu, None)
+    order = orders.lu
+    permuted = sp.csc_matrix((csr.data[order.gather], order.indices,
+                              order.indptr), shape=csr.shape)
+    # rows stay in A's order within each column, so SuperLU runs the
+    # arithmetic of LU_ORDERING on A and the factors are bit for bit the
+    # same; splu would sort them, and SuperLU needs no sorted rows, so the
+    # matrix (free of duplicates) is marked canonical
+    permuted.has_canonical_format = True
+    return LUSolver(_splu(permuted, "NATURAL"), order)
 
-    The first Factor of a sparsity pattern factors with LU_ORDERING and
-    keeps SuperLU's column order as the pattern's LUOrder; later ones
-    factor the symmetrically permuted matrix P A P^T with the NATURAL
-    ordering, which skips the minimum-degree analysis and gives the same
-    factors bit for bit (LU_ORDER_PATTERNS orders are kept). Both use
-    LU_OPTIONS, LU_RELAX and LU_PANEL_SIZE. solve takes a right-hand side
-    of shape (n,) or (n, m), real or complex, and solves a complex block as
-    the real columns [Re, Im] of one triangular solve; matrix is the
-    caller's, and the gate measures the residual against it. refined_solve
-    solves a nearby system on the same LU. Raises TypeError on a complex
-    matrix and SingularSystem on breakdown.
+
+class Factor:
+    """Float64 factorization of a real matrix, gated solves over rhs blocks.
+
+    A matrix whose pattern has a BandOrder, that is symmetric and whose
+    nonzero entries couple only rows whose diagonals share a sign, is
+    factored as S A, S those signs, by banded Cholesky (BandCholesky) where
+    S A is positive definite: on the meshes here, the eliminated forward
+    operators of the passes below the first resonance or above the top of
+    the discrete spectrum. Every other matrix, and one whose Cholesky
+    fails, gets a sparse LU (LUSolver): the first of a sparsity pattern
+    factors with LU_ORDERING and keeps SuperLU's column order as the
+    pattern's LUOrder; later ones factor the symmetrically permuted matrix
+    P A P^T with the NATURAL ordering, which skips the minimum-degree
+    analysis and gives the same factors bit for bit. Both use LU_OPTIONS,
+    LU_RELAX and LU_PANEL_SIZE. The band and the LU order are kept per
+    pattern (PatternOrders, LU_ORDER_PATTERNS patterns). solve takes a
+    right-hand side of shape (n,) or (n, m), real or complex, and solves a
+    complex block as the real columns [Re, Im] of one triangular solve;
+    matrix is the caller's, and the gate measures the residual against it.
+    refined_solve solves a nearby system on the same factor. Raises
+    TypeError on a complex matrix and SingularSystem on breakdown.
     """
 
     def __init__(self, matrix: sp.spmatrix):
@@ -412,40 +617,13 @@ class Factor:
         self.matrix = matrix.astype(np.float64, copy=False)
         # refined solves that missed the gate and factored their own matrix
         self.fallbacks = 0
-        csr = _canonical_csr(self.matrix)
-        key = _pattern_key(csr)
-        self._order = _lu_orders.get(key)
-        if self._order is None:
-            self._lu = _splu(csr.tocsc(), LU_ORDERING)
-            order = _lu_order(csr, self._lu.perm_c)
-            with _lu_orders_lock:
-                _lu_orders[key] = order
-                if len(_lu_orders) > LU_ORDER_PATTERNS:
-                    del _lu_orders[next(iter(_lu_orders))]
-        else:
-            order = self._order
-            permuted = sp.csc_matrix(
-                (csr.data[order.gather], order.indices, order.indptr),
-                shape=csr.shape)
-            # rows stay in A's order within each column, so SuperLU runs the
-            # arithmetic of LU_ORDERING on A and the factors are bit for bit
-            # the same; splu would sort them, and SuperLU needs no sorted
-            # rows, so the matrix (free of duplicates) is marked canonical
-            permuted.has_canonical_format = True
-            self._lu = _splu(permuted, "NATURAL")
-
-    def _lu_solve(self, cols: np.ndarray) -> np.ndarray:
-        """The LU's solution of A y = cols, in A's row order."""
-        if self._order is None:
-            return self._lu.solve(cols)
-        y = self._lu.solve(np.take(cols, self._order.perm, axis=0))
-        return np.take(y, self._order.inverse, axis=0)
+        self._solver = _factorize(_canonical_csr(self.matrix))
 
     def solve(self, rhs: np.ndarray, gate: bool = True) -> Tuple[np.ndarray, float]:
         """Solution and its relative residual (see residual_gate)."""
         cols = _real_columns(rhs)
         try:
-            y = self._lu_solve(cols)
+            y = self._solver.solve(cols)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         if not np.all(np.isfinite(y)):
@@ -455,7 +633,7 @@ class Factor:
 
     def refined_solve(self, matrix: sp.spmatrix, rhs: np.ndarray
                       ) -> Tuple[np.ndarray, float]:
-        """Gated solve of matrix x = rhs by defect correction on this LU.
+        """Gated solve of matrix x = rhs by defect correction on this factor.
 
         matrix is an operator near the factored one F, or a stack of nodal
         blocks of F's size near blockdiag(F, ...) (the layout
@@ -477,7 +655,7 @@ class Factor:
 
         def near_solve(r):
             side = r.reshape(-1, n, r.size // r.shape[0]).transpose(1, 0, 2)
-            y = self._lu_solve(side.reshape(n, -1))
+            y = self._solver.solve(side.reshape(n, -1))
             return y.reshape(side.shape).transpose(1, 0, 2).reshape(r.shape)
 
         x, res, rel = np.zeros_like(cols), cols, math.inf

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,37 @@ settings.register_profile(
     "suite", deadline=None, max_examples=25,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+class Factorization(NamedTuple):
+    """One factorization: kind is "band" for a banded Cholesky, else the
+    SuperLU ordering of the LU (fem.LU_ORDERING, or "NATURAL" on a reused
+    order); solver is what fem._factorize returned."""
+
+    kind: str
+    shape: tuple
+    dtype: np.dtype
+    solver: object
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every factorization of either kind, recorded at fem._factorize, the
+    one call that makes them."""
+    calls = []
+    real_factorize = fem._factorize
+
+    def recording_factorize(csr):
+        solver = real_factorize(csr)
+        if isinstance(solver, fem.BandCholesky):
+            kind = "band"
+        else:
+            kind = fem.LU_ORDERING if solver.order is None else "NATURAL"
+        calls.append(Factorization(kind, csr.shape, csr.dtype, solver))
+        return solver
+
+    monkeypatch.setattr(fem, "_factorize", recording_factorize)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from helmpert import cli
 from helmpert import mesh as hm
@@ -192,22 +191,14 @@ def test_probe_compare_has_one_row_per_probe(tmp_path):
     assert recovered + failed == 1  # one (center, radius) group either way
 
 
-def test_probe_command_factors_once(tmp_path, monkeypatch):
+def test_probe_command_factors_once(tmp_path, factorizations):
     # the sampled field comes from the sweep's own factorization
-    calls = []
-    real_splu = spla.splu
-
-    def counting_splu(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return real_splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
     doc = probe_config()
     doc["mesh"] = {"n_boundary_points": 100}
     cfg = write_config(tmp_path, doc)
     assert run_cli("probe", "--config", cfg, "--out", tmp_path / "out") == 0
     n = hm.build_disk_mesh(8.0, 100).n_nodes
-    assert calls == [(n, n)]
+    assert [call.shape for call in factorizations] == [(n, n)]
 
 
 def test_probe_grid_spacing_generates_centers(tmp_path):

@@ -433,21 +433,13 @@ def test_complex_rhs_solves_as_two_real_columns(disk50, truth50):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_solve_bvp_factors_only_real_matrices(disk50, truth50, monkeypatch):
-    seen = []
-    real_splu = spla.splu
-
-    def recording_splu(matrix, *args, **kwargs):
-        seen.append(matrix.dtype)
-        return real_splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", recording_splu)
+def test_solve_bvp_factors_only_real_matrices(disk50, truth50, factorizations):
     gamma, q = truth50
     data = np.exp(1j * boundary_angles(disk50))
     for kind in ("dirichlet", "neumann"):
         u = fem.solve_bvp(disk50, gamma, q, 0.7, fem.BoundaryCondition(kind, data))
         assert np.abs(u.values.imag).max() > 0.0
-    assert seen == [np.float64, np.float64]
+    assert [call.dtype for call in factorizations] == [np.float64, np.float64]
 
 
 def test_factor_solve_rejects_complex_matrix():
@@ -579,25 +571,24 @@ def test_refined_solve_rejects_a_foreign_block_size(disk50, truth50):
 
 @pytest.fixture
 def fresh_orders(monkeypatch):
-    """An empty map of LU orders for one test, so that its first factor of
-    each pattern analyses the pattern."""
+    """An empty map of pattern orders for one test, so that its first
+    factor of each pattern analyses the pattern."""
     orders = {}
-    monkeypatch.setattr(fem, "_lu_orders", orders)
+    monkeypatch.setattr(fem, "_pattern_orders", orders)
     return orders
 
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Every spla.splu call as (permc_spec, relax, panel_size, options, lu)."""
+    """Every spla.splu call as (permc_spec, relax, panel_size, options)."""
     calls = []
     real_splu = spla.splu
 
     def recording_splu(matrix, permc_spec=None, relax=None, panel_size=None,
                        options=None, **kwargs):
-        lu = real_splu(matrix, permc_spec=permc_spec, relax=relax,
-                       panel_size=panel_size, options=options, **kwargs)
-        calls.append((permc_spec, relax, panel_size, options, lu))
-        return lu
+        calls.append((permc_spec, relax, panel_size, options))
+        return real_splu(matrix, permc_spec=permc_spec, relax=relax,
+                         panel_size=panel_size, options=options, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     return calls
@@ -611,28 +602,31 @@ def fresh_lu(matrix):
 
 
 def operators_of_one_pattern(mesh, gamma, q, kind):
-    """Two operators with one sparsity pattern and different values: the
-    forward operator at two wavenumbers, or the two-block corrector system
-    near two forward operators."""
+    """Two indefinite operators with one sparsity pattern and different
+    values, so both take the LU: the forward operator at two wavenumbers
+    inside the spectrum, or the two-block corrector system near two such
+    forward operators."""
     if kind == "two-block":
-        return [near_systems(mesh, gamma, q, k)[2] for k in (300.0, 0.35)]
+        return [near_systems(mesh, gamma, q, k)[2] for k in (1.4, 0.35)]
     bc = fem.BoundaryCondition(kind, np.exp(1j * boundary_angles(mesh)))
-    return [fem.assemble(mesh, gamma, q, k, bc)[0] for k in (math.pi * 1e3, 0.35)]
+    return [fem.assemble(mesh, gamma, q, k, bc)[0] for k in (1.4, 0.35)]
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "two-block"])
 def test_later_factors_of_a_pattern_reuse_its_order(disk50, truth50, kind,
-                                                    fresh_orders, splu_calls):
+                                                    fresh_orders, splu_calls,
+                                                    factorizations):
     gamma, q = truth50
     first, second = operators_of_one_pattern(disk50, gamma, q, kind)
     fem.Factor(first)
     lu = fem.Factor(second)
+    assert [call.kind for call in factorizations] == [fem.LU_ORDERING, "NATURAL"]
     assert [call[0] for call in splu_calls] == [fem.LU_ORDERING, "NATURAL"]
-    for _, relax, panel_size, options, _ in splu_calls:
+    for _, relax, panel_size, options in splu_calls:
         assert (relax, panel_size) == (fem.LU_RELAX, fem.LU_PANEL_SIZE)
         assert options == fem.LU_OPTIONS
     assert len(fresh_orders) == 1
-    reused, fresh = splu_calls[1][-1], fresh_lu(second)
+    reused, fresh = factorizations[1].solver.lu, fresh_lu(second)
     assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
     rhs = np.random.default_rng(31).standard_normal((second.shape[0], 2))
     x, rel = lu.solve(rhs)
@@ -646,7 +640,7 @@ def test_later_factors_of_a_pattern_reuse_its_order(disk50, truth50, kind,
 
 
 def test_lu_orders_are_keyed_by_pattern(disk50, disk100, fresh_orders,
-                                        splu_calls):
+                                        factorizations):
     def operators():
         for mesh in (disk50, disk100):
             one = constant_field(mesh, 1.0)
@@ -659,43 +653,58 @@ def test_lu_orders_are_keyed_by_pattern(disk50, disk100, fresh_orders,
         fem.Factor(matrix)
     # the Neumann and the eliminated operator of one mesh, and the two
     # meshes, each analyse their own pattern
-    assert [call[0] for call in splu_calls] == [fem.LU_ORDERING] * 4
+    assert [call.kind for call in factorizations] == [fem.LU_ORDERING] * 4
     assert len(fresh_orders) == 4
     for matrix in operators():
         fem.Factor(matrix)
-    assert [call[0] for call in splu_calls[4:]] == ["NATURAL"] * 4
-    for order in fresh_orders.values():
+    assert [call.kind for call in factorizations[4:]] == ["NATURAL"] * 4
+    for orders in fresh_orders.values():
+        order = orders.lu
         assert all(not arr.flags.writeable for arr in order)
         assert all(arr.dtype == np.int32 for arr in order)
         np.testing.assert_array_equal(order.perm[order.inverse],
                                       np.arange(len(order.perm)))
 
 
-def test_lu_orders_keep_the_latest_patterns(fresh_orders, splu_calls):
-    sizes = range(1, fem.LU_ORDER_PATTERNS + 2)
+def upper_bidiagonal(n):
+    """An n x n matrix whose pattern is not symmetric, so it takes the LU."""
+    return sp.diags([np.full(n, 2.0), np.ones(n - 1)], [0, 1], format="csr")
+
+
+def test_lu_orders_keep_the_latest_patterns(fresh_orders, factorizations):
+    sizes = range(2, fem.LU_ORDER_PATTERNS + 3)
     for n in sizes:
-        fem.Factor(sp.identity(n, format="csr"))
+        fem.Factor(upper_bidiagonal(n))
     assert len(fresh_orders) == fem.LU_ORDER_PATTERNS
-    del splu_calls[:]
+    del factorizations[:]
     # the first pattern went out first
-    fem.Factor(sp.identity(sizes[-1], format="csr"))
-    fem.Factor(sp.identity(sizes[0], format="csr"))
-    assert [call[0] for call in splu_calls] == ["NATURAL", fem.LU_ORDERING]
+    fem.Factor(upper_bidiagonal(sizes[-1]))
+    fem.Factor(upper_bidiagonal(sizes[0]))
+    assert [call.kind for call in factorizations] == ["NATURAL", fem.LU_ORDERING]
 
 
 def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
-                                                          fresh_orders):
+                                                          fresh_orders,
+                                                          factorizations):
     # more threads than CPUs, switching often: all start on one new mesh
-    # pattern, then factor more small patterns than the map keeps
+    # pattern, then factor more small patterns than the map keeps; half of
+    # the matrices are sign-definite and take the band
     gamma, q = truth50
     bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(disk50)))
     rng = np.random.default_rng(32)
+
+    def tridiagonal(n, symmetric):
+        upper = rng.uniform(-1, 1, n - 1)
+        lower = upper if symmetric else rng.uniform(-1, 1, n - 1)
+        return sp.diags([lower, rng.uniform(4, 5, n), upper], [-1, 0, 1],
+                        format="csr")
+
     groups = []
     for k in (0.35, 0.7, 1.4, 2.8):
-        small = [sp.diags([rng.uniform(-1, 1, n - 1), rng.uniform(4, 5, n),
-                           rng.uniform(-1, 1, n - 1)], [-1, 0, 1], format="csr")
+        small = [tridiagonal(n, symmetric=bool(n % 2))
                  for n in rng.permutation(np.arange(20, 22 + fem.LU_ORDER_PATTERNS))]
-        groups.append([fem.assemble(disk50, gamma, q, k, bc)[0]] + small)
+        groups.append([fem.assemble(disk50, gamma, q, k, bc)[0],
+                       fem.assemble(disk50, gamma, q, 1e3 * k, bc)[0]] + small)
     start = threading.Barrier(len(groups))
 
     def solve_all(group):
@@ -711,10 +720,19 @@ def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
             solved = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
+    kinds = {call.kind for call in factorizations}
+    assert "band" in kinds and kinds - {"band"}
     for group, xs in zip(groups, solved):
         for matrix, x in zip(group, xs):
-            np.testing.assert_array_equal(
-                x, fresh_lu(matrix).solve(np.ones(matrix.shape[0])))
+            ones = np.ones(matrix.shape[0])
+            ref = fresh_lu(matrix).solve(ones)
+            again = fem.Factor(matrix)
+            if isinstance(again._solver, fem.BandCholesky):
+                # a pattern's band is the same whichever thread analysed it
+                np.testing.assert_array_equal(x, again.solve(ones)[0])
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            else:
+                np.testing.assert_array_equal(x, ref)
     assert len(fresh_orders) == fem.LU_ORDER_PATTERNS
 
 
@@ -726,11 +744,72 @@ def test_factor_takes_unsorted_duplicate_entries(fresh_orders):
                             np.array([0, 3, 6, 8])), shape=(3, 3))
     data = matrix.data.copy()
     rhs = np.array([1.0, -2.0, 0.5])
-    for _ in range(2):  # the analysed pattern, then the reused order
+    for _ in range(2):  # the analysed pattern, then its kept band
         x, _ = fem.Factor(matrix).solve(rhs)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-14)
     np.testing.assert_array_equal(matrix.data, data)
     assert len(fresh_orders) == 1
+
+
+def phantom_operator(mesh, k):
+    """The eliminated forward operator of the phantom at k, and its rhs."""
+    phantom = hm.PhantomSpec()
+    gamma = hm.coefficient_from_phantom(mesh, phantom, "conductivity")
+    q = hm.coefficient_from_phantom(mesh, phantom, "permittivity")
+    bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(mesh)))
+    return fem.assemble(mesh, gamma, q, k, bc)
+
+
+@pytest.mark.parametrize("exponent", [-3, -2, 2, 3])
+def test_band_solutions_match_the_lu(disk50, disk100, exponent, factorizations):
+    # componentwise: at k = pi 10^2 and pi 10^3 mesh 100's field decays
+    # toward the centre to about 1.4e-8 of its maximum
+    for mesh in (disk50, disk100):
+        matrix, rhs = phantom_operator(mesh, math.pi * 10.0 ** exponent)
+        x, rel = fem.factor_solve(matrix, rhs)
+        ref = fresh_lu(matrix).solve(np.column_stack([rhs.real, rhs.imag]))
+        ref = ref[:, 0] + 1j * ref[:, 1]
+        assert rel <= fem.RESIDUAL_RTOL
+        assert np.all(np.abs(x - ref) <= 1e-11 * np.abs(ref))
+    assert [call.kind for call in factorizations] == ["band", "band"]
+
+
+def test_factor_takes_the_band_where_the_matrix_is_sign_definite(
+        disk100, disk200, fresh_orders, factorizations):
+    above, _ = phantom_operator(disk100, math.pi * 1e3)  # top of spectrum 9.73
+    below, _ = phantom_operator(disk100, math.pi * 1e-3)  # first resonance 0.183
+    inside, _ = phantom_operator(disk100, 0.35)
+    # symmetric in pattern, not in value: one interior coupling changed
+    nonsymmetric = below.copy()
+    rows = np.repeat(np.arange(disk100.n_nodes), np.diff(below.indptr))
+    coupling = np.flatnonzero((rows != below.indices) & (below.data != 0.0))[0]
+    nonsymmetric.data[coupling] *= 1.5
+    # symmetric, but its coupling joins rows whose diagonals differ in sign
+    mixed = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, -2.0]]))
+    # not symmetric, though S A is symmetric positive definite
+    skew = sp.csr_matrix(np.array([[2.0, 1.0], [-1.0, -2.0]]))
+    wide, _ = phantom_operator(disk200, math.pi * 1e3)
+    cases = [(above, True), (below, True), (inside, False),
+             (nonsymmetric, False), (mixed, False), (skew, False), (wide, False)]
+    for matrix, band in cases:
+        lu = fem.Factor(matrix)
+        rhs = np.random.default_rng(33).standard_normal(matrix.shape[0])
+        x, rel = lu.solve(rhs)
+        assert rel <= fem.RESIDUAL_RTOL
+        np.testing.assert_allclose(x, spla.spsolve(matrix.tocsc(), rhs),
+                                   rtol=1e-9, atol=1e-12 * np.abs(x).max())
+    assert [call.kind == "band" for call in factorizations] == [
+        band for _, band in cases]
+    # the boundary rows are the identity rows of the elimination: +1 beside
+    # a negative definite interior above the spectrum, all +1 below it
+    n_boundary = len(disk100.boundary_nodes)
+    signs_above, signs_below = (call.solver.signs for call in factorizations[:2])
+    assert np.count_nonzero(signs_above > 0) == n_boundary
+    assert np.count_nonzero(signs_above < 0) == disk100.n_nodes - n_boundary
+    assert np.all(signs_below > 0)
+    widths = [orders.band and orders.band.width for orders in fresh_orders.values()]
+    assert max(width for width in widths if width) <= fem.BAND_HALF_WIDTH
+    assert None in widths  # mesh 200's band is too wide
 
 
 @pytest.mark.parametrize("k", [0.0, 0.35])
