@@ -478,8 +478,8 @@ def _band_order(csr: sp.csr_matrix) -> Optional[BandOrder]:
 
 class BandCholesky(NamedTuple):
     """The Cholesky factor L L^T of S A in the band of `order`, S the signs
-    of A's diagonal (held in band order), kept as the upper band storage of
-    L^T (factor)."""
+    of A's diagonal (in band order), kept as the upper band storage of
+    L^T."""
 
     order: BandOrder
     signs: np.ndarray
@@ -517,18 +517,15 @@ def _band_cholesky(csr: sp.csr_matrix, order: BandOrder
 
 
 def _upper_band(lower: np.ndarray) -> np.ndarray:
-    """The upper band storage of L^T from dpbtrf's lower band storage of L.
+    """The upper band storage of L^T from dpbtrf's lower band storage of L,
+    by one strided copy: row d of column j goes to row width - d of column
+    j + d, flat position width + d width + j (width + 1) of a column-major
+    buffer padded for the last columns' overhang.
 
-    OpenBLAS is slow on the other two routes, measured on mesh 100 (half
-    bandwidth 40): dpbtrf in upper storage takes 2.2 ms against 0.27 ms in
-    lower storage on two BLAS threads (equal on one), and dpbtrs in lower
-    storage 109 against 51 us for two columns, its transposed band solve
-    being the slow step. Entry d below the diagonal of L's column j, row d
-    of column j in the lower storage, is row width - d of column j + d in
-    the upper one: flat position d width + j (width + 1) + width of a
-    column-major buffer, one strided copy. The buffer's width leading
-    entries are the storage's unused corner, and the padding after its n
-    columns takes the overhang of the last columns."""
+    Factoring in lower and solving in upper storage is the fast pair in
+    OpenBLAS (mesh 100, half-bandwidth 40): dpbtrf in upper storage took
+    2.2 against 0.27 ms on two BLAS threads, and dpbtrs in lower storage
+    109 against 51 us for two columns."""
     width, n = lower.shape[0] - 1, lower.shape[1]
     flat = np.zeros((width + 1) * (n + width))
     skewed = as_strided(flat[width:], shape=lower.shape,
