@@ -31,8 +31,8 @@ right-hand sides (a complex one as its real and imaginary columns), each
 column checked against a relative residual of 1e-10 (residual_gate). The
 matrix chooses the factorization. A symmetric matrix whose nonzero entries
 couple only rows whose diagonals share a sign, on a pattern whose reverse
-Cuthill-McKee band is narrow (BAND_HALF_WIDTH: the meshes of 50 and 100
-boundary points), is scaled by those signs S and factored by banded
+Cuthill-McKee band is narrow (BAND_HALF_WIDTH: the meshes of 50, 100 and
+200 boundary points), is scaled by those signs S and factored by banded
 Cholesky (LAPACK dpbtrf) where S A is positive definite: the eliminated
 forward operator of a pass below the first resonance or above the top of
 the discrete spectrum. Every other matrix, and one whose Cholesky fails,
@@ -89,12 +89,16 @@ LU_RELAX = 1
 LU_PANEL_SIZE = 1
 # A sign-definite matrix is factored by banded Cholesky (LAPACK dpbtrf) in
 # its pattern's reverse Cuthill-McKee order where that order's half-bandwidth
-# is at most this. Factor per call on one CPU, against the LU on its reused
-# order: the eliminated mesh-50 operator above the spectrum (half-bandwidth
-# 19) 0.06 against 0.16 ms, mesh 100 (40) 0.32 against 0.93 ms. The cap
-# sits between mesh 50's two-block corrector system (42) and mesh 200 (79),
-# so mesh 200 and mesh 400 keep SuperLU's factors bit for bit.
-BAND_HALF_WIDTH = 64
+# is at most this. Per factorization on one CPU, against the LU on its
+# reused order, for the eliminated operator above the spectrum: mesh 50
+# (half-bandwidth 19) 0.06 against 0.16 ms, mesh 100 (40) 0.32 against
+# 0.93 ms, mesh 200 (80, Neumann 84) 3.7-4.1 against 5.7-6.5 ms, with its
+# 2-column solves no slower (0.44-0.50 against 0.61-0.67 ms). Mesh 400 (153,
+# Neumann 157) would gain nothing: 29-35 against 28-32 ms per factorization,
+# and 3.3-3.9 against 2.3-3.0 ms per 2-column solve. So the cap takes mesh
+# 200 and the two-block corrector systems of meshes 50 (42) and 100 (86),
+# and leaves mesh 400 and mesh 200's two-block system (159) on the LU.
+BAND_HALF_WIDTH = 100
 # the patterns Factor keeps orders of, first in first out: a mesh has at
 # most three patterns here (Neumann, eliminated and the two-block
 # corrector), and two sweep cells may run at once
@@ -375,7 +379,8 @@ class BandOrder(NamedTuple):
     is LAPACK's lower band storage of half-bandwidth width."""
 
     # intp: a band is at most BAND_HALF_WIDTH wide, so its pattern is small
-    # (4,773 entries on mesh 100) and its gathers skip the int32 cast
+    # (4,773 entries on mesh 100, 20,703 on mesh 200) and its gathers skip
+    # the int32 cast
     perm: np.ndarray
     inverse: np.ndarray
     rows: np.ndarray
@@ -591,21 +596,23 @@ class Factor:
     A matrix whose pattern has a BandOrder, that is symmetric and whose
     nonzero entries couple only rows whose diagonals share a sign, is
     factored as S A, S those signs, by banded Cholesky (BandCholesky) where
-    S A is positive definite: on the meshes here, the eliminated forward
-    operators of the passes below the first resonance or above the top of
-    the discrete spectrum. Every other matrix, and one whose Cholesky
-    fails, gets a sparse LU (LUSolver): the first of a sparsity pattern
-    factors with LU_ORDERING and keeps SuperLU's column order as the
-    pattern's LUOrder; later ones factor the symmetrically permuted matrix
-    P A P^T with the NATURAL ordering, which skips the minimum-degree
-    analysis and gives the same factors bit for bit. Both use LU_OPTIONS,
-    LU_RELAX and LU_PANEL_SIZE. The band and the LU order are kept per
-    pattern (PatternOrders, LU_ORDER_PATTERNS patterns). solve takes a
-    right-hand side of shape (n,) or (n, m), real or complex, and solves a
-    complex block as the real columns [Re, Im] of one triangular solve;
-    matrix is the caller's, and the gate measures the residual against it.
-    refined_solve solves a nearby system on the same factor. Raises
-    TypeError on a complex matrix and SingularSystem on breakdown.
+    S A is positive definite: on the meshes of 50, 100 and 200 boundary
+    points, the eliminated forward operators of the passes below the first
+    resonance or above the top of the discrete spectrum. Every other
+    matrix, and one whose Cholesky fails (on mesh 200 after 1.2-1.7 ms,
+    against 5.5-5.9 ms for the LU that follows), gets a sparse LU
+    (LUSolver): the first of a sparsity pattern factors with LU_ORDERING
+    and keeps SuperLU's column order as the pattern's LUOrder; later ones
+    factor the symmetrically permuted matrix P A P^T with the NATURAL
+    ordering, which skips the minimum-degree analysis and gives the same
+    factors bit for bit. Both use LU_OPTIONS, LU_RELAX and LU_PANEL_SIZE.
+    The band and the LU order are kept per pattern (PatternOrders,
+    LU_ORDER_PATTERNS patterns). solve takes a right-hand side of shape
+    (n,) or (n, m), real or complex, and solves a complex block as the real
+    columns [Re, Im] of one triangular solve; matrix is the caller's, and
+    the gate measures the residual against it. refined_solve solves a
+    nearby system on the same factor. Raises TypeError on a complex matrix
+    and SingularSystem on breakdown.
     """
 
     def __init__(self, matrix: sp.spmatrix):

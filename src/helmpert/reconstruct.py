@@ -20,16 +20,16 @@ once and solves its corrector on that factor by gated defect correction
 at a high k1 the gradient corrector differs from the forward operator by a
 stiffness term small beside the mass term, and at a low k2 the mass
 corrector's blocks differ from it by mass terms scaled by k2^2. Where a
-corrector is not that close, it factors its own system. A pass whose k
-lies below the first discrete resonance or above the top of the discrete
+corrector is not that close, it factors its own system. A pass whose k lies
+below the first discrete resonance or above the top of the discrete
 spectrum has a sign-definite forward operator, which fem.Factor factors by
-banded Cholesky on the meshes of 50 and 100 boundary points; the other
-passes, larger meshes and the corrector systems that are not sign-definite
-get its sparse LU. The factor is passed to the corrector explicitly
-and dropped before the next pass factors, so one is alive at a time;
-IterationRecord.n_factor counts the factorizations of both kinds in each
-iteration. The mesh caches that the loop uses are built before its first
-factorization.
+banded Cholesky on the meshes of 50, 100 and 200 boundary points; the other
+passes, mesh 400, and the corrector systems that are not sign-definite or
+too wide for the band (mesh 200's two-block system) get its sparse LU. The
+factor is passed to the corrector explicitly and dropped before the next
+pass factors, so one is alive at a time; IterationRecord.n_factor counts
+the factorizations of both kinds in each iteration. The mesh caches that
+the loop uses are built before its first factorization.
 Material values on the near-boundary annulus are known and reset after
 every update. The iteration stops when both misfits pass in the same sweep
 (Converged), when the iteration budget runs out (IterationCap), when a field

@@ -61,6 +61,11 @@ def disk200():
 
 
 @pytest.fixture(scope="session")
+def disk400():
+    return hm.build_disk_mesh(8.0, 400)
+
+
+@pytest.fixture(scope="session")
 def phantom():
     return hm.PhantomSpec()
 

@@ -751,31 +751,33 @@ def test_factor_takes_unsorted_duplicate_entries(fresh_orders):
     assert len(fresh_orders) == 1
 
 
-def phantom_operator(mesh, k):
-    """The eliminated forward operator of the phantom at k, and its rhs."""
+def phantom_operator(mesh, k, kind="dirichlet"):
+    """The forward operator of the phantom at k, eliminated for Dirichlet
+    data or the Neumann one, and its rhs."""
     phantom = hm.PhantomSpec()
     gamma = hm.coefficient_from_phantom(mesh, phantom, "conductivity")
     q = hm.coefficient_from_phantom(mesh, phantom, "permittivity")
-    bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(mesh)))
+    bc = fem.BoundaryCondition(kind, np.exp(1j * boundary_angles(mesh)))
     return fem.assemble(mesh, gamma, q, k, bc)
 
 
 @pytest.mark.parametrize("exponent", [-3, -2, 2, 3])
-def test_band_solutions_match_the_lu(disk50, disk100, exponent, factorizations):
+def test_band_solutions_match_the_lu(disk50, disk100, disk200, exponent,
+                                     factorizations):
     # componentwise: at k = pi 10^2 and pi 10^3 mesh 100's field decays
     # toward the centre to about 1.4e-8 of its maximum
-    for mesh in (disk50, disk100):
+    for mesh in (disk50, disk100, disk200):
         matrix, rhs = phantom_operator(mesh, math.pi * 10.0 ** exponent)
         x, rel = fem.factor_solve(matrix, rhs)
         ref = fresh_lu(matrix).solve(np.column_stack([rhs.real, rhs.imag]))
         ref = ref[:, 0] + 1j * ref[:, 1]
         assert rel <= fem.RESIDUAL_RTOL
         assert np.all(np.abs(x - ref) <= 1e-11 * np.abs(ref))
-    assert [call.kind for call in factorizations] == ["band", "band"]
+    assert [call.kind for call in factorizations] == ["band"] * 3
 
 
 def test_factor_takes_the_band_where_the_matrix_is_sign_definite(
-        disk100, disk200, fresh_orders, factorizations):
+        disk100, disk400, fresh_orders, factorizations):
     above, _ = phantom_operator(disk100, math.pi * 1e3)  # top of spectrum 9.73
     below, _ = phantom_operator(disk100, math.pi * 1e-3)  # first resonance 0.183
     inside, _ = phantom_operator(disk100, 0.35)
@@ -788,7 +790,7 @@ def test_factor_takes_the_band_where_the_matrix_is_sign_definite(
     mixed = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, -2.0]]))
     # not symmetric, though S A is symmetric positive definite
     skew = sp.csr_matrix(np.array([[2.0, 1.0], [-1.0, -2.0]]))
-    wide, _ = phantom_operator(disk200, math.pi * 1e3)
+    wide, _ = phantom_operator(disk400, math.pi * 1e3)
     cases = [(above, True), (below, True), (inside, False),
              (nonsymmetric, False), (mixed, False), (skew, False), (wide, False)]
     for matrix, band in cases:
@@ -809,7 +811,32 @@ def test_factor_takes_the_band_where_the_matrix_is_sign_definite(
     assert np.all(signs_below > 0)
     widths = [orders.band and orders.band.width for orders in fresh_orders.values()]
     assert max(width for width in widths if width) <= fem.BAND_HALF_WIDTH
-    assert None in widths  # mesh 200's band is too wide
+    assert None in widths  # mesh 400's band is too wide
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
+                                                      fresh_orders, factorizations):
+    # k = 0.35 lies inside mesh 200's spectrum: the pattern's band is within
+    # the cap, so the band is tried, dpbtrf fails, and the matrix gets the
+    # LU of its own minimum-degree analysis
+    tried = []
+    real_band_cholesky = fem._band_cholesky
+
+    def recording_band_cholesky(csr, order):
+        tried.append(real_band_cholesky(csr, order))
+        return tried[-1]
+
+    monkeypatch.setattr(fem, "_band_cholesky", recording_band_cholesky)
+    matrix, rhs = phantom_operator(disk200, 0.35, kind)
+    x, rel = fem.factor_solve(matrix, rhs)
+    assert tried == [None]
+    assert [call.kind for call in factorizations] == [fem.LU_ORDERING]
+    [orders] = fresh_orders.values()
+    assert orders.band.width <= fem.BAND_HALF_WIDTH
+    assert rel <= fem.RESIDUAL_RTOL
+    ref = fresh_lu(matrix).solve(np.column_stack([rhs.real, rhs.imag]))
+    np.testing.assert_array_equal(x, ref[:, 0] + 1j * ref[:, 1])
 
 
 @pytest.mark.parametrize("k", [0.0, 0.35])
