@@ -36,11 +36,9 @@ Cuthill-McKee band is narrow (BAND_HALF_WIDTH: the meshes of 50, 100 and
 Cholesky (LAPACK dpbtrf) where S A is positive definite: the eliminated
 forward operator of a pass below the first resonance or above the top of
 the discrete spectrum. Every other matrix, and one whose Cholesky fails,
-gets a float64 sparse LU with a symmetric minimum-degree ordering. Both are
-analysed once per sparsity pattern (PatternOrders: the band, BandOrder,
-and the LU's order, LUOrder): later LUs of the pattern are factored
-symmetrically permuted, to the same factors bit for bit, and every LU uses
+gets a float64 sparse LU with a symmetric minimum-degree ordering and
 supernode constants measured on these operators (LU_RELAX, LU_PANEL_SIZE).
+The band (BandOrder), or its absence, is analysed once per sparsity pattern.
 factor_solve is the one-shot form; solve_bvp is factor_solve(*assemble(...)).
 Factor.refined_solve solves a system near the
 factored one (or a stack of nodal blocks near copies of it) by defect
@@ -71,38 +69,40 @@ RESIDUAL_RTOL = 1e-10
 REFINE_FLOOR = 1e3 * np.finfo(float).eps
 # Every operator here is symmetric in pattern: a minimum-degree ordering of
 # A + A^T, with SuperLU preferring diagonal pivots (at its default pivot
-# threshold), fills about a third less than COLAMD on these meshes. The
-# ordering depends on the pattern only, so Factor analyses it once per
-# pattern (LUOrder) and factors later matrices of the pattern pre-permuted,
-# with the NATURAL ordering and the same fill.
+# threshold), fills about a third less than COLAMD on these meshes. Every
+# LU runs its own analysis: keeping a pattern's order saved 7 of 32 ms per
+# mesh-400 LU, but permuting the rows of every solve cost more (a probe-m400
+# repetition, one CPU, 16 interleaved pairs: 154 ms with it, 141 without).
 LU_ORDERING = "MMD_AT_PLUS_A"
 LU_OPTIONS = dict(SymmetricMode=True)
 # SuperLU's supernode relaxation and panel width, measured on these
-# operators (one CPU, interleaved, on the reused order): (1, 1) factors the
-# eliminated mesh-200 forward operators in 7.8-8.1 ms against 9.9-10.4 ms
-# at scipy's defaults (5, 10), the mesh-400 Neumann one at k = 0.35 in 54
-# against 82 ms, with the same fill. The panel width is what counts: widths
-# 2, 4 and 10 were slower on every mesh, and relax 1-5 within noise at
-# width 1. Strongly indefinite operators, whose pivoting fills many times
-# more, lose instead (mesh 200 at k = 5: 473 against 334 ms).
+# operators (one CPU, interleaved, ordering analysis excluded): (1, 1)
+# factors the eliminated mesh-200 forward operators in 7.8-8.1 ms against
+# 9.9-10.4 ms at scipy's defaults (5, 10), the mesh-400 Neumann one at
+# k = 0.35 in 54 against 82 ms, with the same fill. The panel width is what
+# counts: widths 2, 4 and 10 were slower on every mesh, and relax 1-5 within
+# noise at width 1. Strongly indefinite operators, whose pivoting fills many
+# times more, lose instead (mesh 200 at k = 5: 473 against 334 ms).
 LU_RELAX = 1
 LU_PANEL_SIZE = 1
 # A sign-definite matrix is factored by banded Cholesky (LAPACK dpbtrf) in
 # its pattern's reverse Cuthill-McKee order where that order's half-bandwidth
-# is at most this. Per factorization on one CPU, against the LU on its
-# reused order, for the eliminated operator above the spectrum: mesh 50
-# (half-bandwidth 19) 0.06 against 0.16 ms, mesh 100 (40) 0.32 against
-# 0.93 ms, mesh 200 (80, Neumann 84) 3.7-4.1 against 5.7-6.5 ms, with its
-# 2-column solves no slower (0.44-0.50 against 0.61-0.67 ms). Mesh 400 (153,
-# Neumann 157) would gain nothing: 29-35 against 28-32 ms per factorization,
-# and 3.3-3.9 against 2.3-3.0 ms per 2-column solve. So the cap takes mesh
-# 200 and the two-block corrector systems of meshes 50 (42) and 100 (86),
-# and leaves mesh 400 and mesh 200's two-block system (159) on the LU.
+# is at most this. Per factorization on one CPU, against the LU with its
+# ordering analysis excluded, for the eliminated operator above the
+# spectrum: mesh 50 (half-bandwidth 19) 0.06 against 0.16 ms, mesh 100 (40)
+# 0.32 against 0.93 ms, mesh 200 (80, Neumann 84) 3.7-4.1 against 5.7-6.5
+# ms, with its 2-column solves no slower (0.44-0.50 against 0.61-0.67 ms).
+# Mesh 400 (153, Neumann 157) would gain nothing: 29-35 against 28-32 ms
+# per factorization, and 3.3-3.9 against 2.3-3.0 ms per 2-column solve. So
+# the cap takes mesh 200 and the two-block corrector systems of meshes 50
+# (42) and 100 (86), and leaves mesh 400 and mesh 200's two-block system
+# (159) on the LU.
 BAND_HALF_WIDTH = 100
-# the patterns Factor keeps orders of, first in first out: a mesh has at
-# most three patterns here (Neumann, eliminated and the two-block
-# corrector), and two sweep cells may run at once
-LU_ORDER_PATTERNS = 8
+# the patterns Factor keeps band orders of (None for a pattern with no
+# band), first in first out: a mesh has at most three patterns here
+# (Neumann, eliminated and the two-block corrector), and two sweep cells may
+# run at once
+BAND_ORDER_PATTERNS = 8
 
 
 class SingularSystem(Exception):
@@ -350,33 +350,15 @@ def boundary_weights(mesh: TriangleMesh) -> np.ndarray:
     return 0.5 * (lengths + np.roll(lengths, 1))
 
 
-class LUOrder(NamedTuple):
-    """The fill-reducing order of one sparsity pattern, as a symmetric
-    permutation: P A P^T = A[perm][:, perm] for every matrix A of the
-    pattern, and A x = b is P A P^T y = b[perm] with x = y[inverse]. Its CSC
-    form is (csr.data[gather], indices, indptr) for A's canonical CSR form
-    csr; each column keeps its rows in A's order."""
-
-    # all int32: on mesh 400 the order holds 0.8 MB instead of 1.3 MB as
-    # intp, which kept the probe sweep's peak RSS 0.6 MB higher; indexing
-    # the data by the int32 gather takes 0.3 ms instead of 0.15 per LU of
-    # 55 ms (np.take would cast it on every call, 0.8 ms)
-    perm: np.ndarray
-    inverse: np.ndarray
-    gather: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-
 class BandOrder(NamedTuple):
     """The reverse Cuthill-McKee band of one structurally symmetric
     sparsity pattern that holds every diagonal entry. Entry p of a matrix A
     of the pattern, in canonical CSR form, is (rows[p], indices[p]), its
     transpose is entry transpose[p], and row i's diagonal is entry
-    diagonal[i]. Row i of the band is A's row perm[i], as in LUOrder; the
-    entries `lower`, on or below the band's diagonal, go to the flat
-    positions `scatter` of a C-ordered (n, width + 1) array, whose transpose
-    is LAPACK's lower band storage of half-bandwidth width."""
+    diagonal[i]. Row i of the band is A's row perm[i]; the entries
+    `lower`, on or below the band's diagonal, go to the flat positions
+    `scatter` of a C-ordered (n, width + 1) array, whose transpose is
+    LAPACK's lower band storage of half-bandwidth width."""
 
     # intp: a band is at most BAND_HALF_WIDTH wide, so its pattern is small
     # (4,773 entries on mesh 100, 20,703 on mesh 200) and its gathers skip
@@ -391,25 +373,16 @@ class BandOrder(NamedTuple):
     width: int
 
 
-class PatternOrders(NamedTuple):
-    """What Factor keeps of one sparsity pattern: its band (None where the
-    pattern has none within BAND_HALF_WIDTH) and its LU order (None before
-    the pattern's first LU)."""
-
-    band: Optional[BandOrder]
-    lu: Optional[LUOrder]
-
-
 _pattern_orders: dict = {}
 _pattern_orders_lock = threading.Lock()
 
 
-def _keep_orders(key: bytes, orders: PatternOrders) -> None:
-    """Record a pattern's orders, dropping the oldest pattern beyond
-    LU_ORDER_PATTERNS."""
+def _keep_order(key: bytes, order: Optional[BandOrder]) -> None:
+    """Record a pattern's band order, or None for no band, dropping the
+    oldest pattern beyond BAND_ORDER_PATTERNS."""
     with _pattern_orders_lock:
-        _pattern_orders[key] = orders
-        if len(_pattern_orders) > LU_ORDER_PATTERNS:
+        _pattern_orders[key] = order
+        if len(_pattern_orders) > BAND_ORDER_PATTERNS:
             del _pattern_orders[next(iter(_pattern_orders))]
 
 
@@ -422,44 +395,18 @@ def _pattern_key(csr: sp.csr_matrix) -> bytes:
     return digest.digest()
 
 
-def _entry_positions(csr: sp.csr_matrix) -> sp.csc_matrix:
-    """csr's pattern in CSC form, each entry holding its CSR position."""
-    return sp.csr_matrix((np.arange(csr.nnz, dtype=np.int32), csr.indices,
-                          csr.indptr), shape=csr.shape).tocsc()
-
-
-def _lu_order(csr: sp.csr_matrix, perm_c: np.ndarray) -> LUOrder:
-    """The LUOrder of csr's pattern from the column order perm_c that
-    SuperLU chose for it, postorder included: SuperLU factors A's column c
-    as column perm_c[c], so column j of P A P^T is A's column perm[j] with
-    its rows r renumbered perm_c[r]. The gather is built from the CSR to
-    CSC transposition of the entry positions."""
-    n, nnz = csr.shape[0], csr.nnz
-    perm = np.argsort(perm_c).astype(np.int32)
-    csc = _entry_positions(csr)
-    lengths = np.diff(csc.indptr)[perm]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(lengths, out=indptr[1:])
-    src = np.repeat(csc.indptr[perm] - indptr[:-1], lengths) + np.arange(nnz)
-    # a copy: perm_c is a view that would keep the LU alive
-    inverse = perm_c.astype(np.int32)
-    order = LUOrder(perm=perm, inverse=inverse, gather=csc.data[src],
-                    indptr=indptr, indices=inverse[csc.indices[src]])
-    for arr in order:
-        arr.flags.writeable = False
-    return order
-
-
 def _band_order(csr: sp.csr_matrix) -> Optional[BandOrder]:
     """The BandOrder of csr's pattern, or None where the pattern is not
     symmetric, misses a diagonal entry or has a reverse Cuthill-McKee
     half-bandwidth above BAND_HALF_WIDTH. In a symmetric pattern the CSC
-    form of the entry positions has csr's own index arrays and holds, at
-    each entry, the position of its transpose."""
+    form of the entry positions (each entry holding its CSR position) has
+    csr's own index arrays and holds, at each entry, the position of its
+    transpose."""
     n = csr.shape[0]
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
     diagonal = np.flatnonzero(rows == csr.indices)
-    positions = _entry_positions(csr)
+    positions = sp.csr_matrix((np.arange(csr.nnz, dtype=np.int32), csr.indices,
+                               csr.indptr), shape=csr.shape).tocsc()
     if len(diagonal) != n or not (
             np.array_equal(positions.indptr, csr.indptr)
             and np.array_equal(positions.indices, csr.indices)):
@@ -540,54 +487,25 @@ def _upper_band(lower: np.ndarray) -> np.ndarray:
     return flat[:(width + 1) * n].reshape((width + 1, n), order="F")
 
 
-class LUSolver(NamedTuple):
-    """A SuperLU factor of A, or of P A P^T where order is A's LUOrder."""
-
-    lu: spla.SuperLU
-    order: Optional[LUOrder]
-
-    def solve(self, cols: np.ndarray) -> np.ndarray:
-        """The solution of A y = cols, in A's row order."""
-        if self.order is None:
-            return self.lu.solve(cols)
-        y = self.lu.solve(np.take(cols, self.order.perm, axis=0))
-        return np.take(y, self.order.inverse, axis=0)
-
-
-def _splu(matrix: sp.csc_matrix, ordering: str):
+def _factorize(csr: sp.csr_matrix) -> Union[BandCholesky, spla.SuperLU]:
+    """The one factorization of a canonical CSR matrix: its BandCholesky
+    where it has one, else its SuperLU LU. A new pattern's BandOrder, or
+    None where it has no band, is analysed and kept first."""
+    key = _pattern_key(csr)
     try:
-        return spla.splu(matrix, permc_spec=ordering, relax=LU_RELAX,
+        order = _pattern_orders[key]
+    except KeyError:
+        order = _band_order(csr)
+        _keep_order(key, order)
+    if order is not None:
+        band = _band_cholesky(csr, order)
+        if band is not None:
+            return band
+    try:
+        return spla.splu(csr.tocsc(), permc_spec=LU_ORDERING, relax=LU_RELAX,
                          panel_size=LU_PANEL_SIZE, options=LU_OPTIONS)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-
-
-def _factorize(csr: sp.csr_matrix) -> Union[BandCholesky, LUSolver]:
-    """The one factorization of a canonical CSR matrix: its BandCholesky
-    where it has one, else its LUSolver. A new pattern's BandOrder is
-    analysed and kept first, its LUOrder at its first LU."""
-    key = _pattern_key(csr)
-    orders = _pattern_orders.get(key)
-    if orders is None:
-        orders = PatternOrders(band=_band_order(csr), lu=None)
-        _keep_orders(key, orders)
-    if orders.band is not None:
-        band = _band_cholesky(csr, orders.band)
-        if band is not None:
-            return band
-    if orders.lu is None:
-        lu = _splu(csr.tocsc(), LU_ORDERING)
-        _keep_orders(key, orders._replace(lu=_lu_order(csr, lu.perm_c)))
-        return LUSolver(lu, None)
-    order = orders.lu
-    permuted = sp.csc_matrix((csr.data[order.gather], order.indices,
-                              order.indptr), shape=csr.shape)
-    # rows stay in A's order within each column, so SuperLU runs the
-    # arithmetic of LU_ORDERING on A and the factors are bit for bit the
-    # same; splu would sort them, and SuperLU needs no sorted rows, so the
-    # matrix (free of duplicates) is marked canonical
-    permuted.has_canonical_format = True
-    return LUSolver(_splu(permuted, "NATURAL"), order)
 
 
 class Factor:
@@ -599,20 +517,15 @@ class Factor:
     S A is positive definite: on the meshes of 50, 100 and 200 boundary
     points, the eliminated forward operators of the passes below the first
     resonance or above the top of the discrete spectrum. Every other
-    matrix, and one whose Cholesky fails (on mesh 200 after 1.2-1.7 ms,
-    against 5.5-5.9 ms for the LU that follows), gets a sparse LU
-    (LUSolver): the first of a sparsity pattern factors with LU_ORDERING
-    and keeps SuperLU's column order as the pattern's LUOrder; later ones
-    factor the symmetrically permuted matrix P A P^T with the NATURAL
-    ordering, which skips the minimum-degree analysis and gives the same
-    factors bit for bit. Both use LU_OPTIONS, LU_RELAX and LU_PANEL_SIZE.
-    The band and the LU order are kept per pattern (PatternOrders,
-    LU_ORDER_PATTERNS patterns). solve takes a right-hand side of shape
-    (n,) or (n, m), real or complex, and solves a complex block as the real
-    columns [Re, Im] of one triangular solve; matrix is the caller's, and
-    the gate measures the residual against it. refined_solve solves a
-    nearby system on the same factor. Raises TypeError on a complex matrix
-    and SingularSystem on breakdown.
+    matrix, and one whose Cholesky fails (on mesh 200 the failed attempt
+    takes 1.8-2.7 ms of the 8.3-11 ms it and the LU take), gets a SuperLU
+    LU with LU_ORDERING, LU_OPTIONS, LU_RELAX and LU_PANEL_SIZE. The band
+    order, or its absence, is kept per pattern (BAND_ORDER_PATTERNS
+    patterns). solve takes a right-hand side of shape (n,) or (n, m), real
+    or complex, and solves a complex block as the real columns [Re, Im] of
+    one triangular solve; matrix is the caller's, and the gate measures the
+    residual against it. refined_solve solves a nearby system on the same factor.
+    Raises TypeError on a complex matrix and SingularSystem on breakdown.
     """
 
     def __init__(self, matrix: sp.spmatrix):

@@ -15,9 +15,9 @@ settings.load_profile("suite")
 
 
 class Factorization(NamedTuple):
-    """One factorization: kind is "band" for a banded Cholesky, else the
-    SuperLU ordering of the LU (fem.LU_ORDERING, or "NATURAL" on a reused
-    order); solver is what fem._factorize returned."""
+    """One factorization: kind is "band" for a banded Cholesky, else
+    fem.LU_ORDERING for the SuperLU LU; solver is what fem._factorize
+    returned."""
 
     kind: str
     shape: tuple
@@ -34,10 +34,7 @@ def factorizations(monkeypatch):
 
     def recording_factorize(csr):
         solver = real_factorize(csr)
-        if isinstance(solver, fem.BandCholesky):
-            kind = "band"
-        else:
-            kind = fem.LU_ORDERING if solver.order is None else "NATURAL"
+        kind = "band" if isinstance(solver, fem.BandCholesky) else fem.LU_ORDERING
         calls.append(Factorization(kind, csr.shape, csr.dtype, solver))
         return solver
 

@@ -571,8 +571,8 @@ def test_refined_solve_rejects_a_foreign_block_size(disk50, truth50):
 
 @pytest.fixture
 def fresh_orders(monkeypatch):
-    """An empty map of pattern orders for one test, so that its first
-    factor of each pattern analyses the pattern."""
+    """An empty map of band orders for one test, so that its first factor
+    of each pattern analyses the pattern."""
     orders = {}
     monkeypatch.setattr(fem, "_pattern_orders", orders)
     return orders
@@ -601,86 +601,68 @@ def fresh_lu(matrix):
                      options=fem.LU_OPTIONS)
 
 
-def operators_of_one_pattern(mesh, gamma, q, kind):
-    """Two indefinite operators with one sparsity pattern and different
-    values, so both take the LU: the forward operator at two wavenumbers
-    inside the spectrum, or the two-block corrector system near two such
-    forward operators."""
-    if kind == "two-block":
-        return [near_systems(mesh, gamma, q, k)[2] for k in (1.4, 0.35)]
-    bc = fem.BoundaryCondition(kind, np.exp(1j * boundary_angles(mesh)))
-    return [fem.assemble(mesh, gamma, q, k, bc)[0] for k in (1.4, 0.35)]
+@pytest.fixture
+def band_order_calls(monkeypatch):
+    """Every band analysis as (matrix size, BandOrder or None), recorded
+    at fem._band_order."""
+    calls = []
+    real_band_order = fem._band_order
+
+    def recording_band_order(csr):
+        calls.append((csr.shape[0], real_band_order(csr)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fem, "_band_order", recording_band_order)
+    return calls
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "two-block"])
-def test_later_factors_of_a_pattern_reuse_its_order(disk50, truth50, kind,
-                                                    fresh_orders, splu_calls,
-                                                    factorizations):
-    gamma, q = truth50
-    first, second = operators_of_one_pattern(disk50, gamma, q, kind)
-    fem.Factor(first)
-    lu = fem.Factor(second)
-    assert [call.kind for call in factorizations] == [fem.LU_ORDERING, "NATURAL"]
-    assert [call[0] for call in splu_calls] == [fem.LU_ORDERING, "NATURAL"]
-    for _, relax, panel_size, options in splu_calls:
-        assert (relax, panel_size) == (fem.LU_RELAX, fem.LU_PANEL_SIZE)
-        assert options == fem.LU_OPTIONS
-    assert len(fresh_orders) == 1
-    reused, fresh = factorizations[1].solver.lu, fresh_lu(second)
-    assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
-    rhs = np.random.default_rng(31).standard_normal((second.shape[0], 2))
-    x, rel = lu.solve(rhs)
-    ref = fresh.solve(rhs)
-    assert rel <= fem.RESIDUAL_RTOL
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-    # each column of the permuted matrix keeps its rows in the matrix's
-    # order, so SuperLU makes the same arithmetic: the solves agree exactly
-    np.testing.assert_array_equal(x, ref)
-    assert lu.matrix is second
+def upper_bidiagonal(n):
+    """An n x n matrix whose pattern is not symmetric, so it has no band and
+    takes the LU."""
+    return sp.diags([np.full(n, 2.0), np.ones(n - 1)], [0, 1], format="csr")
 
 
-def test_lu_orders_are_keyed_by_pattern(disk50, disk100, fresh_orders,
-                                        factorizations):
+def test_lu_orders_are_keyed_by_pattern(disk50, disk100, disk400, fresh_orders,
+                                        band_order_calls):
+    # the band analysis runs once per pattern, and a pattern without a band
+    # (too wide on mesh 400, not symmetric for the bidiagonal matrix) is
+    # recorded as None, so that its later LUs skip the analysis too
     def operators():
-        for mesh in (disk50, disk100):
+        for mesh in (disk50, disk100, disk400):
             one = constant_field(mesh, 1.0)
             data = np.ones(len(mesh.boundary_nodes))
             for kind in ("neumann", "dirichlet"):
                 bc = fem.BoundaryCondition(kind, data)
                 yield fem.assemble(mesh, one, one, 0.35, bc)[0]
+        yield upper_bidiagonal(5)
 
     for matrix in operators():
         fem.Factor(matrix)
-    # the Neumann and the eliminated operator of one mesh, and the two
-    # meshes, each analyse their own pattern
-    assert [call.kind for call in factorizations] == [fem.LU_ORDERING] * 4
-    assert len(fresh_orders) == 4
+    # the Neumann and the eliminated operator of one mesh, and the meshes,
+    # each analyse their own pattern
+    assert ([order is None for _, order in band_order_calls]
+            == [False] * 4 + [True] * 3)
+    assert len(fresh_orders) == 7
     for matrix in operators():
         fem.Factor(matrix)
-    assert [call.kind for call in factorizations[4:]] == ["NATURAL"] * 4
-    for orders in fresh_orders.values():
-        order = orders.lu
-        assert all(not arr.flags.writeable for arr in order)
-        assert all(arr.dtype == np.int32 for arr in order)
+    assert len(band_order_calls) == 7
+    for order in filter(None, fresh_orders.values()):
+        assert all(not arr.flags.writeable for arr in order[:-1])
         np.testing.assert_array_equal(order.perm[order.inverse],
                                       np.arange(len(order.perm)))
 
 
-def upper_bidiagonal(n):
-    """An n x n matrix whose pattern is not symmetric, so it takes the LU."""
-    return sp.diags([np.full(n, 2.0), np.ones(n - 1)], [0, 1], format="csr")
-
-
-def test_lu_orders_keep_the_latest_patterns(fresh_orders, factorizations):
-    sizes = range(2, fem.LU_ORDER_PATTERNS + 3)
+def test_lu_orders_keep_the_latest_patterns(fresh_orders, band_order_calls):
+    sizes = range(2, fem.BAND_ORDER_PATTERNS + 3)
     for n in sizes:
         fem.Factor(upper_bidiagonal(n))
-    assert len(fresh_orders) == fem.LU_ORDER_PATTERNS
-    del factorizations[:]
+    assert len(fresh_orders) == fem.BAND_ORDER_PATTERNS
+    assert all(order is None for order in fresh_orders.values())
+    del band_order_calls[:]
     # the first pattern went out first
     fem.Factor(upper_bidiagonal(sizes[-1]))
     fem.Factor(upper_bidiagonal(sizes[0]))
-    assert [call.kind for call in factorizations] == ["NATURAL", fem.LU_ORDERING]
+    assert band_order_calls == [(sizes[0], None)]
 
 
 def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
@@ -702,7 +684,7 @@ def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
     groups = []
     for k in (0.35, 0.7, 1.4, 2.8):
         small = [tridiagonal(n, symmetric=bool(n % 2))
-                 for n in rng.permutation(np.arange(20, 22 + fem.LU_ORDER_PATTERNS))]
+                 for n in rng.permutation(np.arange(20, 22 + fem.BAND_ORDER_PATTERNS))]
         groups.append([fem.assemble(disk50, gamma, q, k, bc)[0],
                        fem.assemble(disk50, gamma, q, 1e3 * k, bc)[0]] + small)
     start = threading.Barrier(len(groups))
@@ -733,7 +715,7 @@ def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
             else:
                 np.testing.assert_array_equal(x, ref)
-    assert len(fresh_orders) == fem.LU_ORDER_PATTERNS
+    assert len(fresh_orders) == fem.BAND_ORDER_PATTERNS
 
 
 def test_factor_takes_unsorted_duplicate_entries(fresh_orders):
@@ -809,14 +791,15 @@ def test_factor_takes_the_band_where_the_matrix_is_sign_definite(
     assert np.count_nonzero(signs_above > 0) == n_boundary
     assert np.count_nonzero(signs_above < 0) == disk100.n_nodes - n_boundary
     assert np.all(signs_below > 0)
-    widths = [orders.band and orders.band.width for orders in fresh_orders.values()]
+    widths = [order and order.width for order in fresh_orders.values()]
     assert max(width for width in widths if width) <= fem.BAND_HALF_WIDTH
     assert None in widths  # mesh 400's band is too wide
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
-                                                      fresh_orders, factorizations):
+                                                      fresh_orders, splu_calls,
+                                                      factorizations):
     # k = 0.35 lies inside mesh 200's spectrum: the pattern's band is within
     # the cap, so the band is tried, dpbtrf fails, and the matrix gets the
     # LU of its own minimum-degree analysis
@@ -829,11 +812,16 @@ def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
 
     monkeypatch.setattr(fem, "_band_cholesky", recording_band_cholesky)
     matrix, rhs = phantom_operator(disk200, 0.35, kind)
-    x, rel = fem.factor_solve(matrix, rhs)
+    lu = fem.Factor(matrix)
+    x, rel = lu.solve(rhs)
+    assert lu.matrix is matrix
     assert tried == [None]
     assert [call.kind for call in factorizations] == [fem.LU_ORDERING]
-    [orders] = fresh_orders.values()
-    assert orders.band.width <= fem.BAND_HALF_WIDTH
+    assert isinstance(factorizations[0].solver, spla.SuperLU)
+    assert splu_calls == [(fem.LU_ORDERING, fem.LU_RELAX, fem.LU_PANEL_SIZE,
+                           fem.LU_OPTIONS)]
+    [order] = fresh_orders.values()
+    assert order.width <= fem.BAND_HALF_WIDTH
     assert rel <= fem.RESIDUAL_RTOL
     ref = fresh_lu(matrix).solve(np.column_stack([rhs.real, rhs.imag]))
     np.testing.assert_array_equal(x, ref[:, 0] + 1j * ref[:, 1])
