@@ -11,6 +11,7 @@ breakdown (reported in a structured error file).
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -20,27 +21,42 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import diagnostics, disentangle, fem, forward
+from . import diagnostics, disentangle, forward
 from . import mesh as meshmod
 from . import reconstruct
 from .fem import (BoundaryCondition, CoefficientField, ComplexField,
                   NonConvergence, SingularSystem)
 from .forward import PerturbationProbe
-from .mesh import PhantomSpec, RegionTag, TriangleMesh
+from .mesh import PhantomSpec, TriangleMesh
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_REGION_KEY = {
-    RegionTag.BACKGROUND: "background",
-    RegionTag.TRIANGLE: "triangle",
-    RegionTag.ELLIPSE: "ellipse",
-    RegionTag.LSHAPE: "lshape",
-    RegionTag.NEAR_BOUNDARY: "near_boundary",
+# the phantom section: every PhantomSpec field but the disk radius, which is
+# mesh.radius; its region maps are keyed by the RegionTag values
+_PHANTOM_FIELDS = tuple(f.name for f in dataclasses.fields(PhantomSpec)
+                        if f.name != "disk_radius")
+
+# the reconstruction section: config key -> (ReconstructionConfig field, type)
+_RECONSTRUCTION_KEYS = {
+    "eps_precision": ("eps_precision", float),
+    "max_iterations": ("max_outer_iterations", int),
+    "floor_grad": ("floor_grad", float),
+    "floor_u": ("floor_u", float),
+    "gamma_guess": ("gamma_guess", float),
+    "q_guess": ("q_guess", float),
+    "damping": ("damping", float),
 }
-_REGION_FROM_KEY = {v: k for k, v in _REGION_KEY.items()}
+
+# the flags that set one config key each: flag -> (section, key, type, note)
+_FLAGS = {
+    "--out": ("output", "directory", str, ""),
+    "--mesh-points": ("mesh", "n_boundary_points", int, ""),
+    "--m": ("frequencies", "m", int, " (clears k1/k2)"),
+    "--eps-precision": ("reconstruction", "eps_precision", float, ""),
+}
 
 
 class ConfigError(ValueError):
@@ -52,16 +68,9 @@ def default_config() -> dict:
     rc = reconstruct.ReconstructionConfig
     return {
         "mesh": {"radius": ph.disk_radius, "n_boundary_points": 50},
-        "phantom": {
-            "annulus_radius": ph.annulus_radius,
-            "triangle_vertices": [list(v) for v in ph.triangle_vertices],
-            "ellipse_center": list(ph.ellipse_center),
-            "ellipse_semi_axes": list(ph.ellipse_semi_axes),
-            "ellipse_angle_deg": ph.ellipse_angle_deg,
-            "lshape_rects": [list(r) for r in ph.lshape_rects],
-            "conductivity": {_REGION_KEY[t]: v for t, v in ph.conductivity.items()},
-            "permittivity": {_REGION_KEY[t]: v for t, v in ph.permittivity.items()},
-        },
+        # tuples become JSON lists
+        "phantom": json.loads(json.dumps(
+            {name: getattr(ph, name) for name in _PHANTOM_FIELDS})),
         "frequencies": {"k1": None, "k2": None, "m": 3},
         "boundary": {"condition": "dirichlet", "profile": "phase",
                      "convention": "xy", "value": 1.0},
@@ -71,11 +80,8 @@ def default_config() -> dict:
                    "grid_spacing": None,
                    "gamma_tilde": 0.5,
                    "q_tilde": 3.0},
-        "reconstruction": {"eps_precision": rc.eps_precision,
-                           "max_iterations": rc.max_outer_iterations,
-                           "floor_grad": rc.floor_grad, "floor_u": rc.floor_u,
-                           "gamma_guess": rc.gamma_guess,
-                           "q_guess": rc.q_guess, "damping": rc.damping},
+        "reconstruction": {key: getattr(rc, name)
+                           for key, (name, _) in _RECONSTRUCTION_KEYS.items()},
         "output": {"directory": "out"},
     }
 
@@ -113,69 +119,55 @@ def load_config(path: Optional[Path]) -> dict:
 
 def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> None:
     """Flags mirror config paths one-to-one and win over the file."""
-    if args.mesh_points is not None:
-        cfg["mesh"]["n_boundary_points"] = args.mesh_points
+    for flag, (section, key, _, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            cfg[section][key] = value
     if args.m is not None:
-        cfg["frequencies"]["m"] = args.m
-        cfg["frequencies"]["k1"] = None
-        cfg["frequencies"]["k2"] = None
-    if args.eps_precision is not None:
-        cfg["reconstruction"]["eps_precision"] = args.eps_precision
-    if args.out is not None:
-        cfg["output"]["directory"] = str(args.out)
+        cfg["frequencies"].update(k1=None, k2=None)
+
+
+def _single(cfg: dict, section: str, key: str):
+    """cfg[section][key], which only the sweep command may give as a list."""
+    value = cfg[section][key]
+    if isinstance(value, (list, tuple)):
+        raise ConfigError(f"{section}.{key} must be a single value here; "
+                          "lists are only valid for the sweep command")
+    return value
 
 
 def resolve_frequencies(cfg: dict) -> Tuple[float, float]:
-    freq = cfg["frequencies"]
-    k1, k2, m = freq["k1"], freq["k2"], freq["m"]
+    k1, k2 = cfg["frequencies"]["k1"], cfg["frequencies"]["k2"]
     if k1 is not None or k2 is not None:
         if k1 is None or k2 is None:
             raise ConfigError("frequencies.k1 and frequencies.k2 must be set together")
         return float(k1), float(k2)
+    m = _single(cfg, "frequencies", "m")
     if m is None:
         raise ConfigError("set frequencies.k1/k2 or the exponent frequencies.m")
-    if isinstance(m, (list, tuple)):
-        raise ConfigError("frequencies.m must be a single exponent here; "
-                          "lists are only valid for the sweep command")
     return diagnostics.frequency_pair(float(m))
 
 
+def _floats(value):
+    """A JSON value with its numbers as floats, its lists as tuples and its
+    nulls as None."""
+    if isinstance(value, dict):
+        return {k: _floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return tuple(_floats(v) for v in value)
+    return None if value is None else float(value)
+
+
 def phantom_from_config(cfg: dict) -> PhantomSpec:
-    ph = cfg["phantom"]
-    for section in ("conductivity", "permittivity"):
-        unknown = sorted(set(ph[section]) - set(_REGION_FROM_KEY))
-        if unknown:
-            raise ConfigError(f"unknown phantom regions {unknown} in {section}")
-    return PhantomSpec(
-        disk_radius=float(cfg["mesh"]["radius"]),
-        annulus_radius=float(ph["annulus_radius"]),
-        triangle_vertices=tuple(tuple(float(c) for c in v)
-                                for v in ph["triangle_vertices"]),
-        ellipse_center=tuple(float(c) for c in ph["ellipse_center"]),
-        ellipse_semi_axes=tuple(float(c) for c in ph["ellipse_semi_axes"]),
-        ellipse_angle_deg=float(ph["ellipse_angle_deg"]),
-        lshape_rects=tuple(tuple(float(c) for c in r)
-                           for r in ph["lshape_rects"]),
-        conductivity={_REGION_FROM_KEY[k]: float(v)
-                      for k, v in ph["conductivity"].items()},
-        permittivity={_REGION_FROM_KEY[k]: float(v)
-                      for k, v in ph["permittivity"].items()},
-    )
-
-
-def _require_scalar_mesh_points(cfg: dict):
-    """The configured boundary point count; build_disk_mesh checks its value."""
-    n = cfg["mesh"]["n_boundary_points"]
-    if isinstance(n, (list, tuple)):
-        raise ConfigError("mesh.n_boundary_points must be a single value here; "
-                          "lists are only valid for the sweep command")
-    return n
+    return PhantomSpec(disk_radius=float(cfg["mesh"]["radius"]),
+                       **{name: _floats(cfg["phantom"][name])
+                          for name in _PHANTOM_FIELDS})
 
 
 def _medium(cfg: dict) -> Tuple[PhantomSpec, TriangleMesh, CoefficientField,
                                 CoefficientField]:
     """The configured phantom, its disk mesh and its true coefficients."""
-    n = _require_scalar_mesh_points(cfg)
+    n = _single(cfg, "mesh", "n_boundary_points")
     ph = phantom_from_config(cfg)
     mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
     gamma = meshmod.coefficient_from_phantom(mesh_obj, ph, "conductivity")
@@ -185,8 +177,6 @@ def _medium(cfg: dict) -> Tuple[PhantomSpec, TriangleMesh, CoefficientField,
 
 def boundary_from_config(cfg: dict, mesh_obj: TriangleMesh) -> BoundaryCondition:
     b = cfg["boundary"]
-    if b["condition"] not in ("dirichlet", "neumann"):
-        raise ConfigError(f"unknown boundary condition {b['condition']!r}")
     if b["profile"] == "phase":
         data = forward.boundary_phase(mesh_obj, b["convention"])
     elif b["profile"] == "constant":
@@ -194,12 +184,6 @@ def boundary_from_config(cfg: dict, mesh_obj: TriangleMesh) -> BoundaryCondition
     else:
         raise ConfigError(f"unknown boundary profile {b['profile']!r}")
     return BoundaryCondition(b["condition"], data)
-
-
-def _prepare_out(cfg: dict) -> Path:
-    out_dir = Path(cfg["output"]["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -214,11 +198,9 @@ def _echo_config(out_dir: Path, cfg: dict) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, artifacts: Sequence[str],
-                    summary: Optional[dict] = None) -> None:
-    doc = {"command": command, "artifacts": sorted(artifacts)}
-    if summary:
-        doc["summary"] = summary
-    _write_json(out_dir / "manifest.json", doc)
+                    summary: dict) -> None:
+    _write_json(out_dir / "manifest.json", {
+        "command": command, "artifacts": sorted(artifacts), "summary": summary})
 
 
 def _field_csv(path: Path, mesh_obj: TriangleMesh,
@@ -249,7 +231,7 @@ def _solver_failure(out_dir: Path, command: str, err: Exception,
 
 
 def cmd_mesh(cfg: dict, out_dir: Path) -> int:
-    n = _require_scalar_mesh_points(cfg)
+    n = _single(cfg, "mesh", "n_boundary_points")
     mesh_obj = meshmod.build_disk_mesh(float(cfg["mesh"]["radius"]), n)
     artifacts = [_echo_config(out_dir, cfg), "mesh.txt"]
     meshmod.save_mesh(mesh_obj, out_dir / "mesh.txt")
@@ -267,20 +249,11 @@ def cmd_forward(cfg: dict, out_dir: Path) -> int:
     bc = boundary_from_config(cfg, mesh_obj)
     k1, k2 = resolve_frequencies(cfg)
     artifacts = [_echo_config(out_dir, cfg)]
-    if bc.kind == "neumann" and (k1 == 0.0 or k2 == 0.0):
-        # zero-frequency flux problem: constants are in the nullspace, so
-        # any computed field is arbitrary up to a constant
-        err = SingularSystem(
-            "pure flux data at k = 0 determines the field only up to a "
-            "constant")
-        return _solver_failure(out_dir, "forward", err, artifacts)
     try:
-        u1 = fem.solve_bvp(mesh_obj, gamma, q, k1, bc)
-        u2 = fem.solve_bvp(mesh_obj, gamma, q, k2, bc)
+        u1, u2, J, j = forward.two_frequency_data(mesh_obj, gamma, q, k1, k2,
+                                                  bc)
     except (SingularSystem, NonConvergence) as err:
         return _solver_failure(out_dir, "forward", err, artifacts)
-    J = forward.internal_data(u1, gamma, q, k1).J
-    j = forward.mass_energy(u2, q)
     _field_csv(out_dir / "field_k1.csv", mesh_obj, {"u": u1.values})
     _field_csv(out_dir / "field_k2.csv", mesh_obj, {"u": u2.values})
     _field_csv(out_dir / "internal_data.csv", mesh_obj, {"J": J, "j": j})
@@ -292,25 +265,31 @@ def cmd_forward(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _probe_centers(cfg: dict, mesh_radius: float) -> List[Tuple[float, float]]:
-    probes_cfg = cfg["probes"]
-    radii = [float(r) for r in probes_cfg["radii"]]
-    if not radii:
+def _probes(cfg: dict, mesh_radius: float) -> List[PerturbationProbe]:
+    """A probe at every center, radius and amplitude of the probes section."""
+    p = _floats(cfg["probes"])
+    if not p["radii"]:
         raise ConfigError("probes.radii must not be empty")
-    spacing = probes_cfg["grid_spacing"]
-    if spacing is None:
-        return [(float(x), float(y)) for x, y in probes_cfg["centers"]]
-    s = float(spacing)
-    if s <= 0:
-        raise ConfigError("probes.grid_spacing must be positive")
-    # probes must fit strictly inside the interior disk used by the
-    # measurement check
-    limit = forward.DEFAULT_INTERIOR_FRACTION * mesh_radius - max(radii)
-    if limit <= 0:
-        raise ConfigError("probe radii leave no room for grid centers")
-    steps = int(limit // s)
-    axis = [i * s for i in range(-steps, steps + 1)]
-    return [(x, y) for y in axis for x in axis if math.hypot(x, y) <= limit]
+    if p["grid_spacing"] is None:
+        centers = p["centers"]
+    else:
+        s = p["grid_spacing"]
+        if s <= 0:
+            raise ConfigError("probes.grid_spacing must be positive")
+        # probes must fit strictly inside the interior disk used by the
+        # measurement check
+        limit = forward.DEFAULT_INTERIOR_FRACTION * mesh_radius - max(p["radii"])
+        if limit <= 0:
+            raise ConfigError("probe radii leave no room for grid centers")
+        steps = int(limit // s)
+        axis = [i * s for i in range(-steps, steps + 1)]
+        centers = [(x, y) for y in axis for x in axis
+                   if math.hypot(x, y) <= limit]
+    if not p["amplitudes"] or not centers:
+        raise ConfigError("probes need at least one amplitude and one center")
+    return [PerturbationProbe(center=c, radius=r, amplitude=lam,
+                              gamma_tilde=p["gamma_tilde"], q_tilde=p["q_tilde"])
+            for c in centers for r in p["radii"] for lam in p["amplitudes"]]
 
 
 def cmd_probe(cfg: dict, out_dir: Path) -> int:
@@ -320,17 +299,7 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
     ph, mesh_obj, gamma, q = _medium(cfg)
     bc = boundary_from_config(cfg, mesh_obj)
     k, _ = resolve_frequencies(cfg)
-
-    probes_cfg = cfg["probes"]
-    amplitudes = [float(a) for a in probes_cfg["amplitudes"]]
-    radii = [float(r) for r in probes_cfg["radii"]]
-    centers = _probe_centers(cfg, ph.disk_radius)
-    if not amplitudes or not centers:
-        raise ConfigError("probes need at least one amplitude and one center")
-    probes = [PerturbationProbe(center=c, radius=r, amplitude=lam,
-                                gamma_tilde=float(probes_cfg["gamma_tilde"]),
-                                q_tilde=float(probes_cfg["q_tilde"]))
-              for c in centers for r in radii for lam in amplitudes]
+    probes = _probes(cfg, ph.disk_radius)
 
     artifacts = [_echo_config(out_dir, cfg)]
     try:
@@ -365,7 +334,7 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
     # from the small-probe model to invert are skipped, not fatal
     recover_rows = []
     n_recover_failed = 0
-    if len(set(amplitudes)) == 4:
+    if len({p.amplitude for p in probes}) == 4:
         groups: Dict[Tuple[float, float, float], list] = {}
         for meas in measurements:
             z = meas.probe.center
@@ -404,18 +373,11 @@ def _reconstruction_config(cfg: dict, mesh_obj: Optional[TriangleMesh],
     rec = cfg["reconstruction"]
     bc = boundary_from_config(cfg, mesh_obj) if mesh_obj is not None else None
     return reconstruct.ReconstructionConfig(
-        k1=k1, k2=k2,
-        eps_precision=float(rec["eps_precision"]),
-        max_outer_iterations=int(rec["max_iterations"]),
-        floor_grad=float(rec["floor_grad"]),
-        floor_u=float(rec["floor_u"]),
-        boundary_data=bc,
+        k1=k1, k2=k2, boundary_data=bc,
         phase_convention=cfg["boundary"]["convention"],
         known_annulus_radius=ph.annulus_radius,
-        gamma_guess=float(rec["gamma_guess"]),
-        q_guess=float(rec["q_guess"]),
-        damping=float(rec["damping"]),
-    )
+        **{name: cast(rec[key])
+           for key, (name, cast) in _RECONSTRUCTION_KEYS.items()})
 
 
 def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
@@ -445,33 +407,34 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
         else EXIT_NOT_CONVERGED
 
 
+def _as_list(value) -> list:
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
 def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     freq = cfg["frequencies"]
     if freq["k1"] is not None or freq["k2"] is not None:
         raise ConfigError("the sweep is driven by frequencies.m; "
                           "unset frequencies.k1/k2")
-    m = freq["m"]
-    if m is None:
+    if freq["m"] is None:
         raise ConfigError("the sweep needs frequencies.m")
-    exponents = diagnostics.whole_numbers(
-        m if isinstance(m, (list, tuple)) else [m], "frequencies.m")
-    n = cfg["mesh"]["n_boundary_points"]
-    mesh_points = diagnostics.whole_numbers(
-        n if isinstance(n, (list, tuple)) else [n], "mesh.n_boundary_points")
+    exponents = diagnostics.whole_numbers(_as_list(freq["m"]), "frequencies.m")
     if cfg["boundary"]["profile"] != "phase":
         raise ConfigError("the sweep uses the phase boundary profile on "
                           "every mesh")
+    ph = phantom_from_config(cfg)
+    # every mesh passes build_disk_mesh's checks before any cell runs
+    mesh_points = [meshmod.disk_mesh_size(ph.disk_radius, n)
+                   for n in _as_list(cfg["mesh"]["n_boundary_points"])]
+    # base frequencies are placeholders: the sweep replaces them per cell
+    base_cfg = _reconstruction_config(cfg, None, ph,
+                                      *diagnostics.frequency_pair(1))
 
     # more threads than the CPUs this process may run on (its affinity mask,
     # where the platform has one) only adds contention
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     jobs = min(max(1, int(jobs)), cpus)
-    ph = phantom_from_config(cfg)
-    # base frequencies are placeholders: the sweep replaces them per cell
-    base_cfg = _reconstruction_config(cfg, None, ph,
-                                      *diagnostics.frequency_pair(1))
-
     artifacts = [_echo_config(out_dir, cfg)]
     sweep = diagnostics.frequency_sweep(base_cfg, exponents, mesh_points,
                                         jobs=jobs, phantom=ph)
@@ -513,16 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON experiment configuration")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory (overrides output.directory)")
-        p.add_argument("--mesh-points", dest="mesh_points", type=int,
-                       default=None,
-                       help="override mesh.n_boundary_points")
-        p.add_argument("--m", type=int, default=None,
-                       help="override frequencies.m (clears k1/k2)")
-        p.add_argument("--eps-precision", dest="eps_precision", type=float,
-                       default=None,
-                       help="override reconstruction.eps_precision")
+        for flag, (section, key, kind, note) in _FLAGS.items():
+            p.add_argument(flag, type=kind, default=None,
+                           help=f"override {section}.{key}{note}")
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1,
                            help="cells run in parallel (at most the usable CPUs)")
@@ -535,7 +491,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         apply_flag_overrides(cfg, args)
-        out_dir = _prepare_out(cfg)
+        out_dir = Path(cfg["output"]["directory"])
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, args.jobs)
         return command(cfg, out_dir)

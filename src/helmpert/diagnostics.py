@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import fem, forward
+from . import forward
 from . import mesh as meshmod
 from .mesh import PhantomSpec, TriangleMesh
 from .reconstruct import (STATUS_CONVERGED, IterationRecord,
@@ -31,11 +31,9 @@ def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
     ph = phantom if phantom is not None else PhantomSpec()
     gamma_true = meshmod.coefficient_from_phantom(mesh, ph, "conductivity")
     q_true = meshmod.coefficient_from_phantom(mesh, ph, "permittivity")
-    bc = dirichlet_condition(mesh, config)
-    u1 = fem.solve_bvp(mesh, gamma_true, q_true, config.k1, bc)
-    u2 = fem.solve_bvp(mesh, gamma_true, q_true, config.k2, bc)
-    J = forward.internal_data(u1, gamma_true, q_true, config.k1).J
-    j = forward.mass_energy(u2, q_true)
+    _, _, J, j = forward.two_frequency_data(mesh, gamma_true, q_true,
+                                            config.k1, config.k2,
+                                            dirichlet_condition(mesh, config))
     return run(mesh, J, j, (gamma_true, q_true), config)
 
 

@@ -44,10 +44,9 @@ from .mesh import Point2, TriangleMesh
 DEFAULT_INTERIOR_FRACTION = 0.75
 
 # identity columns per block solve of (A^-1)_SS: a few dense (n_nodes, 8)
-# arrays at a time, however many nodes a disk covers. A solve on a reused
-# LU order holds three of them (the block, its permuted copy and SuperLU's
-# own copy); at 8 columns the mesh-400 sweep peaks about 2.5 MB lower than
-# with two blocks of 16, in the same time within noise
+# arrays at a time, however many nodes a disk covers. On mesh 400's LU a
+# block solve holds two of them, the block and SuperLU's copy of it; on a
+# band it holds the band's permuted copy as well
 INVERSE_BLOCK_COLUMNS = 8
 
 # barycentric slack of the point location: a point it accepts lies in the
@@ -112,20 +111,20 @@ class ProbeMeasurement:
     raw: complex
 
 
+PHASE_CONVENTIONS = ("xy", "yx")
+
+
 def boundary_phase(mesh: TriangleMesh, convention: str = "xy") -> np.ndarray:
     """Unit-modulus angular data on the boundary nodes.
 
     ``xy`` uses the angle with tangent x/y, ``yx`` the usual polar angle;
     both appear in the literature and differ by a rotation of the pattern.
     """
+    if convention not in PHASE_CONVENTIONS:
+        raise ValueError(f"unknown phase convention {convention!r}")
     x = mesh.nodes[mesh.boundary_nodes, 0]
     y = mesh.nodes[mesh.boundary_nodes, 1]
-    if convention == "xy":
-        angle = np.arctan2(x, y)
-    elif convention == "yx":
-        angle = np.arctan2(y, x)
-    else:
-        raise ValueError(f"unknown phase convention {convention!r}")
+    angle = np.arctan2(x, y) if convention == "xy" else np.arctan2(y, x)
     return np.exp(1j * angle)
 
 
@@ -148,17 +147,34 @@ def _check_disks(mesh: TriangleMesh,
                 f"the interior region of radius {limit:.3f}")
 
 
+def gradient_energy(u: ComplexField, gamma: CoefficientField) -> np.ndarray:
+    """The nodal gradient energy gamma |grad u|^2, the J of internal_data."""
+    return gamma.values * fem.gradient(u).node_magnitude_squared()
+
+
 def mass_energy(u: ComplexField, q: CoefficientField) -> np.ndarray:
-    """The nodal mass energy q |u|^2, the j of internal_data without the
-    gradient that J needs."""
+    """The nodal mass energy q |u|^2, the j of internal_data."""
     return q.values * np.abs(u.values) ** 2
 
 
 def internal_data(u: ComplexField, gamma: CoefficientField, q: CoefficientField,
                   k: float) -> InternalData:
-    grad_sq = fem.gradient(u).node_magnitude_squared()
-    return InternalData(mesh=u.mesh, J=gamma.values * grad_sq,
+    return InternalData(mesh=u.mesh, J=gradient_energy(u, gamma),
                         j=mass_energy(u, q), k=k)
+
+
+def two_frequency_data(mesh: TriangleMesh, gamma: CoefficientField,
+                       q: CoefficientField, k1: float, k2: float,
+                       bc: BoundaryCondition) -> tuple:
+    """The fields u1 at k1 and u2 at k2 under bc, and the internal data the
+    reconstruction inverts: J = gamma |grad u1|^2 and j = q |u2|^2."""
+    if bc.kind == "neumann" and 0.0 in (k1, k2):
+        # constants are in the nullspace of the zero-frequency flux problem
+        raise fem.SingularSystem("pure flux data at k = 0 determines the "
+                                 "field only up to a constant")
+    u1 = fem.solve_bvp(mesh, gamma, q, k1, bc)
+    u2 = fem.solve_bvp(mesh, gamma, q, k2, bc)
+    return u1, u2, gradient_energy(u1, gamma), mass_energy(u2, q)
 
 
 def disk_triangle_area(center, radius: float, verts):

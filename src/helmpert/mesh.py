@@ -41,13 +41,14 @@ def _as_xy(p) -> Tuple[float, float]:
 
 
 class RegionTag:
-    """Material region labels for phantom classification."""
+    """Material region labels for phantom classification; they are also the
+    region keys of a config's phantom conductivity and permittivity."""
 
-    BACKGROUND = "Background"
-    TRIANGLE = "Triangle"
-    ELLIPSE = "Ellipse"
-    LSHAPE = "LShape"
-    NEAR_BOUNDARY = "NearBoundary"
+    BACKGROUND = "background"
+    TRIANGLE = "triangle"
+    ELLIPSE = "ellipse"
+    LSHAPE = "lshape"
+    NEAR_BOUNDARY = "near_boundary"
 
     ALL = (BACKGROUND, TRIANGLE, ELLIPSE, LSHAPE, NEAR_BOUNDARY)
 
@@ -60,7 +61,7 @@ class PhantomSpec:
     one non-convex inclusion, all inside the known annulus); the method does
     not depend on the exact placement. Conductivity/permittivity values per
     region follow the reference experiment. Points farther than
-    ``annulus_radius`` from the origin are tagged NearBoundary: the material
+    ``annulus_radius`` from the origin are tagged near_boundary: the material
     there is treated as known.
     """
 
@@ -353,14 +354,9 @@ class TriangleMesh:
         return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
 
 
-def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
-    """Triangulate the disk of the given radius.
-
-    Nodes sit on ``m = floor(n/2pi)`` concentric rings so radial and angular
-    spacings match the boundary arc length; the innermost ring leaves the
-    origin uncovered. Consecutive rings are staggered by half an angular
-    step to avoid slivers.
-    """
+def disk_mesh_size(radius: float, n_boundary_points) -> int:
+    """n_boundary_points as an int; ValueError unless radius is positive and
+    it is a whole number of at least MIN_BOUNDARY_POINTS."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not float(n_boundary_points).is_integer():
@@ -371,6 +367,18 @@ def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
         raise ValueError(
             f"n_boundary_points must be at least {MIN_BOUNDARY_POINTS}, got {n}"
         )
+    return n
+
+
+def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
+    """Triangulate the disk of the given radius.
+
+    Nodes sit on ``m = floor(n/2pi)`` concentric rings so radial and angular
+    spacings match the boundary arc length; the innermost ring leaves the
+    origin uncovered. Consecutive rings are staggered by half an angular
+    step to avoid slivers.
+    """
+    n = disk_mesh_size(radius, n_boundary_points)
     m = max(2, int(n / (2.0 * math.pi)))
     pts = []
     for j in range(1, m + 1):
@@ -462,7 +470,7 @@ def _region_index(points: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
 
     Open inclusion interiors, tested in the order triangle, ellipse, L-shape;
     anything farther than the known annulus radius from the origin
-    (including points outside the disk) is NearBoundary.
+    (including points outside the disk) is near_boundary.
     """
     x, y = points[:, 0], points[:, 1]
     # math.hypot, not np.hypot: on the annulus circle the two can differ in

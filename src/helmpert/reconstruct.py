@@ -59,7 +59,7 @@ import numpy as np
 from . import fem
 from .fem import (BoundaryCondition, CoefficientField, ComplexField,
                   GradientField, NonConvergence, SingularSystem)
-from .forward import boundary_phase
+from .forward import PHASE_CONVENTIONS, boundary_phase
 from .mesh import PhantomSpec, TriangleMesh
 
 GAMMA_VALUE_FLOOR = 1e-6  # absolute clamp applied to updated coefficients
@@ -110,6 +110,8 @@ class ReconstructionConfig:
             raise ValueError("need at least one outer iteration")
         if self.boundary_data is not None and self.boundary_data.kind != "dirichlet":
             raise ValueError("reconstruction drives the medium with dirichlet data")
+        if self.phase_convention not in PHASE_CONVENTIONS:
+            raise ValueError(f"unknown phase convention {self.phase_convention!r}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Command-line driver: config handling, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from helmpert import cli
 from helmpert import mesh as hm
+from helmpert import reconstruct as rc
 
 
 def run_cli(*args):
@@ -85,9 +87,26 @@ def test_mesh_rejects_fractional_boundary_points(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"mesh": {"n_boundary_pts": 50}})
-    assert run_cli("mesh", "--config", cfg, "--out", tmp_path / "out") == 2
-    assert "n_boundary_pts" in capsys.readouterr().err
+    # a phantom region is a RegionTag value; any other name is an unknown key
+    for doc, key in (({"mesh": {"n_boundary_pts": 50}}, "n_boundary_pts"),
+                     ({"phantom": {"conductivity": {"sphere": 2.0}}}, "sphere")):
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("mesh", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert key in capsys.readouterr().err
+
+
+def test_phantom_section_reads_back_the_default_phantom():
+    assert cli.phantom_from_config(cli.default_config()) == hm.PhantomSpec()
+
+
+def test_reconstruction_section_reads_back_the_default_settings():
+    cfg = cli.default_config()
+    k1, k2 = cli.resolve_frequencies(cfg)
+    mesh = hm.build_disk_mesh(8.0, 50)
+    got = cli._reconstruction_config(cfg, mesh, cli.phantom_from_config(cfg),
+                                     k1, k2)
+    assert dataclasses.replace(got, boundary_data=None) == \
+        rc.ReconstructionConfig(k1, k2)
 
 
 def test_output_formats_is_not_a_config_key(tmp_path, capsys):
@@ -231,6 +250,24 @@ def test_probe_requires_flux_boundary(tmp_path, capsys):
 # reconstruct
 
 
+def assert_reruns_from_echo(tmp_path, command, first):
+    """Rerunning from first's config_echo.json writes the same artifacts
+    byte for byte; the echo differs only in output.directory."""
+    second = tmp_path / "second"
+    assert run_cli(command, "--config", first / "config_echo.json",
+                   "--out", second) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        if name == "config_echo.json":
+            echoes = [json.loads((d / name).read_text()) for d in (first, second)]
+            for echo in echoes:
+                del echo["output"]["directory"]
+            assert echoes[0] == echoes[1]
+        else:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_reconstruct_converges_and_reruns_from_echo(tmp_path):
     first = tmp_path / "first"
     assert run_cli("reconstruct", "--out", first) == 0
@@ -239,13 +276,16 @@ def test_reconstruct_converges_and_reruns_from_echo(tmp_path):
     # the run total of the factorizations each trace row counts
     trace = read_csv_columns(first / "trace.csv")
     assert manifest["summary"]["n_factor"] == sum(int(v) for v in trace["n_factor"])
-    # the echoed config reproduces the run byte for byte
-    second = tmp_path / "second"
-    assert run_cli("reconstruct", "--config", first / "config_echo.json",
-                   "--out", second) == 0
-    assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
-    assert (first / "fields_final.csv").read_bytes() == \
-        (second / "fields_final.csv").read_bytes()
+    assert_reruns_from_echo(tmp_path, "reconstruct", first)
+
+
+@pytest.mark.parametrize("command, doc", [("forward", {}),
+                                          ("probe", probe_config())])
+def test_forward_and_probe_rerun_from_echo(tmp_path, command, doc):
+    first = tmp_path / "first"
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(command, "--config", cfg, "--out", first) == 0
+    assert_reruns_from_echo(tmp_path, command, first)
 
 
 def test_reconstruct_truth_guess_converges_immediately(tmp_path):
@@ -341,6 +381,23 @@ def test_sweep_rejects_fractional_exponent(tmp_path, capsys):
                                   "mesh": {"n_boundary_points": [50]}})
     assert run_cli("sweep", "--config", cfg, "--out", out) == 2
     assert "frequencies.m" in capsys.readouterr().err
+    assert not (out / "sweep_summary.csv").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"boundary": {"convention": "zz"}}, "convention"),
+    ({"mesh": {"n_boundary_points": [8]}}, "n_boundary_points"),
+    ({"mesh": {"radius": -1}}, "radius"),
+], ids=["convention", "n_boundary_points", "radius"])
+def test_sweep_rejects_bad_settings_before_any_cell(tmp_path, capsys, doc,
+                                                    key):
+    # the settings reconstruct rejects are configuration errors here too,
+    # not a grid of failed cells
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
     assert not (out / "sweep_summary.csv").exists()
 
 
