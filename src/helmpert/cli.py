@@ -86,6 +86,11 @@ def default_config() -> dict:
     }
 
 
+def _holds_null(value) -> bool:
+    return value is None or (isinstance(value, list)
+                             and any(map(_holds_null, value)))
+
+
 def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
     """Overlay user values onto defaults, rejecting keys not in the schema."""
     unknown = sorted(set(user) - set(defaults))
@@ -99,6 +104,11 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
                 raise ConfigError(f"config section {path}{key} must be a mapping")
             merged[key] = _merge_strict(dval, user[key], f"{path}{key}.")
         elif key in user:
+            # a null, within lists too, stands only where the default is null
+            # and for frequencies.m, which frequencies.k1/k2 replace
+            if _holds_null(user[key]) and not (user[key] is None and (
+                    dval is None or path + key == "frequencies.m")):
+                raise ConfigError(f"config key {path}{key} must not be null")
             merged[key] = copy.deepcopy(user[key])
         else:
             merged[key] = copy.deepcopy(dval)
@@ -170,8 +180,7 @@ def _medium(cfg: dict) -> Tuple[PhantomSpec, TriangleMesh, CoefficientField,
     n = _single(cfg, "mesh", "n_boundary_points")
     ph = phantom_from_config(cfg)
     mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
-    gamma = meshmod.coefficient_from_phantom(mesh_obj, ph, "conductivity")
-    q = meshmod.coefficient_from_phantom(mesh_obj, ph, "permittivity")
+    gamma, q = diagnostics.true_coefficients(mesh_obj, ph)
     return ph, mesh_obj, gamma, q
 
 
@@ -386,7 +395,7 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
     rc_cfg = _reconstruction_config(cfg, mesh_obj, ph, k1, k2)
     artifacts = [_echo_config(out_dir, cfg)]
     try:
-        trace = diagnostics.synthetic_run(mesh_obj, rc_cfg, ph)
+        trace = diagnostics.synthetic_run(mesh_obj, rc_cfg, (gamma_true, q_true))
     except (SingularSystem, NonConvergence) as err:
         return _solver_failure(out_dir, "reconstruct", err, artifacts)
 

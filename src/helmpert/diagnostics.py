@@ -15,22 +15,30 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import forward
 from . import mesh as meshmod
+from .fem import CoefficientField
 from .mesh import PhantomSpec, TriangleMesh
 from .reconstruct import (STATUS_CONVERGED, IterationRecord,
                           ReconstructionConfig, ReconstructionTrace,
                           dirichlet_condition, run, write_csv)
 
 
+def true_coefficients(mesh: TriangleMesh, phantom: PhantomSpec
+                      ) -> Tuple[CoefficientField, CoefficientField]:
+    """The phantom's conductivity and permittivity on the mesh."""
+    return (meshmod.coefficient_from_phantom(mesh, phantom, "conductivity"),
+            meshmod.coefficient_from_phantom(mesh, phantom, "permittivity"))
+
+
 def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
-                  phantom: Optional[PhantomSpec] = None) -> ReconstructionTrace:
-    """Generate truth data on the mesh and reconstruct against it.
+                  truth: Optional[Tuple[CoefficientField, CoefficientField]] = None
+                  ) -> ReconstructionTrace:
+    """Generate data from truth, the true (gamma, q) on the mesh (default:
+    the default phantom's), and reconstruct against it.
 
     The data solves use the same boundary values the reconstruction will
     use, so the run starts from exactly consistent internal data.
     """
-    ph = phantom if phantom is not None else PhantomSpec()
-    gamma_true = meshmod.coefficient_from_phantom(mesh, ph, "conductivity")
-    q_true = meshmod.coefficient_from_phantom(mesh, ph, "permittivity")
+    gamma_true, q_true = truth or true_coefficients(mesh, PhantomSpec())
     _, _, J, j = forward.two_frequency_data(mesh, gamma_true, q_true,
                                             config.k1, config.k2,
                                             dirichlet_condition(mesh, config))
@@ -96,7 +104,7 @@ def frequency_sweep(
             k1, k2 = frequency_pair(m)
             cfg = dataclasses.replace(base_config, k1=k1, k2=k2)
             mesh_obj = meshmod.build_disk_mesh(ph.disk_radius, n)
-            return synthetic_run(mesh_obj, cfg, ph)
+            return synthetic_run(mesh_obj, cfg, true_coefficients(mesh_obj, ph))
         except Exception as err:
             return ReconstructionTrace(status=STATUS_FAILED, detail=repr(err))
 

@@ -17,9 +17,9 @@ correction, Neumann data as consistent edge loads. Integrals along the
 boundary loop have one quadrature, the trapezoid weights of
 boundary_weights, which the probe datum and its adjoint use. There is one
 Dirichlet elimination, eliminate_dirichlet_data: a gather, cached per mesh
-and block count, from the data of a stack of nodal blocks on the mesh
-pattern to the eliminated CSR data (explicit zeros are kept, so the
-eliminated pattern is fixed) for homogeneous data. eliminate_dirichlet
+and block count and read off the sp.bmat layout, from the data of a stack of
+nodal blocks on the mesh pattern to the eliminated CSR data for homogeneous
+data (explicit zeros are kept, so the pattern is fixed). eliminate_dirichlet
 makes the column correction of a boundary condition's values and hands it
 one operator's data; the reconstruction's q-corrector hands it the data of
 its four blocks from one product with the assembly map. Gradients are two
@@ -28,7 +28,7 @@ TriangleMesh.average_map), and the masked integral norms dot products with
 cached lumped weights. Every operator is real, and every linear solve goes
 through one factor object, Factor, built once and reused for blocks of
 right-hand sides (a complex one as its real and imaginary columns), each
-column checked against a relative residual of 1e-10 (residual_gate). The
+column of its one residual block held to a relative 1e-10 (residual_gate). The
 matrix chooses the factorization. A symmetric matrix whose nonzero entries
 couple only rows whose diagonals share a sign, on a pattern whose reverse
 Cuthill-McKee band is narrow (BAND_HALF_WIDTH: the meshes of 50, 100 and
@@ -477,7 +477,10 @@ def _upper_band(lower: np.ndarray) -> np.ndarray:
     Factoring in lower and solving in upper storage is the fast pair in
     OpenBLAS (mesh 100, half-bandwidth 40): dpbtrf in upper storage took
     2.2 against 0.27 ms on two BLAS threads, and dpbtrs in lower storage
-    109 against 51 us for two columns."""
+    109 against 51 us for two columns. On one thread, as the benchmark runs
+    (pinned, medians of 30): mesh-200 dpbtrf 1.9-2.0 ms, 2.6 with the copy,
+    its 2-column solve 0.35 against 0.39 ms in lower storage; mesh-100 upper
+    dpbtrf 0.38 ms, as lower (1.77 against 0.41 ms on two threads)."""
     width, n = lower.shape[0] - 1, lower.shape[1]
     flat = np.zeros((width + 1) * (n + width))
     skewed = as_strided(flat[width:], shape=lower.shape,
@@ -627,16 +630,14 @@ def residual_gate(matrix, y: np.ndarray, cols: np.ndarray, n_rhs: int,
     """Largest relative residual of matrix @ y = cols over its rhs columns.
 
     cols holds n_rhs real columns, or 2 n_rhs as [Re, Im] halves; a complex
-    column is measured by the Frobenius norm of its [Re, Im] pair. Columns
-    are checked one at a time, so no residual block is formed. When gate is
-    set, one column above RESIDUAL_RTOL raises NonConvergence.
+    column is measured by the Frobenius norm of its [Re, Im] pair. The
+    residual block matrix @ y - cols is formed once and measured column by
+    column by _relative_residuals, the measure refined_solve stops on. When
+    gate is set, one column above RESIDUAL_RTOL raises NonConvergence.
     """
-    checks = []
-    for j in range(n_rhs):
-        res = matrix @ y[..., j::n_rhs]
-        res -= cols[..., j::n_rhs]
-        checks += _relative_residuals(res, cols[..., j::n_rhs], 1)
-    rel, residual, rhs_norm = max(checks)
+    res = matrix @ y
+    res -= cols
+    rel, residual, rhs_norm = max(_relative_residuals(res, cols, n_rhs))
     if gate and rel > RESIDUAL_RTOL:
         raise NonConvergence(residual, rhs_norm)
     return rel

@@ -95,11 +95,9 @@ class PhantomSpec:
     )
 
     def values(self, which: str) -> dict:
-        if which == "conductivity":
-            return self.conductivity
-        if which == "permittivity":
-            return self.permittivity
-        raise ValueError(f"unknown coefficient kind {which!r}")
+        if which not in ("conductivity", "permittivity"):
+            raise ValueError(f"unknown coefficient kind {which!r}")
+        return getattr(self, which)
 
 
 class DirichletGather(NamedTuple):
@@ -236,44 +234,38 @@ class TriangleMesh:
         """The gather that eliminates the boundary rows and columns of a
         blocks x blocks stack of operators on csr_pattern: interior entries
         stay, a boundary row keeps only its diagonal. Built once per block
-        count by index arithmetic on csr_pattern and kept with the mesh,
-        its arrays locked."""
+        count from the canonical CSR layout of the stack, as scipy's sp.bmat
+        lays it out, and kept with the mesh, its arrays locked."""
         gather = self._dirichlet_gathers.get(blocks)
         if gather is not None:
             return gather
         indptr, indices, _ = self.csr_pattern
-        n, nnz, squares = self.n_nodes, len(indices), blocks * blocks
-        length = np.diff(indptr)
-        rows = np.repeat(np.arange(n, dtype=np.int32), length)
-        inner = np.ones(n, dtype=bool)
-        inner[self.boundary_nodes] = False
-        # one row per block (r, c) of the stack, one column per pattern
-        # entry p; int32 while building
-        grid = np.arange(blocks, dtype=np.int32)
-        r = np.repeat(grid, blocks)[:, None]
-        c = np.tile(grid, blocks)[:, None]
-        entry = np.arange(nnz, dtype=np.int32)
-        # where entry p of block (r, c) sits in the stacked canonical CSR
-        # data: band r, node row i, block column c, then p's offset in row i
-        position = (r * (blocks * nnz) + (blocks - 1) * indptr[rows]
-                    + c * length[rows] + entry)
-        diag = (r == c) & ~inner[rows] & (rows == indices)
-        if np.count_nonzero(diag) != blocks * len(self.boundary_nodes):
+        n = self.n_nodes
+        # block (r, c) holds at pattern entry p the tag 1 + p blocks^2 +
+        # r blocks + c, one past its value's place in the blocks' (nnz,
+        # blocks^2) data: no tag is 0, so every entry stays, in nonzero() too
+        tags = np.arange(1, blocks * blocks * len(indices) + 1,
+                         dtype=np.int32).reshape(-1, blocks, blocks)
+        stack = sp.bmat([[sp.csr_matrix((tags[:, r, c], indices, indptr), shape=(n, n))
+                          for c in range(blocks)] for r in range(blocks)], format="csr")
+        boundary = (self.boundary_nodes
+                    + n * np.arange(blocks, dtype=np.int32)[:, None]).ravel()
+        inner = np.ones(blocks * n, dtype=bool)
+        inner[boundary] = False
+        rows, cols = stack.nonzero()
+        diag = (rows == cols) & ~inner[rows]
+        if np.count_nonzero(diag) != len(boundary):
             raise ValueError("mesh pattern lacks a boundary diagonal entry")
-        stays = (inner[rows] & inner[indices]) | diag
-        order = np.empty(squares * nnz, dtype=np.int32)
-        order[position.ravel()] = np.arange(squares * nnz, dtype=np.int32)
-        # every entry that stays, in the stacked canonical order
-        kept = order[stays.ravel()[order]]
-        out_indptr = np.zeros(blocks * n + 1, dtype=np.int32)
-        np.cumsum(np.bincount((r * n + rows).ravel()[kept], minlength=blocks * n),
-                  out=out_indptr[1:])
+        stays = (inner[rows] & inner[cols]) | diag
+        # dropping the other entries' tags leaves the eliminated pattern
+        stack.data[~stays] = 0
+        stack.eliminate_zeros()
         gather = DirichletGather(
-            boundary=(self.boundary_nodes + n * grid[:, None]).ravel(),
-            keep=(entry * squares + (r * blocks + c)).ravel()[kept].astype(np.intp),
-            diagonal=np.flatnonzero(diag.ravel()[kept]).astype(np.int32),
-            indptr=out_indptr,
-            indices=(c * n + indices).ravel()[kept])
+            boundary=boundary,
+            keep=(stack.data - 1).astype(np.intp),
+            diagonal=np.flatnonzero(diag[stays]).astype(np.int32),
+            indptr=stack.indptr.astype(np.int32),
+            indices=stack.indices.astype(np.int32))
         for arr in gather:
             arr.flags.writeable = False
         self._dirichlet_gathers[blocks] = gather
@@ -395,9 +387,8 @@ def build_disk_mesh(radius: float, n_boundary_points: int) -> TriangleMesh:
     triangles = np.ascontiguousarray(tri.simplices, dtype=np.int32)
     area, _, _ = kernels.element_geometry(nodes, triangles)
     flip = area < 0
-    if np.any(flip):
-        triangles[flip] = triangles[flip][:, [0, 2, 1]]
-        area = np.abs(area)
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    area = np.abs(area)
     keep = area > 1e-12 * radius ** 2
     triangles = triangles[keep]
 
@@ -534,32 +525,22 @@ def load_mesh(path) -> TriangleMesh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if lines[0] != MESH_FORMAT_HEADER:
         raise ValueError(f"not a mesh file (header {lines[0]!r})")
-    radius = float(lines[1].split()[1])
-    n_boundary = int(lines[2].split()[1])
-    pos = 3
-    n_nodes = int(lines[pos].split()[1])
-    pos += 1
-    nodes = np.array(
-        [[float(t) for t in ln.split()] for ln in lines[pos : pos + n_nodes]],
-        dtype=np.float64,
-    )
-    pos += n_nodes
-    n_tris = int(lines[pos].split()[1])
-    pos += 1
-    triangles = np.array(
-        [[int(t) for t in ln.split()] for ln in lines[pos : pos + n_tris]],
-        dtype=np.int32,
-    )
-    pos += n_tris
-    n_bd = int(lines[pos].split()[1])
-    pos += 1
-    boundary = np.array([int(ln) for ln in lines[pos : pos + n_bd]], dtype=np.int32)
+    rows = iter(lines[3:])
+
+    def table(kind):
+        # a "name count" line, then count rows (TriangleMesh sets the dtype)
+        count = int(next(rows).split()[1])
+        return np.array([[kind(t) for t in next(rows).split()]
+                         for _ in range(count)])
+
+    nodes = table(float)
+    triangles = table(int)
     mesh = TriangleMesh(
         nodes=nodes,
         triangles=triangles,
-        boundary_nodes=boundary,
-        n_boundary_points=n_boundary,
-        radius=radius,
+        boundary_nodes=table(int).ravel(),
+        n_boundary_points=int(lines[2].split()[1]),
+        radius=float(lines[1].split()[1]),
     )
     _validate_mesh(mesh)
     return mesh

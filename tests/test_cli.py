@@ -95,6 +95,28 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("reconstruct", {"phantom": {"annulus_radius": None}},
+     "phantom.annulus_radius"),
+    ("reconstruct", {"mesh": {"n_boundary_points": None}},
+     "mesh.n_boundary_points"),
+    ("reconstruct", {"reconstruction": {"damping": None}},
+     "reconstruction.damping"),
+    ("probe", {"probes": {"gamma_tilde": None},
+               "boundary": {"condition": "neumann"}}, "probes.gamma_tilde"),
+    ("probe", {"probes": {"radii": [0.4, None]},
+               "boundary": {"condition": "neumann"}}, "probes.radii"),
+], ids=["annulus_radius", "n_boundary_points", "damping", "gamma_tilde",
+        "radii"])
+def test_null_config_value_rejected(tmp_path, capsys, command, doc, key):
+    # a null where a value belongs is a configuration error (exit 2), not
+    # a crash; frequencies.m, k1, k2 and probes.grid_spacing may be null
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_phantom_section_reads_back_the_default_phantom():
     assert cli.phantom_from_config(cli.default_config()) == hm.PhantomSpec()
 
@@ -268,9 +290,15 @@ def assert_reruns_from_echo(tmp_path, command, first):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_reconstruct_converges_and_reruns_from_echo(tmp_path):
+def test_reconstruct_converges_and_reruns_from_echo(tmp_path, monkeypatch):
+    # the true coefficients are built once, for the data and the report
+    calls = []
+    build = hm.coefficient_from_phantom
+    monkeypatch.setattr(hm, "coefficient_from_phantom",
+                        lambda *args: calls.append(args[2]) or build(*args))
     first = tmp_path / "first"
     assert run_cli("reconstruct", "--out", first) == 0
+    assert calls == ["conductivity", "permittivity"]
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["summary"]["status"] == "Converged"
     # the run total of the factorizations each trace row counts

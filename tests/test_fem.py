@@ -450,18 +450,37 @@ def test_factor_solve_rejects_complex_matrix():
 
 def test_factor_block_solve_matches_column_solves(disk50, truth50):
     gamma, q = truth50
-    matrix = fem.assemble_operator(disk50, gamma.values, -(0.7 ** 2) * q.values)
-    rng = np.random.default_rng(14)
     n = disk50.n_nodes
-    real = rng.standard_normal((n, 3))
-    lu = fem.Factor(matrix)
-    for block in (real, real + 1j * rng.standard_normal((n, 3))):
-        x, rel = lu.solve(block)
-        assert x.shape == block.shape and x.dtype == block.dtype
-        assert rel <= fem.RESIDUAL_RTOL
-        for j in range(block.shape[1]):
-            ref, _ = fem.factor_solve(matrix, block[:, j])
-            assert np.linalg.norm(x[:, j] - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the Neumann-like operator at k = 0.7 is indefinite: the LU; the
+    # eliminated forward operator at k = 0.1 is definite: the band
+    lu = fem.assemble_operator(disk50, gamma.values, -(0.7 ** 2) * q.values)
+    bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(disk50)))
+    band, _ = fem.assemble(disk50, gamma, q, 0.1, bc)
+    rng = np.random.default_rng(14)
+    real = rng.standard_normal((n, 8))
+    blocks = (real[:, :3], real[:, :3] + 1j * rng.standard_normal((n, 3)),
+              real, real[:, :2] + 1j * real[:, 2:4])
+    for matrix, solver in ((lu, spla.SuperLU), (band, fem.BandCholesky)):
+        factor = fem.Factor(matrix)
+        assert isinstance(factor._solver, solver)
+        for block in blocks:
+            x, rel = factor.solve(block)
+            assert x.shape == block.shape and x.dtype == block.dtype
+            assert rel <= fem.RESIDUAL_RTOL
+            # the gate measures each column of the residual block as its
+            # column measured alone
+            cols, rhs = fem._real_columns(x), fem._real_columns(block)
+            m = block.shape[1]
+            measured = fem._relative_residuals(matrix @ cols - rhs, rhs, m)
+            alone = []
+            for j in range(m):
+                res = matrix @ cols[:, j::m]
+                res -= rhs[:, j::m]
+                alone += fem._relative_residuals(res, rhs[:, j::m], 1)
+            assert measured == alone and rel == max(alone)[0]
+            for j in range(m):
+                ref, _ = fem.factor_solve(matrix, block[:, j])
+                assert np.linalg.norm(x[:, j] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_factor_block_solve_gates_on_residual():
@@ -828,12 +847,17 @@ def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
 
 
 @pytest.mark.parametrize("k", [0.0, 0.35])
-def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
+def test_eliminate_dirichlet_is_the_masked_product(disk100, disk200, disk400, k):
+    for mesh in (disk100, disk200, disk400):
+        check_masked_product(mesh, k)
+
+
+def check_masked_product(mesh, k):
     phantom = hm.PhantomSpec()
-    gamma = hm.coefficient_from_phantom(disk100, phantom, "conductivity")
-    q = hm.coefficient_from_phantom(disk100, phantom, "permittivity")
-    a = fem.assemble_operator(disk100, gamma.values, -(k ** 2) * q.values)
-    coupling = fem.assemble_operator(disk100, None, 0.3 * q.values)
+    gamma = hm.coefficient_from_phantom(mesh, phantom, "conductivity")
+    q = hm.coefficient_from_phantom(mesh, phantom, "permittivity")
+    a = fem.assemble_operator(mesh, gamma.values, -(k ** 2) * q.values)
+    coupling = fem.assemble_operator(mesh, None, 0.3 * q.values)
     block = sp.bmat([[a, coupling], [0.5 * coupling, 2.0 * a]], format="csr")
     block_data = np.column_stack([a.data, coupling.data, 0.5 * coupling.data,
                                   2.0 * a.data])
@@ -841,16 +865,25 @@ def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
     # gather keeps it, so the eliminated pattern is the same for every call
     zeroed = a.copy()
     indptr = zeroed.indptr
-    interior = np.setdiff1d(np.arange(disk100.n_nodes), disk100.boundary_nodes)
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
     zeroed.data[indptr[interior[0]]:indptr[interior[0] + 1]] = 0.0
-    n = disk100.n_nodes
-    data = np.exp(1j * boundary_angles(disk100))
+    n = mesh.n_nodes
+    data = np.exp(1j * boundary_angles(mesh))
+    # the full eliminated pattern of one and of two blocks, whatever the
+    # values: the reference elimination of all-ones blocks on csr_pattern
+    pattern_indptr, pattern_indices, _ = mesh.csr_pattern
+    ones = sp.csr_matrix((np.ones(len(pattern_indices)), pattern_indices,
+                          pattern_indptr), shape=(n, n))
+    full = {count: eliminate_by_products(
+                mesh, sp.bmat([[ones] * count] * count, format="csr"),
+                np.zeros(count * n))[0]
+            for count in (1, 2)}
 
     def operator(matrix, rhs, values):
-        return fem.eliminate_dirichlet(disk100, matrix, rhs, values)
+        return fem.eliminate_dirichlet(mesh, matrix, rhs, values)
 
     def blocks(matrix, rhs, values):
-        return fem.eliminate_dirichlet_data(disk100, block_data, rhs)
+        return fem.eliminate_dirichlet_data(mesh, block_data, rhs)
 
     cases = [(operator, a, np.ones(n, dtype=np.complex128), data),
              (operator, a, np.ones(n), None),
@@ -862,15 +895,30 @@ def test_eliminate_dirichlet_is_the_masked_product(disk100, k):
         first, _ = eliminate(matrix, rhs, values)
         got, got_rhs = eliminate(matrix, rhs, values)
         assert np.shares_memory(got.indices, first.indices)
-        want, want_rhs = eliminate_by_products(disk100, matrix, rhs, values)
+        want, want_rhs = eliminate_by_products(mesh, matrix, rhs, values)
+        # the gathered pattern is fixed: it is the full pattern, explicit
+        # zeros included, as in zeroed and in two stiffness entries of mesh
+        # 200 at k = 0 (edges opposite right angles), which the reference
+        # drops
+        np.testing.assert_array_equal(got.indptr, full[len(rhs) // n].indptr)
+        np.testing.assert_array_equal(got.indices, full[len(rhs) // n].indices)
         kept = got.nnz
         got = got.copy()  # the gathered pattern is locked
         got.eliminate_zeros()
-        assert got.nnz < kept if matrix is zeroed else got.nnz == kept
+        if matrix is zeroed:
+            assert got.nnz < kept
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(got_rhs, want_rhs)
+    # keep is intp, because np.take casts any other index type on every
+    # call; the other arrays are int32 like the mesh pattern
+    for count in (1, 2):
+        gather = mesh.dirichlet_gather(count)
+        assert gather.keep.dtype == np.intp
+        assert {arr.dtype for arr in (gather.boundary, gather.diagonal,
+                                      gather.indptr, gather.indices)} == {np.dtype(np.int32)}
+        assert not any(arr.flags.writeable for arr in gather)
 
 
 def test_eliminate_dirichlet_rejects_a_matrix_off_the_mesh_pattern(disk50, truth50):

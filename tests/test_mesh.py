@@ -176,7 +176,10 @@ def test_mesh_save_load_round_trip(tmp_path, disk50):
     np.testing.assert_array_equal(loaded.nodes, disk50.nodes)
     np.testing.assert_array_equal(loaded.triangles, disk50.triangles)
     np.testing.assert_array_equal(loaded.boundary_nodes, disk50.boundary_nodes)
+    assert [a.dtype for a in (loaded.nodes, loaded.triangles, loaded.boundary_nodes)] \
+        == [np.float64, np.int32, np.int32]
     assert loaded.radius == disk50.radius
+    assert loaded.n_boundary_points == disk50.n_boundary_points
     # determinism of the generator and the writer
     path2 = tmp_path / "mesh2.txt"
     hm.save_mesh(hm.build_disk_mesh(8.0, 50), path2)
