@@ -86,33 +86,47 @@ def default_config() -> dict:
     }
 
 
-def _holds_null(value) -> bool:
-    return value is None or (isinstance(value, list)
-                             and any(map(_holds_null, value)))
+def _json_type(value) -> str:
+    """The JSON type of a parsed JSON value, with its article."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "a number"
+    return {type(None): "null", bool: "a boolean", str: "a string",
+            list: "a list", dict: "a mapping"}[type(value)]
+
+
+def _merge_value(default, value, key: str):
+    """value, of its default's JSON type, merged into the default: a
+    mapping by _merge_strict, a list element by element against the
+    default's first element. A null default stands for an optional number.
+    A null stands only there and for frequencies.m, which frequencies.k1/k2
+    replace. The sweep command's keys also take a list of numbers, which
+    _single rejects for the other commands."""
+    got = _json_type(value)
+    if got == "a mapping" and isinstance(default, dict):
+        return _merge_strict(default, value, key + ".")
+    if got == "a list" and (isinstance(default, list) or key in (
+            "mesh.n_boundary_points", "frequencies.m")):
+        item = default[0] if isinstance(default, list) else default
+        return [_merge_value(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
+    allowed = {"a number", "null"} if default is None else {_json_type(default)}
+    if key == "frequencies.m":
+        allowed.add("null")
+    if got not in allowed:
+        want = ("not be null" if got == "null"
+                else f"be {' or '.join(sorted(allowed))}, not {got}")
+        raise ConfigError(f"config key {key} must {want}")
+    return value
 
 
 def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
-    """Overlay user values onto defaults, rejecting keys not in the schema."""
+    """Overlay user values onto defaults, rejecting keys not in the schema
+    and values not of their default's JSON type (_merge_value)."""
     unknown = sorted(set(user) - set(defaults))
     if unknown:
         where = path.rstrip(".") or "top level"
         raise ConfigError(f"unknown config keys {unknown} at {where}")
-    merged = {}
-    for key, dval in defaults.items():
-        if key in user and isinstance(dval, dict):
-            if not isinstance(user[key], dict):
-                raise ConfigError(f"config section {path}{key} must be a mapping")
-            merged[key] = _merge_strict(dval, user[key], f"{path}{key}.")
-        elif key in user:
-            # a null, within lists too, stands only where the default is null
-            # and for frequencies.m, which frequencies.k1/k2 replace
-            if _holds_null(user[key]) and not (user[key] is None and (
-                    dval is None or path + key == "frequencies.m")):
-                raise ConfigError(f"config key {path}{key} must not be null")
-            merged[key] = copy.deepcopy(user[key])
-        else:
-            merged[key] = copy.deepcopy(dval)
-    return merged
+    return {key: _merge_value(dval, user[key], path + key) if key in user
+            else copy.deepcopy(dval) for key, dval in defaults.items()}
 
 
 def load_config(path: Optional[Path]) -> dict:

@@ -38,7 +38,8 @@ forward operator of a pass below the first resonance or above the top of
 the discrete spectrum. Every other matrix, and one whose Cholesky fails,
 gets a float64 sparse LU with a symmetric minimum-degree ordering and
 supernode constants measured on these operators (LU_RELAX, LU_PANEL_SIZE).
-The band (BandOrder), or its absence, is analysed once per sparsity pattern.
+The band (BandOrder), or its absence, comes from a least-recently-used
+cache of the last BAND_ORDER_PATTERNS sparsity patterns.
 factor_solve is the one-shot form; solve_bvp is factor_solve(*assemble(...)).
 Factor.refined_solve solves a system near the
 factored one (or a stack of nodal blocks near copies of it) by defect
@@ -48,9 +49,8 @@ refinement misses the gate: that is how each reconstruction pass solves its
 corrector on its forward factor.
 """
 
-import hashlib
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -98,10 +98,10 @@ LU_PANEL_SIZE = 1
 # (42) and 100 (86), and leaves mesh 400 and mesh 200's two-block system
 # (159) on the LU.
 BAND_HALF_WIDTH = 100
-# the patterns Factor keeps band orders of (None for a pattern with no
-# band), first in first out: a mesh has at most three patterns here
-# (Neumann, eliminated and the two-block corrector), and two sweep cells may
-# run at once
+# the size of the least-recently-used cache of band orders (None for a
+# pattern with no band): a mesh has at most three patterns here (Neumann,
+# eliminated and the two-block corrector), and two sweep cells may run at
+# once
 BAND_ORDER_PATTERNS = 8
 
 
@@ -373,54 +373,37 @@ class BandOrder(NamedTuple):
     width: int
 
 
-_pattern_orders: dict = {}
-_pattern_orders_lock = threading.Lock()
-
-
-def _keep_order(key: bytes, order: Optional[BandOrder]) -> None:
-    """Record a pattern's band order, or None for no band, dropping the
-    oldest pattern beyond BAND_ORDER_PATTERNS."""
-    with _pattern_orders_lock:
-        _pattern_orders[key] = order
-        if len(_pattern_orders) > BAND_ORDER_PATTERNS:
-            del _pattern_orders[next(iter(_pattern_orders))]
-
-
-def _pattern_key(csr: sp.csr_matrix) -> bytes:
-    """Digest of a CSR matrix's shape and index arrays."""
-    digest = hashlib.sha256(np.array(
-        [*csr.shape, csr.nnz, csr.indptr.itemsize, csr.indices.itemsize]))
-    digest.update(csr.indptr)
-    digest.update(csr.indices)
-    return digest.digest()
-
-
-def _band_order(csr: sp.csr_matrix) -> Optional[BandOrder]:
-    """The BandOrder of csr's pattern, or None where the pattern is not
-    symmetric, misses a diagonal entry or has a reverse Cuthill-McKee
-    half-bandwidth above BAND_HALF_WIDTH. In a symmetric pattern the CSC
-    form of the entry positions (each entry holding its CSR position) has
-    csr's own index arrays and holds, at each entry, the position of its
-    transpose."""
-    n = csr.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    diagonal = np.flatnonzero(rows == csr.indices)
-    positions = sp.csr_matrix((np.arange(csr.nnz, dtype=np.int32), csr.indices,
-                               csr.indptr), shape=csr.shape).tocsc()
+@functools.lru_cache(maxsize=BAND_ORDER_PATTERNS)
+def _band_order(n: int, indptr: bytes, indices: bytes,
+                dtype: np.dtype) -> Optional[BandOrder]:
+    """The BandOrder of the n x n CSR pattern whose index arrays of dtype
+    have the bytes indptr and indices (a hashable key), or None where the
+    pattern is not symmetric, misses a diagonal entry or has a reverse
+    Cuthill-McKee half-bandwidth above BAND_HALF_WIDTH. In a symmetric
+    pattern the CSC form of the entry positions (each entry holding its CSR
+    position) has the pattern's own index arrays and holds, at each entry,
+    the position of its transpose."""
+    indptr = np.frombuffer(indptr, dtype)
+    indices = np.frombuffer(indices, dtype)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    diagonal = np.flatnonzero(rows == indices)
+    positions = sp.csr_matrix((np.arange(len(indices), dtype=np.int32),
+                               indices, indptr), shape=(n, n))
+    transposed = positions.tocsc()
     if len(diagonal) != n or not (
-            np.array_equal(positions.indptr, csr.indptr)
-            and np.array_equal(positions.indices, csr.indices)):
+            np.array_equal(transposed.indptr, indptr)
+            and np.array_equal(transposed.indices, indices)):
         return None
-    perm = reverse_cuthill_mckee(csr, symmetric_mode=True).astype(np.intp)
+    perm = reverse_cuthill_mckee(positions, symmetric_mode=True).astype(np.intp)
     inverse = np.argsort(perm)
-    below = inverse[rows] - inverse[csr.indices]
+    below = inverse[rows] - inverse[indices]
     width = int(below.max(initial=0))
     if width > BAND_HALF_WIDTH:
         return None
     lower = np.flatnonzero(below >= 0)
-    scatter = inverse[csr.indices[lower]] * (width + 1) + below[lower]
+    scatter = inverse[indices[lower]] * (width + 1) + below[lower]
     order = BandOrder(perm=perm, inverse=inverse, rows=rows,
-                      transpose=positions.data.astype(np.intp),
+                      transpose=transposed.data.astype(np.intp),
                       diagonal=diagonal, lower=lower, scatter=scatter,
                       width=width)
     for arr in order[:-1]:
@@ -475,12 +458,17 @@ def _upper_band(lower: np.ndarray) -> np.ndarray:
     buffer padded for the last columns' overhang.
 
     Factoring in lower and solving in upper storage is the fast pair in
-    OpenBLAS (mesh 100, half-bandwidth 40): dpbtrf in upper storage took
-    2.2 against 0.27 ms on two BLAS threads, and dpbtrs in lower storage
-    109 against 51 us for two columns. On one thread, as the benchmark runs
-    (pinned, medians of 30): mesh-200 dpbtrf 1.9-2.0 ms, 2.6 with the copy,
-    its 2-column solve 0.35 against 0.39 ms in lower storage; mesh-100 upper
-    dpbtrf 0.38 ms, as lower (1.77 against 0.41 ms on two threads)."""
+    OpenBLAS on two BLAS threads (mesh 100, half-bandwidth 40): dpbtrf in
+    upper storage took 2.2 against 0.27 ms, and dpbtrs in lower storage
+    109 against 51 us for two columns. On one pinned CPU and one BLAS
+    thread, as the benchmark runs, 2-column solves took 0.079 ms in lower
+    and 0.037 in upper storage on mesh 100 (the copy 0.032 ms), and 0.311
+    and 0.252 ms on mesh 200 (the copy 0.35-0.48 ms). So the copy pays
+    where a factor serves many solves, and dropping it trades one workload
+    against the other (in process, 12 alternating repetitions, medians):
+    recon-m200 (58 factors, 247 solves) took 368 ms with the copy, 356
+    solving in lower storage and 399 factoring in upper storage; the six
+    sweep-cli cells, serial (190 factors, 1,011 solves), 313, 325 and 313 ms."""
     width, n = lower.shape[0] - 1, lower.shape[1]
     flat = np.zeros((width + 1) * (n + width))
     skewed = as_strided(flat[width:], shape=lower.shape,
@@ -492,14 +480,10 @@ def _upper_band(lower: np.ndarray) -> np.ndarray:
 
 def _factorize(csr: sp.csr_matrix) -> Union[BandCholesky, spla.SuperLU]:
     """The one factorization of a canonical CSR matrix: its BandCholesky
-    where it has one, else its SuperLU LU. A new pattern's BandOrder, or
-    None where it has no band, is analysed and kept first."""
-    key = _pattern_key(csr)
-    try:
-        order = _pattern_orders[key]
-    except KeyError:
-        order = _band_order(csr)
-        _keep_order(key, order)
+    where it has one, else its SuperLU LU. Its pattern's BandOrder, or None
+    where it has no band, comes from _band_order's cache."""
+    order = _band_order(csr.shape[0], csr.indptr.tobytes(),
+                        csr.indices.tobytes(), csr.indices.dtype)
     if order is not None:
         band = _band_cholesky(csr, order)
         if band is not None:
@@ -523,8 +507,8 @@ class Factor:
     matrix, and one whose Cholesky fails (on mesh 200 the failed attempt
     takes 1.8-2.7 ms of the 8.3-11 ms it and the LU take), gets a SuperLU
     LU with LU_ORDERING, LU_OPTIONS, LU_RELAX and LU_PANEL_SIZE. The band
-    order, or its absence, is kept per pattern (BAND_ORDER_PATTERNS
-    patterns). solve takes a right-hand side of shape (n,) or (n, m), real
+    order, or its absence, is cached for the BAND_ORDER_PATTERNS patterns
+    last used. solve takes a right-hand side of shape (n,) or (n, m), real
     or complex, and solves a complex block as the real columns [Re, Im] of
     one triangular solve; matrix is the caller's, and the gate measures the
     residual against it. refined_solve solves a nearby system on the same factor.

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from helmpert import cli
+from helmpert import cli, fem
 from helmpert import mesh as hm
 from helmpert import reconstruct as rc
 
@@ -115,6 +115,27 @@ def test_null_config_value_rejected(tmp_path, capsys, command, doc, key):
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("reconstruct", {"reconstruction": {"damping": [1.0]}},
+     "reconstruction.damping"),
+    ("probe", {"probes": {"radii": 0.4}, "boundary": {"condition": "neumann"}},
+     "probes.radii"),
+    ("mesh", {"mesh": {"radius": "8"}}, "mesh.radius"),
+    ("reconstruct", {"reconstruction": {"max_iterations": True}},
+     "reconstruction.max_iterations"),
+], ids=["damping", "radii", "radius", "max_iterations"])
+def test_wrong_type_config_value_rejected(tmp_path, capsys, command, doc, key):
+    # a value of another JSON type than its default is a configuration
+    # error (exit 2) before anything runs or is written: not a crash, a
+    # string echoed as the mesh radius, or a boolean read as one iteration
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (out / "config_echo.json").exists()
 
 
 def test_phantom_section_reads_back_the_default_phantom():
@@ -350,6 +371,31 @@ def test_sweep_single_cell_matches_reconstruct(tmp_path):
     assert run_cli("sweep", "--config", cfg, "--out", sdir) == 0
     assert (sdir / "trace_m3_mesh50.csv").read_bytes() == \
         (rdir / "trace.csv").read_bytes()
+
+
+def test_sweep_pins_the_benchmark_cells_on_one_and_two_jobs(tmp_path):
+    # the grid of the sweep-cli benchmark workload: every cell's status and
+    # iteration count, and the same bytes from one job and from two, each
+    # run starting from an empty cache of band orders
+    cfg = write_config(tmp_path, {"frequencies": {"m": [1, 2, 3]},
+                                  "mesh": {"n_boundary_points": [50, 100]}})
+    outs = [tmp_path / "jobs1", tmp_path / "jobs2"]
+    for jobs, out in enumerate(outs, start=1):
+        fem._band_order.cache_clear()
+        assert run_cli("sweep", "--config", cfg, "--out", out,
+                       "--jobs", jobs) == 1
+    summary = read_csv_columns(outs[0] / "sweep_summary.csv")
+    cells = zip(summary["m"], summary["mesh_points"], summary["status"],
+                summary["iterations"])
+    assert {(int(m), int(n)): (status, int(iterations))
+            for m, n, status, iterations in cells} == {
+        (1, 50): ("Diverged", 3), (1, 100): ("Diverged", 3),
+        (2, 50): ("Converged", 23), (2, 100): ("Diverged", 18),
+        (3, 50): ("Converged", 23), (3, 100): ("Stalled", 20)}
+    names = sorted(path.name for path in outs[0].glob("*.csv"))
+    assert len(names) == 7  # six traces and the summary
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sweep_mixed_statuses_exit_nonzero(tmp_path, capsys):

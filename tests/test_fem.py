@@ -589,12 +589,13 @@ def test_refined_solve_rejects_a_foreign_block_size(disk50, truth50):
 
 
 @pytest.fixture
-def fresh_orders(monkeypatch):
-    """An empty map of band orders for one test, so that its first factor
-    of each pattern analyses the pattern."""
-    orders = {}
-    monkeypatch.setattr(fem, "_pattern_orders", orders)
-    return orders
+def fresh_orders():
+    """fem's cache of band orders, emptied for one test, so that its first
+    factor of each pattern analyses the pattern."""
+    orders = fem._band_order
+    orders.cache_clear()
+    yield orders
+    orders.cache_clear()
 
 
 @pytest.fixture
@@ -621,15 +622,17 @@ def fresh_lu(matrix):
 
 
 @pytest.fixture
-def band_order_calls(monkeypatch):
-    """Every band analysis as (matrix size, BandOrder or None), recorded
-    at fem._band_order."""
+def band_order_calls(monkeypatch, fresh_orders):
+    """Every band analysis as (matrix size, BandOrder or None): the misses
+    of fem's emptied cache of band orders."""
     calls = []
-    real_band_order = fem._band_order
 
-    def recording_band_order(csr):
-        calls.append((csr.shape[0], real_band_order(csr)))
-        return calls[-1][1]
+    def recording_band_order(n, *pattern):
+        misses = fresh_orders.cache_info().misses
+        order = fresh_orders(n, *pattern)
+        if fresh_orders.cache_info().misses > misses:
+            calls.append((n, order))
+        return order
 
     monkeypatch.setattr(fem, "_band_order", recording_band_order)
     return calls
@@ -661,34 +664,31 @@ def test_lu_orders_are_keyed_by_pattern(disk50, disk100, disk400, fresh_orders,
     # each analyse their own pattern
     assert ([order is None for _, order in band_order_calls]
             == [False] * 4 + [True] * 3)
-    assert len(fresh_orders) == 7
+    assert fresh_orders.cache_info().currsize == 7
     for matrix in operators():
         fem.Factor(matrix)
     assert len(band_order_calls) == 7
-    for order in filter(None, fresh_orders.values()):
+    assert fresh_orders.cache_info().hits == 7
+    for order in filter(None, (order for _, order in band_order_calls)):
         assert all(not arr.flags.writeable for arr in order[:-1])
         np.testing.assert_array_equal(order.perm[order.inverse],
                                       np.arange(len(order.perm)))
 
 
-def test_lu_orders_keep_the_latest_patterns(fresh_orders, band_order_calls):
-    sizes = range(2, fem.BAND_ORDER_PATTERNS + 3)
-    for n in sizes:
+def test_lu_orders_keep_the_latest_patterns(fresh_orders):
+    # one more pattern than the cache holds, each without a band
+    for n in range(2, fem.BAND_ORDER_PATTERNS + 3):
         fem.Factor(upper_bidiagonal(n))
-    assert len(fresh_orders) == fem.BAND_ORDER_PATTERNS
-    assert all(order is None for order in fresh_orders.values())
-    del band_order_calls[:]
-    # the first pattern went out first
-    fem.Factor(upper_bidiagonal(sizes[-1]))
-    fem.Factor(upper_bidiagonal(sizes[0]))
-    assert band_order_calls == [(sizes[0], None)]
+    info = fresh_orders.cache_info()
+    assert info.maxsize == info.currsize == fem.BAND_ORDER_PATTERNS
+    assert info.misses == fem.BAND_ORDER_PATTERNS + 1
 
 
 def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
                                                           fresh_orders,
                                                           factorizations):
     # more threads than CPUs, switching often: all start on one new mesh
-    # pattern, then factor more small patterns than the map keeps; half of
+    # pattern, then factor more small patterns than the cache keeps; half of
     # the matrices are sign-definite and take the band
     gamma, q = truth50
     bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(disk50)))
@@ -734,7 +734,7 @@ def test_threads_factoring_new_patterns_solve_correctly(disk50, truth50,
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
             else:
                 np.testing.assert_array_equal(x, ref)
-    assert len(fresh_orders) == fem.BAND_ORDER_PATTERNS
+    assert fresh_orders.cache_info().currsize == fem.BAND_ORDER_PATTERNS
 
 
 def test_factor_takes_unsorted_duplicate_entries(fresh_orders):
@@ -749,7 +749,7 @@ def test_factor_takes_unsorted_duplicate_entries(fresh_orders):
         x, _ = fem.Factor(matrix).solve(rhs)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-14)
     np.testing.assert_array_equal(matrix.data, data)
-    assert len(fresh_orders) == 1
+    assert fresh_orders.cache_info()[:2] == (1, 1)  # one hit, one miss
 
 
 def phantom_operator(mesh, k, kind="dirichlet"):
@@ -778,7 +778,7 @@ def test_band_solutions_match_the_lu(disk50, disk100, disk200, exponent,
 
 
 def test_factor_takes_the_band_where_the_matrix_is_sign_definite(
-        disk100, disk400, fresh_orders, factorizations):
+        disk100, disk400, band_order_calls, factorizations):
     above, _ = phantom_operator(disk100, math.pi * 1e3)  # top of spectrum 9.73
     below, _ = phantom_operator(disk100, math.pi * 1e-3)  # first resonance 0.183
     inside, _ = phantom_operator(disk100, 0.35)
@@ -810,14 +810,14 @@ def test_factor_takes_the_band_where_the_matrix_is_sign_definite(
     assert np.count_nonzero(signs_above > 0) == n_boundary
     assert np.count_nonzero(signs_above < 0) == disk100.n_nodes - n_boundary
     assert np.all(signs_below > 0)
-    widths = [order and order.width for order in fresh_orders.values()]
+    widths = [order and order.width for _, order in band_order_calls]
     assert max(width for width in widths if width) <= fem.BAND_HALF_WIDTH
     assert None in widths  # mesh 400's band is too wide
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
-                                                      fresh_orders, splu_calls,
+                                                      band_order_calls, splu_calls,
                                                       factorizations):
     # k = 0.35 lies inside mesh 200's spectrum: the pattern's band is within
     # the cap, so the band is tried, dpbtrf fails, and the matrix gets the
@@ -839,7 +839,7 @@ def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
     assert isinstance(factorizations[0].solver, spla.SuperLU)
     assert splu_calls == [(fem.LU_ORDERING, fem.LU_RELAX, fem.LU_PANEL_SIZE,
                            fem.LU_OPTIONS)]
-    [order] = fresh_orders.values()
+    [(_, order)] = band_order_calls
     assert order.width <= fem.BAND_HALF_WIDTH
     assert rel <= fem.RESIDUAL_RTOL
     ref = fresh_lu(matrix).solve(np.column_stack([rhs.real, rhs.imag]))

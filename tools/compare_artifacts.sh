@@ -2,7 +2,10 @@
 # Compare what the command line writes at a git revision and in the working
 # tree: every artifact, standard output, standard error and exit code of a
 # fixed set of runs (mesh, forward, probe, reconstruct on meshes 50 and 200,
-# a 2 x 2 sweep, and four configs with a null value).
+# a 2 x 2 sweep, four configs with a null value, and four with a value of
+# the wrong JSON type: a list for reconstruction.damping, a number for
+# probes.radii, a string for mesh.radius and a boolean for
+# reconstruction.max_iterations).
 #
 #   tools/compare_artifacts.sh REV
 #
@@ -32,6 +35,10 @@ runs=(
   'null-mesh reconstruct {"mesh": {"n_boundary_points": null}}'
   'null-damping reconstruct {"reconstruction": {"damping": null}}'
   'null-gamma-tilde probe {"probes": {"gamma_tilde": null}, "boundary": {"condition": "neumann"}}'
+  'type-damping reconstruct {"reconstruction": {"damping": [1.0]}}'
+  'type-radii probe {"probes": {"radii": 0.4}, "boundary": {"condition": "neumann"}}'
+  'type-radius mesh {"mesh": {"radius": "8"}}'
+  'type-max-iterations reconstruct {"reconstruction": {"max_iterations": true}}'
 )
 
 run_side() {  # side, src directory
