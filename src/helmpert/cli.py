@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,6 +49,18 @@ _RECONSTRUCTION_KEYS = {
     "gamma_guess": ("gamma_guess", float),
     "q_guess": ("q_guess", float),
     "damping": ("damping", float),
+}
+
+# the lists of a fixed length, by config key with "[]" for each element of
+# a list: the triangle's three vertices, the points (x, y), the semi-axes
+# and the rectangles (x0, x1, y0, y1)
+_FIXED_LENGTHS = {
+    "phantom.triangle_vertices": 3,
+    "phantom.triangle_vertices[]": 2,
+    "phantom.ellipse_center": 2,
+    "phantom.ellipse_semi_axes": 2,
+    "phantom.lshape_rects[]": 4,
+    "probes.centers[]": 2,
 }
 
 # the flags that set one config key each: flag -> (section, key, type, note)
@@ -97,7 +110,8 @@ def _json_type(value) -> str:
 def _merge_value(default, value, key: str):
     """value, of its default's JSON type, merged into the default: a
     mapping by _merge_strict, a list element by element against the
-    default's first element. A null default stands for an optional number.
+    default's first element, at its length where _FIXED_LENGTHS has one.
+    A null default stands for an optional number.
     A null stands only there and for frequencies.m, which frequencies.k1/k2
     replace. The sweep command's keys also take a list of numbers, which
     _single rejects for the other commands."""
@@ -106,6 +120,10 @@ def _merge_value(default, value, key: str):
         return _merge_strict(default, value, key + ".")
     if got == "a list" and (isinstance(default, list) or key in (
             "mesh.n_boundary_points", "frequencies.m")):
+        length = _FIXED_LENGTHS.get(re.sub(r"\[\d+\]", "[]", key))
+        if length is not None and len(value) != length:
+            raise ConfigError(f"config key {key} must hold {length} values, "
+                              f"not {len(value)}")
         item = default[0] if isinstance(default, list) else default
         return [_merge_value(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
     allowed = {"a number", "null"} if default is None else {_json_type(default)}
@@ -394,6 +412,10 @@ def _reconstruction_config(cfg: dict, mesh_obj: Optional[TriangleMesh],
     if cfg["boundary"]["condition"] != "dirichlet":
         raise ConfigError("reconstruction uses dirichlet boundary data")
     rec = cfg["reconstruction"]
+    for key, (_, cast) in _RECONSTRUCTION_KEYS.items():
+        if cast is int and not float(rec[key]).is_integer():
+            raise ConfigError(f"config key reconstruction.{key} must be a "
+                              f"whole number, not {rec[key]!r}")
     bc = boundary_from_config(cfg, mesh_obj) if mesh_obj is not None else None
     return reconstruct.ReconstructionConfig(
         k1=k1, k2=k2, boundary_data=bc,

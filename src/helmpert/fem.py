@@ -46,7 +46,11 @@ factored one (or a stack of nodal blocks near copies of it) by defect
 correction on the same factor, stopping once the residual is at roundoff,
 behind the same gate, and factors the system itself only when the
 refinement misses the gate: that is how each reconstruction pass solves its
-corrector on its forward factor.
+corrector on its forward factor. Factor.refactor factors the next matrix in
+a factor's storage where both take the band of one cached order
+(BandCholesky keeps its work band and its upper factor for that), so the
+reconstruction's passes allocate no band storage after the first; the old
+factor is spent, and solving on it raises.
 """
 
 import functools
@@ -414,11 +418,15 @@ def _band_order(n: int, indptr: bytes, indices: bytes,
 class BandCholesky(NamedTuple):
     """The Cholesky factor L L^T of S A in the band of `order`, S the signs
     of A's diagonal (in band order), kept as the upper band storage of
-    L^T."""
+    L^T. work is the C-ordered (n, width + 1) buffer whose transpose
+    dpbtrf factored in place, LAPACK's lower band storage of L: a
+    refactorization of the same order overwrites work and factor in place
+    (_band_cholesky's reuse)."""
 
     order: BandOrder
     signs: np.ndarray
     factor: np.ndarray
+    work: np.ndarray
 
     def solve(self, cols: np.ndarray) -> np.ndarray:
         """The solution of A y = cols: S A y = S cols, in the band's order."""
@@ -431,31 +439,43 @@ class BandCholesky(NamedTuple):
         return np.take(y, self.order.inverse, axis=0).reshape(cols.shape)
 
 
-def _band_cholesky(csr: sp.csr_matrix, order: BandOrder
+def _band_cholesky(csr: sp.csr_matrix, order: BandOrder,
+                   reuse: Optional[BandCholesky] = None
                    ) -> Optional[BandCholesky]:
     """The BandCholesky of csr, or None where csr is not symmetric, a
     nonzero entry couples rows whose diagonals differ in sign, or S A is
     not positive definite (dpbtrf fails). Given a symmetric matrix, S A is
-    symmetric exactly when its nonzero entries couple rows of one sign."""
+    symmetric exactly when its nonzero entries couple rows of one sign.
+    reuse, a spent BandCholesky, lends its two buffers where its order is
+    order: the result is the same as in fresh storage, bit for bit."""
     data = csr.data
     signs = np.where(data[order.diagonal] < 0, -1.0, 1.0)
     scaled = data * signs[order.rows]
     if not (np.array_equal(data, data[order.transpose])
             and np.array_equal(scaled, scaled[order.transpose])):
         return None
-    band = np.zeros((len(signs), order.width + 1))
+    if reuse is not None and reuse.order is order:
+        band, upper = reuse.work, reuse.factor
+        band.fill(0.0)
+    else:
+        band, upper = np.zeros((len(signs), order.width + 1)), None
     np.put(band, order.scatter, scaled[order.lower])
     lower, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
     if info:
         return None
-    return BandCholesky(order, signs[order.perm], _upper_band(lower))
+    return BandCholesky(order, signs[order.perm], _upper_band(lower, upper),
+                        band)
 
 
-def _upper_band(lower: np.ndarray) -> np.ndarray:
+def _upper_band(lower: np.ndarray, out: Optional[np.ndarray] = None
+                ) -> np.ndarray:
     """The upper band storage of L^T from dpbtrf's lower band storage of L,
     by one strided copy: row d of column j goes to row width - d of column
     j + d, flat position width + d width + j (width + 1) of a column-major
-    buffer padded for the last columns' overhang.
+    buffer padded for the last columns' overhang. out, an earlier result
+    for a band of lower's shape, is overwritten through its padded buffer
+    (out.base); the copy writes the same positions every time, so the
+    unreferenced corner above the band stays zero.
 
     Factoring in lower and solving in upper storage is the fast pair in
     OpenBLAS on two BLAS threads (mesh 100, half-bandwidth 40): dpbtrf in
@@ -470,7 +490,7 @@ def _upper_band(lower: np.ndarray) -> np.ndarray:
     solving in lower storage and 399 factoring in upper storage; the six
     sweep-cli cells, serial (190 factors, 1,011 solves), 313, 325 and 313 ms."""
     width, n = lower.shape[0] - 1, lower.shape[1]
-    flat = np.zeros((width + 1) * (n + width))
+    flat = np.zeros((width + 1) * (n + width)) if out is None else out.base
     skewed = as_strided(flat[width:], shape=lower.shape,
                         strides=(width * flat.itemsize,
                                  (width + 1) * flat.itemsize))
@@ -478,14 +498,17 @@ def _upper_band(lower: np.ndarray) -> np.ndarray:
     return flat[:(width + 1) * n].reshape((width + 1, n), order="F")
 
 
-def _factorize(csr: sp.csr_matrix) -> Union[BandCholesky, spla.SuperLU]:
+def _factorize(csr: sp.csr_matrix, reuse: Optional[BandCholesky] = None
+               ) -> Union[BandCholesky, spla.SuperLU]:
     """The one factorization of a canonical CSR matrix: its BandCholesky
     where it has one, else its SuperLU LU. Its pattern's BandOrder, or None
-    where it has no band, comes from _band_order's cache."""
+    where it has no band, comes from _band_order's cache. reuse is a spent
+    BandCholesky (Factor.refactor's), whose storage a band of its order
+    takes."""
     order = _band_order(csr.shape[0], csr.indptr.tobytes(),
                         csr.indices.tobytes(), csr.indices.dtype)
     if order is not None:
-        band = _band_cholesky(csr, order)
+        band = _band_cholesky(csr, order, reuse)
         if band is not None:
             return band
     try:
@@ -512,22 +535,43 @@ class Factor:
     or complex, and solves a complex block as the real columns [Re, Im] of
     one triangular solve; matrix is the caller's, and the gate measures the
     residual against it. refined_solve solves a nearby system on the same factor.
+    refactor(matrix) factors another matrix in this factor's storage where
+    both take the band of one cached order (two buffers of about 2 MB each
+    on mesh 200, which a loop of fresh factors would have the allocator
+    hand back to the kernel and fault in again on every pass), and as a
+    fresh Factor otherwise; either way this factor is spent, and its solve
+    and refined_solve raise RuntimeError.
     Raises TypeError on a complex matrix and SingularSystem on breakdown.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
+    def __init__(self, matrix: sp.spmatrix,
+                 _reuse: Optional[BandCholesky] = None):
         if np.iscomplexobj(matrix):
             raise TypeError("Factor takes a real matrix")
         self.matrix = matrix.astype(np.float64, copy=False)
         # refined solves that missed the gate and factored their own matrix
         self.fallbacks = 0
-        self._solver = _factorize(_canonical_csr(self.matrix))
+        self._solver = _factorize(_canonical_csr(self.matrix), _reuse)
+
+    def refactor(self, matrix: sp.spmatrix) -> "Factor":
+        """The Factor of matrix, in this factor's band storage where it
+        can; this factor is spent before the new one is made, so only one
+        factorization is alive at a time."""
+        reuse = self._solver if isinstance(self._solver, BandCholesky) else None
+        self._solver = None
+        return Factor(matrix, reuse)
+
+    def _live_solver(self) -> Union[BandCholesky, spla.SuperLU]:
+        if self._solver is None:
+            raise RuntimeError("this factor is spent: it was refactored")
+        return self._solver
 
     def solve(self, rhs: np.ndarray, gate: bool = True) -> Tuple[np.ndarray, float]:
         """Solution and its relative residual (see residual_gate)."""
+        solver = self._live_solver()
         cols = _real_columns(rhs)
         try:
-            y = self._solver.solve(cols)
+            y = solver.solve(cols)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         if not np.all(np.isfinite(y)):
@@ -551,6 +595,7 @@ class Factor:
         misses RESIDUAL_RTOL (or is not finite) counts in fallbacks and is
         replaced by factor_solve(matrix, rhs).
         """
+        solver = self._live_solver()
         n = self.matrix.shape[0]
         if matrix.shape[0] % n:
             raise ValueError("matrix must stack nodal blocks of the factor's size")
@@ -559,7 +604,7 @@ class Factor:
 
         def near_solve(r):
             side = r.reshape(-1, n, r.size // r.shape[0]).transpose(1, 0, 2)
-            y = self._solver.solve(side.reshape(n, -1))
+            y = solver.solve(side.reshape(n, -1))
             return y.reshape(side.shape).transpose(1, 0, 2).reshape(r.shape)
 
         x, res, rel = np.zeros_like(cols), cols, math.inf

@@ -26,8 +26,9 @@ spectrum has a sign-definite forward operator, which fem.Factor factors by
 banded Cholesky on the meshes of 50, 100 and 200 boundary points; the other
 passes, mesh 400, and the corrector systems that are not sign-definite or
 too wide for the band (mesh 200's two-block system) get its sparse LU. The
-factor is passed to the corrector explicitly and dropped before the next
-pass factors, so one is alive at a time; IterationRecord.n_factor counts
+factor is passed to the corrector explicitly, and the next pass refactors
+it (fem.Factor.refactor), so one is alive at a time and the band passes
+share one band storage; IterationRecord.n_factor counts
 the factorizations of both kinds in each iteration. The mesh caches that
 the loop uses are built before its first factorization.
 Material values on the near-boundary annulus are known and reset after
@@ -199,17 +200,20 @@ def compute_q_error(
 
 def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
                              q: CoefficientField, k: float,
-                             bc: BoundaryCondition
+                             bc: BoundaryCondition,
+                             lu: Optional[fem.Factor] = None
                              ) -> Tuple[ComplexField, float, fem.Factor]:
     """Forward solve that reports, instead of gating on, the residual.
 
     The outer loop has to keep iterating through the badly conditioned
     passes a diverging run produces; breakdown is diagnosed by the floors
     and the stall detector, not by the linear solver. The factor of the
-    Dirichlet-eliminated operator comes back for the pass's corrector.
+    Dirichlet-eliminated operator comes back for the pass's corrector: the
+    previous pass's factor lu, refactored (in its storage where both take
+    the band), or a fresh one on the first pass.
     """
     matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
-    lu = fem.Factor(matrix)
+    lu = fem.Factor(matrix) if lu is None else lu.refactor(matrix)
     x, rel = lu.solve(rhs, gate=False)
     return ComplexField(mesh, x), rel, lu
 
@@ -398,15 +402,17 @@ def run(
     trace = ReconstructionTrace()
     best_corr = math.inf
     stall_streak = 0
+    # the one factor of the loop: each pass refactors the last pass's
+    lu = None
 
     for it in range(1, config.max_outer_iterations + 1):
         rec = IterationRecord(iteration=it)
         try:
             # high-frequency pass: conductivity test and update; one factor
-            # serves the pass and is dropped before the next one is made
+            # serves the pass and is spent when the next pass refactors it
             rec.n_factor += 1
             u0, rec.forward_residual_k1, lu = _forward_solve_monitored(
-                mesh, gamma0, q0, config.k1, bc)
+                mesh, gamma0, q0, config.k1, bc, lu)
             grad0 = fem.gradient(u0)
             rec.min_grad_sq = float(
                 grad0.node_magnitude_squared()[unknown_mask].min())
@@ -426,10 +432,9 @@ def run(
                     config.damping)
 
             # low-frequency pass: permittivity test and update
-            lu = None
             rec.n_factor += 1
             u0b, rec.forward_residual_k2, lu = _forward_solve_monitored(
-                mesh, gamma0, q0, config.k2, bc)
+                mesh, gamma0, q0, config.k2, bc, lu)
             rec.min_u_sq = float((np.abs(u0b.values) ** 2)[unknown_mask].min())
             eps0, rec.misfit_j_linf = compute_q_error(
                 j, u0b, q0, floor_u=config.floor_u, region_mask=unknown_mask)
@@ -444,7 +449,6 @@ def run(
                 rec.n_factor += lu.fallbacks
                 q0, rec.n_q_clamped = update_q(
                     j, u0b, u1q, q0, annulus_mask, q_annulus, config.damping)
-            lu = None
         except (FloorViolation, SingularSystem, ValueError) as err:
             trace.status = STATUS_DIVERGED
             trace.detail = str(err)

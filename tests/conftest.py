@@ -32,8 +32,8 @@ def factorizations(monkeypatch):
     calls = []
     real_factorize = fem._factorize
 
-    def recording_factorize(csr):
-        solver = real_factorize(csr)
+    def recording_factorize(csr, reuse=None):
+        solver = real_factorize(csr, reuse)
         kind = "band" if isinstance(solver, fem.BandCholesky) else fem.LU_ORDERING
         calls.append(Factorization(kind, csr.shape, csr.dtype, solver))
         return solver

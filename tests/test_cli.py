@@ -138,6 +138,36 @@ def test_wrong_type_config_value_rejected(tmp_path, capsys, command, doc, key):
     assert not (out / "config_echo.json").exists()
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("forward", {"phantom": {"ellipse_center": [1]}}, "phantom.ellipse_center"),
+    ("probe", {"probes": {"centers": [[1]]}, "boundary": {"condition": "neumann"}},
+     "probes.centers[0]"),
+    ("mesh", {"phantom": {"ellipse_center": [1]}}, "phantom.ellipse_center"),
+], ids=["forward", "probe", "mesh"])
+def test_wrong_length_config_list_rejected(tmp_path, capsys, command, doc, key):
+    # a point, a semi-axis pair, a rectangle or the triangle's vertex list
+    # of another length is a configuration error naming the key, not an
+    # unpacking error, and not a phantom the mesh command echoes
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (out / "config_echo.json").exists()
+
+
+def test_fractional_max_iterations_rejected(tmp_path, capsys):
+    # 2.5 iterations is not the 2 the loop would run while the echo
+    # recorded 2.5
+    cfg = write_config(tmp_path, {"reconstruction": {"max_iterations": 2.5},
+                                  "mesh": {"n_boundary_points": 50}})
+    out = tmp_path / "out"
+    assert run_cli("reconstruct", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "reconstruction.max_iterations" in err and "Traceback" not in err
+    assert not (out / "config_echo.json").exists()
+
+
 def test_phantom_section_reads_back_the_default_phantom():
     assert cli.phantom_from_config(cli.default_config()) == hm.PhantomSpec()
 

@@ -825,8 +825,8 @@ def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
     tried = []
     real_band_cholesky = fem._band_cholesky
 
-    def recording_band_cholesky(csr, order):
-        tried.append(real_band_cholesky(csr, order))
+    def recording_band_cholesky(csr, order, reuse=None):
+        tried.append(real_band_cholesky(csr, order, reuse))
         return tried[-1]
 
     monkeypatch.setattr(fem, "_band_cholesky", recording_band_cholesky)
@@ -844,6 +844,70 @@ def test_an_indefinite_operator_falls_back_to_the_lu(disk200, kind, monkeypatch,
     assert rel <= fem.RESIDUAL_RTOL
     ref = fresh_lu(matrix).solve(np.column_stack([rhs.real, rhs.imag]))
     np.testing.assert_array_equal(x, ref[:, 0] + 1j * ref[:, 1])
+
+
+def band_storage(factor):
+    """The two buffers of a Factor's BandCholesky: the work band dpbtrf
+    factored in and the padded buffer of the upper factor."""
+    return factor._solver.work, factor._solver.factor.base
+
+
+def test_refactor_overwrites_the_band_storage_bit_for_bit(disk200):
+    # recon-m200's two passes: above the spectrum, then below it
+    above, rhs_above = phantom_operator(disk200, math.pi * 1e3)
+    below, rhs_below = phantom_operator(disk200, math.pi * 1e-3)
+    first = fem.Factor(above)
+    storage = band_storage(first)
+    x_above, _ = first.solve(rhs_above)
+    second = first.refactor(below)
+    fresh = fem.Factor(below)
+    assert all(np.shares_memory(new, old) for new, old in
+               zip(band_storage(second), storage))
+    assert not np.shares_memory(band_storage(fresh)[0], storage[0])
+    # the whole upper band, with the unreferenced corner above it
+    np.testing.assert_array_equal(second._solver.factor, fresh._solver.factor)
+    x, rel = second.solve(rhs_below)
+    y, fresh_rel = fresh.solve(rhs_below)
+    assert x.tobytes() == y.tobytes() and rel == fresh_rel
+    third = second.refactor(above)
+    assert np.shares_memory(band_storage(third)[1], storage[1])
+    np.testing.assert_array_equal(third.solve(rhs_above)[0], x_above)
+    for spent in (first, second):
+        with pytest.raises(RuntimeError, match="spent"):
+            spent.solve(rhs_below)
+        with pytest.raises(RuntimeError, match="spent"):
+            spent.refined_solve(below, rhs_below)
+
+
+def test_refactor_off_the_band_storage_factors_afresh(disk100, disk200,
+                                                      factorizations):
+    # the band's storage serves only a band of its own order: an indefinite
+    # operator of the pattern (dpbtrf fails in it) gets the LU, and after
+    # it, or on another pattern, a band takes new storage
+    above, _ = phantom_operator(disk200, math.pi * 1e3)
+    inside, rhs_inside = phantom_operator(disk200, 0.35)
+    neumann, rhs_neumann = phantom_operator(disk200, math.pi * 1e3, "neumann")
+    other, rhs_other = phantom_operator(disk100, math.pi * 1e3)
+    lu = fem.Factor(above)
+    kept = band_storage(lu)
+    lu = lu.refactor(inside)
+    x, rel = lu.solve(rhs_inside)
+    assert rel <= fem.RESIDUAL_RTOL
+    ref = fresh_lu(inside).solve(np.column_stack([rhs_inside.real,
+                                                  rhs_inside.imag]))
+    np.testing.assert_array_equal(x, ref[:, 0] + 1j * ref[:, 1])
+    steps = [(above, phantom_operator(disk200, math.pi * 1e3)[1]),
+             (neumann, rhs_neumann), (other, rhs_other)]
+    for matrix, rhs in steps:
+        lu = lu.refactor(matrix)
+        assert not any(np.shares_memory(new, old) for new in band_storage(lu)
+                       for old in kept)
+        kept += band_storage(lu)
+        x, rel = lu.solve(rhs)
+        assert rel <= fem.RESIDUAL_RTOL
+        np.testing.assert_array_equal(x, fem.Factor(matrix).solve(rhs)[0])
+    kinds = [call.kind for call in factorizations]
+    assert kinds == ["band", fem.LU_ORDERING] + ["band", "band"] * len(steps)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.35])

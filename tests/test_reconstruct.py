@@ -1,6 +1,7 @@
 """Alternating reconstruction: misfits, correctors, updates, and the outer loop."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -539,6 +540,29 @@ def test_run_counts_its_factorizations(disk50, factorizations, m, expected,
     if m == 3:
         assert {call.shape for call in factorizations} == {(disk50.n_nodes,
                                                             disk50.n_nodes)}
+
+
+def test_run_refactors_one_band_storage(disk50, factorizations, monkeypatch):
+    # Converged/23 at m = 3: both passes of every iteration take the band,
+    # and the loop's 46 factorizations overwrite the first one's storage;
+    # with a fresh factor per pass the records are the same, bit for bit
+    cfg = rc.ReconstructionConfig(*diagnostics.frequency_pair(3))
+    trace = diagnostics.synthetic_run(disk50, cfg)
+    loop = [call.solver for call in factorizations[2:]]
+    assert len(loop) == 46
+    assert all(isinstance(solver, fem.BandCholesky) for solver in loop)
+    first = loop[0]
+    for solver in loop[1:]:
+        assert np.shares_memory(solver.work, first.work)
+        assert np.shares_memory(solver.factor, first.factor)
+    monkeypatch.setattr(fem.Factor, "refactor",
+                        lambda self, matrix: fem.Factor(matrix))
+    fresh = diagnostics.synthetic_run(disk50, cfg)
+    assert [repr(dataclasses.astuple(r)) for r in trace.records] == [
+        repr(dataclasses.astuple(r)) for r in fresh.records]
+    np.testing.assert_array_equal(trace.final_gamma.values,
+                                  fresh.final_gamma.values)
+    np.testing.assert_array_equal(trace.final_q.values, fresh.final_q.values)
 
 
 def test_save_trace_csv_round_trip(disk50, truth50, truth_data50, tmp_path):
