@@ -884,7 +884,7 @@ def test_refactor_off_the_band_storage_factors_afresh(disk100, disk200,
     # the band's storage serves only a band of its own order: an indefinite
     # operator of the pattern (dpbtrf fails in it) gets the LU, and after
     # it, or on another pattern, a band takes new storage
-    above, _ = phantom_operator(disk200, math.pi * 1e3)
+    above, rhs_above = phantom_operator(disk200, math.pi * 1e3)
     inside, rhs_inside = phantom_operator(disk200, 0.35)
     neumann, rhs_neumann = phantom_operator(disk200, math.pi * 1e3, "neumann")
     other, rhs_other = phantom_operator(disk100, math.pi * 1e3)
@@ -896,8 +896,7 @@ def test_refactor_off_the_band_storage_factors_afresh(disk100, disk200,
     ref = fresh_lu(inside).solve(np.column_stack([rhs_inside.real,
                                                   rhs_inside.imag]))
     np.testing.assert_array_equal(x, ref[:, 0] + 1j * ref[:, 1])
-    steps = [(above, phantom_operator(disk200, math.pi * 1e3)[1]),
-             (neumann, rhs_neumann), (other, rhs_other)]
+    steps = [(above, rhs_above), (neumann, rhs_neumann), (other, rhs_other)]
     for matrix, rhs in steps:
         lu = lu.refactor(matrix)
         assert not any(np.shares_memory(new, old) for new in band_storage(lu)
