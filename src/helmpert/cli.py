@@ -183,6 +183,10 @@ def resolve_frequencies(cfg: dict) -> Tuple[float, float]:
     if k1 is not None or k2 is not None:
         if k1 is None or k2 is None:
             raise ConfigError("frequencies.k1 and frequencies.k2 must be set together")
+        for key, k in (("k1", k1), ("k2", k2)):
+            if not k >= 0:
+                raise ConfigError(f"config key frequencies.{key} must be "
+                                  f"nonnegative, not {k!r}")
         return float(k1), float(k2)
     m = _single(cfg, "frequencies", "m")
     if m is None:

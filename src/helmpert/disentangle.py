@@ -19,12 +19,9 @@ Four distinct amplitudes are exactly enough.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
-import numpy as np
-
-from .forward import InternalData, f_contrast
-from .mesh import TriangleMesh
+from .forward import f_contrast
 
 # contrast ratios a the recovery accepts; a fit outside is NoRoot
 CONTRAST_RANGE = (1e-3, 1e3)
@@ -158,17 +155,3 @@ def recover(measurements: Sequence[Tuple[float, float]]) -> RecoveredPoint:
         raise NoRoot(f"no contrast ratio in {CONTRAST_RANGE} fits the data "
                      f"(closed form gives a = {a:g})")
     return _fit(pairs, d3 / q_rational(x1, x2, x3, a), a)
-
-
-def recover_internal_data(mesh: TriangleMesh,
-                          point_recoveries: Dict[int, RecoveredPoint],
-                          k: float) -> InternalData:
-    """Nodal internal-data maps from per-node recoveries: J = F, j = -G/k^2."""
-    if k <= 0:
-        raise ValueError("a positive frequency is needed to unscale the mass energy")
-    J = np.zeros(mesh.n_nodes)
-    j = np.zeros(mesh.n_nodes)
-    for node, rec in point_recoveries.items():
-        J[node] = rec.F
-        j[node] = -rec.G / k ** 2
-    return InternalData(mesh=mesh, J=J, j=j, k=k)

@@ -21,9 +21,9 @@ field) and treats every probe as a low-rank update on the node set S of
 those elements (measure_on_medium; Woodbury; Hager, "Updating the inverse
 of a matrix", SIAM Review 1989): one block solve per disk gives (A^-1)_SS,
 and each amplitude costs one |S| x |S| dense solve. probe_sweep is the two
-steps in one call.
-measure_probe is the reference path: two full factorizations per probe,
-with the datum solved for in difference form.
+steps in one call. The tests hold it to the reference path in
+tests/reference.py: two full factorizations per probe, with the datum
+solved for in difference form.
 predict_probe and the recovery that inverts it (disentangle) share one
 contrast law, f_contrast; sample_field takes a point's gradient from the
 rows of the mesh's gradient map that fem.gradient uses.
@@ -83,25 +83,6 @@ class PerturbationProbe:
 
 
 @dataclass
-class InternalData:
-    """Nodal gradient-energy and mass-energy maps of one solution."""
-
-    mesh: TriangleMesh
-    J: np.ndarray
-    j: np.ndarray
-    k: float
-
-    def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=np.float64)
-        self.j = np.asarray(self.j, dtype=np.float64)
-        n = self.mesh.n_nodes
-        if self.J.shape != (n,) or self.j.shape != (n,):
-            raise ValueError("internal data must be one value per node")
-        if np.min(self.J) < 0 or np.min(self.j) < 0:
-            raise ValueError("internal data fields are nonnegative by construction")
-
-
-@dataclass
 class ProbeMeasurement:
     """Boundary-energy datum of one probe: raw is the boundary integral of
     the field change against the conjugated data, D = raw.real / area."""
@@ -148,19 +129,15 @@ def _check_disks(mesh: TriangleMesh,
 
 
 def gradient_energy(u: ComplexField, gamma: CoefficientField) -> np.ndarray:
-    """The nodal gradient energy gamma |grad u|^2, the J of internal_data."""
+    """The nodal gradient energy gamma |grad u|^2, the J that
+    two_frequency_data returns."""
     return gamma.values * fem.gradient(u).node_magnitude_squared()
 
 
 def mass_energy(u: ComplexField, q: CoefficientField) -> np.ndarray:
-    """The nodal mass energy q |u|^2, the j of internal_data."""
+    """The nodal mass energy q |u|^2, the j that two_frequency_data
+    returns."""
     return q.values * np.abs(u.values) ** 2
-
-
-def internal_data(u: ComplexField, gamma: CoefficientField, q: CoefficientField,
-                  k: float) -> InternalData:
-    return InternalData(mesh=u.mesh, J=gradient_energy(u, gamma),
-                        j=mass_energy(u, q), k=k)
 
 
 def two_frequency_data(mesh: TriangleMesh, gamma: CoefficientField,
@@ -227,42 +204,6 @@ def probe_element_fractions(mesh: TriangleMesh,
     frac = np.zeros(mesh.n_triangles)
     frac[near] = np.clip(cut / area[near], 0.0, 1.0)
     return frac
-
-
-def measure_probe(
-    mesh: TriangleMesh,
-    gamma: CoefficientField,
-    q: CoefficientField,
-    k: float,
-    bc: BoundaryCondition,
-    probe: PerturbationProbe,
-) -> ProbeMeasurement:
-    """Solve with and without the probe and form the rescaled datum.
-
-    The perturbed operator A + dA blends element coefficients with the exact
-    covered fraction from ``probe_element_fractions``. d = u - u_w solves
-    (A + dA) d = dA u, so the datum, the boundary integral of d against the
-    conjugated data, subtracts no two full solutions; D is its real part
-    divided by the exact disk area. The orientation (unperturbed minus
-    perturbed) matches ``predict_probe`` in sign; the imaginary residue is
-    kept for diagnostics.
-    """
-    _check_medium(mesh, gamma, q, bc)
-    _check_disks(mesh, [probe])
-    matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
-    u, _ = fem.factor_solve(matrix, rhs)
-
-    ge = fem.element_average(mesh, gamma.values)
-    qe = fem.element_average(mesh, q.values)
-    frac = probe_element_fractions(mesh, probe)
-    stiff_e = ge + frac * (probe.amplitude * probe.gamma_tilde - ge)
-    mass_e = -(k ** 2) * (qe + frac * (probe.amplitude * probe.q_tilde - qe))
-    perturbed = fem.assemble_operator_elementwise(mesh, stiff_e, mass_e)
-    d, _ = fem.factor_solve(perturbed, (perturbed - matrix) @ u)
-
-    w = fem.boundary_weights(mesh)
-    raw = complex(np.sum(w * d[mesh.boundary_nodes] * np.conj(bc.data)))
-    return ProbeMeasurement(probe=probe, D=raw.real / probe.area, raw=raw)
 
 
 def f_contrast(x: float) -> float:
@@ -397,8 +338,8 @@ def measure_on_medium(medium: FactoredMedium,
     u_w = u - A^-1 P dA_SS x (P the columns of S) then satisfies
     (A + P dA_SS P^T) u_w - b = r_u - R_G dA_SS x - P dA_SS r_x, with r_u,
     R_G and r_x the residuals of those three solves, so the perturbed
-    system's residual is bounded by theirs. The data agree with
-    measure_probe to roundoff.
+    system's residual is bounded by theirs. The data agree to roundoff with
+    the two-factorization reference in tests/reference.py.
     """
     mesh, k, lu, u, v = medium.mesh, medium.k, medium.lu, medium.u, medium.v
     _check_disks(mesh, probes)

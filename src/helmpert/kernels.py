@@ -1,12 +1,10 @@
-"""Vectorized numpy kernels for P1 element assembly and gradient recovery.
+"""Vectorized numpy kernels for P1 element assembly.
 
-Four functions cover the per-element loops: geometry, the local
+Two functions cover the per-element loops: geometry, and the local
 stiffness/mass blocks (each mesh's assembly map is built from the unit
-blocks, and the probe sweep's per-disk changes from scaled ones), and two
-that only the tests call, as references for the mesh's gradient maps: exact
-element gradients and their area-weighted nodal average. Scatter
-accumulation uses bincount, which keeps them usable on meshes with a few
-hundred thousand elements.
+blocks, and the probe sweep's per-disk changes from scaled ones). The
+references for the mesh's gradient maps, exact element gradients and their
+area-weighted nodal average, are in tests/reference.py.
 """
 
 import numpy as np
@@ -18,8 +16,6 @@ __all__ = [
     "BACKEND",
     "element_geometry",
     "local_matrices",
-    "triangle_gradients",
-    "nodal_average",
 ]
 
 
@@ -63,36 +59,3 @@ def local_matrices(area, b, c, stiff_coeff, mass_coeff):
     mscale = mass_coeff * area / 12.0
     data += mscale[:, None, None] * (1.0 + np.eye(3))[None, :, :]
     return data
-
-
-def triangle_gradients(values, triangles, b, c, area):
-    """Exact P1 gradient on each element for nodal values (complex ok)."""
-    v = values[triangles]
-    inv2a = 1.0 / (2.0 * area)
-    gx = (v * b).sum(axis=1) * inv2a
-    gy = (v * c).sum(axis=1) * inv2a
-    return np.stack([gx, gy], axis=1)
-
-
-def nodal_average(tri_values, triangles, area, n_nodes):
-    """Area-weighted average of per-triangle values onto the nodes.
-
-    tri_values may be (n_tris,) or (n_tris, k); complex supported.
-    """
-    tri_values = np.asarray(tri_values)
-    flat_idx = triangles.ravel()
-    w = np.repeat(area, 3)
-    den = np.bincount(flat_idx, weights=w, minlength=n_nodes)
-
-    def accumulate(col):
-        vals = np.repeat(col, 3)
-        out_r = np.bincount(flat_idx, weights=w * vals.real, minlength=n_nodes)
-        if np.iscomplexobj(tri_values):
-            out_i = np.bincount(flat_idx, weights=w * vals.imag, minlength=n_nodes)
-            return out_r + 1j * out_i
-        return out_r
-
-    if tri_values.ndim == 1:
-        return accumulate(tri_values) / den
-    cols = [accumulate(tri_values[:, j]) / den for j in range(tri_values.shape[1])]
-    return np.stack(cols, axis=1)

@@ -109,6 +109,12 @@ class ReconstructionConfig:
             raise ValueError("floors must be positive")
         if self.max_outer_iterations < 1:
             raise ValueError("need at least one outer iteration")
+        # a guess at or below 0 diverges on the first iteration, and a
+        # damping at or below 0 never moves the iterate toward the data
+        for name in ("gamma_guess", "q_guess", "damping"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, not {value!r}")
         if self.boundary_data is not None and self.boundary_data.kind != "dirichlet":
             raise ValueError("reconstruction drives the medium with dirichlet data")
         if self.phase_convention not in PHASE_CONVENTIONS:

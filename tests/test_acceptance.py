@@ -134,7 +134,7 @@ def test_criterion_3_probe_expansion_gap_shrinks(disk200, probe_setup):
         # amplitude * gamma_tilde equals gamma: the value channel alone
         probe = forward.PerturbationProbe(center=z, radius=r, amplitude=2.0,
                                           gamma_tilde=0.5, q_tilde=3.0)
-        meas = forward.measure_probe(disk200, gamma, q, 0.35, bc, probe)
+        (meas,) = forward.probe_sweep(disk200, gamma, q, 0.35, bc, [probe])
         pred = forward.predict_probe(1.0, 3.0, gz, uz, 0.35, probe)
         gaps.append(abs(meas.D - pred) / abs(pred))
     elapsed = time.perf_counter() - t0
@@ -223,14 +223,12 @@ def test_criterion_6_invariant_suites(disk50, disk100, disk200, phantom,
         "dirichlet", forward.boundary_phase(disk50, "xy"))
     u1 = fem.solve_bvp(disk50, gamma_t, q_t, K1_CONVERGENT, bc50)
     u2 = fem.solve_bvp(disk50, gamma_t, q_t, K2_CONVERGENT, bc50)
-    data1 = forward.internal_data(u1, gamma_t, q_t, K1_CONVERGENT)
-    data2 = forward.internal_data(u2, gamma_t, q_t, K2_CONVERGENT)
     gamma_c, q_c, bc_c, u_c = probe_setup
     trace4 = convergent_trace[0]
     fields = [
         (disk50, np.abs(manufactured_error(disk50)[0])),
-        (disk50, data1.J),
-        (disk50, data2.j),
+        (disk50, forward.gradient_energy(u1, gamma_t)),
+        (disk50, forward.mass_energy(u2, q_t)),
         (disk200, np.abs(u_c.values) ** 2),
         (disk200, gamma_c.values * fem.gradient(u_c).node_magnitude_squared()),
         (disk50, trace4.final_gamma.values),
@@ -246,7 +244,7 @@ def test_criterion_6_invariant_suites(disk50, disk100, disk200, phantom,
     noop = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.2,
                                      amplitude=2.0, gamma_tilde=0.5,
                                      q_tilde=1.5)
-    meas = forward.measure_probe(disk200, gamma_c, q_c, 0.35, bc_c, noop)
+    (meas,) = forward.probe_sweep(disk200, gamma_c, q_c, 0.35, bc_c, [noop])
     scale = abs(boundary_quadrature(disk200, u_c.values, bc_c.data)) / noop.area
     assert abs(meas.D) <= 1e-8 * scale
 
@@ -268,12 +266,11 @@ def test_criterion_6_invariant_suites(disk50, disk100, disk200, phantom,
     phase = np.exp(1j * 0.8)
     for u, k in ((u1, K1_CONVERGENT), (u2, K2_CONVERGENT)):
         rotated = fem.ComplexField(disk50, u.values * phase)
-        base = forward.internal_data(u, gamma_t, q_t, k)
-        spun = forward.internal_data(rotated, gamma_t, q_t, k)
-        np.testing.assert_allclose(spun.J, base.J, rtol=1e-10,
-                                   atol=1e-12 * base.J.max())
-        np.testing.assert_allclose(spun.j, base.j, rtol=1e-10,
-                                   atol=1e-12 * base.j.max())
+        for energy, coeff in ((forward.gradient_energy, gamma_t),
+                              (forward.mass_energy, q_t)):
+            base = energy(u, coeff)
+            np.testing.assert_allclose(energy(rotated, coeff), base,
+                                       rtol=1e-10, atol=1e-12 * base.max())
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

@@ -168,6 +168,31 @@ def test_fractional_max_iterations_rejected(tmp_path, capsys):
     assert not (out / "config_echo.json").exists()
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("reconstruct", {"reconstruction": {"gamma_guess": -1.0}}, "gamma_guess"),
+    ("reconstruct", {"reconstruction": {"q_guess": 0.0}}, "q_guess"),
+    ("reconstruct", {"reconstruction": {"damping": 0.0}}, "damping"),
+    ("reconstruct", {"reconstruction": {"damping": -0.5}}, "damping"),
+    ("sweep", {"reconstruction": {"gamma_guess": -1.0}}, "gamma_guess"),
+    ("reconstruct", {"frequencies": {"k1": -1.0, "k2": 0.1}}, "frequencies.k1"),
+    ("forward", {"frequencies": {"k1": 0.35, "k2": -0.1}}, "frequencies.k2"),
+    ("probe", {"frequencies": {"k1": -0.35, "k2": 0.1},
+               "boundary": {"condition": "neumann"}}, "frequencies.k1"),
+], ids=["gamma_guess", "q_guess", "zero-damping", "negative-damping",
+        "sweep-gamma_guess", "reconstruct-k1", "forward-k2", "probe-k1"])
+def test_unusable_guess_damping_or_frequency_rejected(tmp_path, capsys,
+                                                      command, doc, key):
+    # a guess or damping at or below 0 cannot reconstruct (a run diverges
+    # at once or stalls), and a negative frequency is no frequency: each is
+    # a configuration error naming its key before anything is written
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (out / "config_echo.json").exists()
+
+
 def test_phantom_section_reads_back_the_default_phantom():
     assert cli.phantom_from_config(cli.default_config()) == hm.PhantomSpec()
 

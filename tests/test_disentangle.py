@@ -173,27 +173,6 @@ def test_recovered_point_validation():
 
 
 # ---------------------------------------------------------------------------
-# internal-data maps
-
-
-def test_recover_internal_data_scaling(disk50):
-    recs = {5: dis.RecoveredPoint(F=1.0, G=-0.5, a=2.0, b=3.0, residual=0.0),
-            17: dis.RecoveredPoint(F=2.0, G=0.0, a=1.5, b=math.nan, residual=0.0)}
-    data = dis.recover_internal_data(disk50, recs, k=1.0)
-    assert data.J[5] == 1.0 and data.j[5] == 0.5
-    assert data.J[17] == 2.0 and data.j[17] == 0.0
-    assert data.J[0] == 0.0 and data.j[0] == 0.0
-    data2 = dis.recover_internal_data(disk50, recs, k=2.0)
-    assert data2.j[5] == 0.125
-    with pytest.raises(ValueError):
-        dis.recover_internal_data(disk50, recs, k=0.0)
-    # positive G would mean negative mass energy, which internal data rejects
-    bad = {3: dis.RecoveredPoint(F=0.0, G=0.5, a=math.nan, b=1.0, residual=0.0)}
-    with pytest.raises(ValueError):
-        dis.recover_internal_data(disk50, bad, k=1.0)
-
-
-# ---------------------------------------------------------------------------
 # end to end against measured probes
 
 
@@ -211,12 +190,10 @@ def test_measured_probes_round_trip_to_internal_data(disk100):
     val, grad = forward.sample_field(u, (2.3, 1.1))
     J_true = float(abs(grad[0]) ** 2 + abs(grad[1]) ** 2)
     j_true = 3.0 * abs(val) ** 2
-    pairs = []
-    for lam in QUAD:
-        probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.1,
-                                          amplitude=lam, gamma_tilde=0.5,
-                                          q_tilde=3.0)
-        pairs.append((lam, forward.measure_probe(disk100, gamma, q, k, bc, probe).D))
-    rec = dis.recover(pairs)
+    probes = [forward.PerturbationProbe(center=(2.3, 1.1), radius=0.1,
+                                        amplitude=lam, gamma_tilde=0.5,
+                                        q_tilde=3.0) for lam in QUAD]
+    measured = forward.probe_sweep(disk100, gamma, q, k, bc, probes)
+    rec = dis.recover([(m.probe.amplitude, m.D) for m in measured])
     assert rec.F == pytest.approx(J_true, rel=0.15)
     assert -rec.G / k ** 2 == pytest.approx(j_true, rel=0.15)

