@@ -3,10 +3,13 @@
 One JSON document drives every command: defaults are applied first, unknown
 keys are rejected, and the effective configuration is echoed into the output
 directory next to a manifest of the written artifacts, so any run can be
-reproduced exactly from its own outputs. Exit code 0 means success, and for
-the reconstruction commands that every requested run converged; 1 flags a
-completed but non-converged run, 2 a configuration problem, 3 a solver
-breakdown (reported in a structured error file).
+reproduced exactly from its own outputs. A command writes its artifacts and
+returns its exit code, their names and its summary; main writes the echo and
+the manifest once it has returned, so a configuration error, wherever in the
+run it is found, exits 2 without writing either. Exit code 0 means success,
+and for the reconstruction commands that every requested run converged; 1
+flags a completed but non-converged run, 2 a configuration problem, 3 a
+solver breakdown (reported in a structured error file).
 """
 
 import argparse
@@ -133,6 +136,10 @@ def _merge_value(default, value, key: str):
         want = ("not be null" if got == "null"
                 else f"be {' or '.join(sorted(allowed))}, not {got}")
         raise ConfigError(f"config key {key} must {want}")
+    # Python's json reads NaN and Infinity, which no setting can use
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be a finite number, "
+                          f"not {value!r}")
     return value
 
 
@@ -160,11 +167,14 @@ def load_config(path: Optional[Path]) -> dict:
 
 
 def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> None:
-    """Flags mirror config paths one-to-one and win over the file."""
+    """Flags mirror config paths one-to-one, win over the file and pass the
+    same checks (_merge_value)."""
+    defaults = default_config()
     for flag, (section, key, _, _) in _FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            cfg[section][key] = value
+            cfg[section][key] = _merge_value(defaults[section][key], value,
+                                             f"{section}.{key}")
     if args.m is not None:
         cfg["frequencies"].update(k1=None, k2=None)
 
@@ -237,17 +247,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _echo_config(out_dir: Path, cfg: dict) -> str:
-    _write_json(out_dir / "config_echo.json", cfg)
-    return "config_echo.json"
-
-
-def _write_manifest(out_dir: Path, command: str, artifacts: Sequence[str],
-                    summary: dict) -> None:
-    _write_json(out_dir / "manifest.json", {
-        "command": command, "artifacts": sorted(artifacts), "summary": summary})
-
-
 def _field_csv(path: Path, mesh_obj: TriangleMesh,
                columns: Dict[str, np.ndarray]) -> None:
     """Nodal table: x, y, then one column per entry (complex -> _re/_im)."""
@@ -264,80 +263,64 @@ def _field_csv(path: Path, mesh_obj: TriangleMesh,
     reconstruct.write_csv(path, names, zip(*cols))
 
 
-def _solver_failure(out_dir: Path, command: str, err: Exception,
-                    artifacts: List[str]) -> int:
-    report = {"command": command, "error": type(err).__name__,
-              "message": str(err)}
-    _write_json(out_dir / "error_report.json", report)
-    artifacts.append("error_report.json")
-    _write_manifest(out_dir, command, artifacts, {"status": "SolverFailure"})
-    print(f"solver failure ({type(err).__name__}): {err}", file=sys.stderr)
-    return EXIT_SOLVER
-
-
-def cmd_mesh(cfg: dict, out_dir: Path) -> int:
+def cmd_mesh(cfg: dict, out_dir: Path) -> Tuple[int, List[str], dict]:
     n = _single(cfg, "mesh", "n_boundary_points")
     mesh_obj = meshmod.build_disk_mesh(float(cfg["mesh"]["radius"]), n)
-    artifacts = [_echo_config(out_dir, cfg), "mesh.txt"]
     meshmod.save_mesh(mesh_obj, out_dir / "mesh.txt")
     summary = {"n_nodes": mesh_obj.n_nodes,
                "n_triangles": mesh_obj.n_triangles,
                "n_boundary": int(len(mesh_obj.boundary_nodes))}
-    _write_manifest(out_dir, "mesh", artifacts, summary)
     print(f"mesh: {summary['n_nodes']} nodes, {summary['n_triangles']} "
           f"triangles, {summary['n_boundary']} boundary points")
-    return EXIT_OK
+    return EXIT_OK, ["mesh.txt"], summary
 
 
-def cmd_forward(cfg: dict, out_dir: Path) -> int:
+def cmd_forward(cfg: dict, out_dir: Path) -> Tuple[int, List[str], dict]:
     _, mesh_obj, gamma, q = _medium(cfg)
     bc = boundary_from_config(cfg, mesh_obj)
     k1, k2 = resolve_frequencies(cfg)
-    artifacts = [_echo_config(out_dir, cfg)]
-    try:
-        u1, u2, J, j = forward.two_frequency_data(mesh_obj, gamma, q, k1, k2,
-                                                  bc)
-    except (SingularSystem, NonConvergence) as err:
-        return _solver_failure(out_dir, "forward", err, artifacts)
+    u1, u2, J, j = forward.two_frequency_data(mesh_obj, gamma, q, k1, k2, bc)
     _field_csv(out_dir / "field_k1.csv", mesh_obj, {"u": u1.values})
     _field_csv(out_dir / "field_k2.csv", mesh_obj, {"u": u2.values})
     _field_csv(out_dir / "internal_data.csv", mesh_obj, {"J": J, "j": j})
-    artifacts += ["field_k1.csv", "field_k2.csv", "internal_data.csv"]
-    _write_manifest(out_dir, "forward", artifacts,
-                    {"k1": k1, "k2": k2, "n_nodes": mesh_obj.n_nodes})
     print(f"forward: solved at k1={k1:g} and k2={k2:g} on "
           f"{mesh_obj.n_nodes} nodes")
-    return EXIT_OK
+    return (EXIT_OK, ["field_k1.csv", "field_k2.csv", "internal_data.csv"],
+            {"k1": k1, "k2": k2, "n_nodes": mesh_obj.n_nodes})
 
 
 def _probes(cfg: dict, mesh_radius: float) -> List[PerturbationProbe]:
-    """A probe at every center, radius and amplitude of the probes section."""
+    """A probe at every center, radius and amplitude of the probes section.
+    Every disk must stay in forward's interior zone (_check_disks): a listed
+    center whose disks leave it is an error, a grid center is left out."""
     p = _floats(cfg["probes"])
-    if not p["radii"]:
-        raise ConfigError("probes.radii must not be empty")
-    if p["grid_spacing"] is None:
-        centers = p["centers"]
-    else:
-        s = p["grid_spacing"]
-        if s <= 0:
-            raise ConfigError("probes.grid_spacing must be positive")
-        # probes must fit strictly inside the interior disk used by the
-        # measurement check
-        limit = forward.DEFAULT_INTERIOR_FRACTION * mesh_radius - max(p["radii"])
-        if limit <= 0:
-            raise ConfigError("probe radii leave no room for grid centers")
-        steps = int(limit // s)
+    s = p["grid_spacing"]
+    if s is not None and not s > 0:
+        raise ConfigError("probes.grid_spacing must be positive")
+    centers = p["centers"]
+    if s is not None:
+        steps = int(forward.DEFAULT_INTERIOR_FRACTION * mesh_radius // s)
         axis = [i * s for i in range(-steps, steps + 1)]
-        centers = [(x, y) for y in axis for x in axis
-                   if math.hypot(x, y) <= limit]
-    if not p["amplitudes"] or not centers:
-        raise ConfigError("probes need at least one amplitude and one center")
-    return [PerturbationProbe(center=c, radius=r, amplitude=lam,
-                              gamma_tilde=p["gamma_tilde"], q_tilde=p["q_tilde"])
-            for c in centers for r in p["radii"] for lam in p["amplitudes"]]
+        centers = [(x, y) for y in axis for x in axis]
+    probes: List[PerturbationProbe] = []
+    for c in centers:
+        group = [PerturbationProbe(center=c, radius=r, amplitude=lam,
+                                   gamma_tilde=p["gamma_tilde"],
+                                   q_tilde=p["q_tilde"])
+                 for r in p["radii"] for lam in p["amplitudes"]]
+        try:
+            forward._check_disks(mesh_radius, group)
+            probes += group
+        except ValueError as err:
+            if s is None:
+                raise ConfigError(f"probes.centers: {err}") from err
+    if not probes:
+        raise ConfigError("probes need at least one radius, one amplitude and "
+                          "one center whose disks fit in the interior zone")
+    return probes
 
 
-def cmd_probe(cfg: dict, out_dir: Path) -> int:
+def cmd_probe(cfg: dict, out_dir: Path) -> Tuple[int, List[str], dict]:
     if cfg["boundary"]["condition"] != "neumann":
         raise ConfigError("probe measurements need flux data; set "
                           "boundary.condition to 'neumann'")
@@ -346,13 +329,9 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
     k, _ = resolve_frequencies(cfg)
     probes = _probes(cfg, ph.disk_radius)
 
-    artifacts = [_echo_config(out_dir, cfg)]
-    try:
-        # one factorization serves the sweep and the sampled field
-        medium = forward.factor_medium(mesh_obj, gamma, q, k, bc)
-        measurements = forward.measure_on_medium(medium, probes)
-    except (SingularSystem, NonConvergence) as err:
-        return _solver_failure(out_dir, "probe", err, artifacts)
+    # one factorization serves the sweep and the sampled field
+    medium = forward.factor_medium(mesh_obj, gamma, q, k, bc)
+    measurements = forward.measure_on_medium(medium, probes)
     u = ComplexField(mesh_obj, medium.u)
 
     samples = {z: forward.sample_field(u, (z.x, z.y))
@@ -372,7 +351,7 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
     reconstruct.write_csv(out_dir / "probe_compare.csv",
                           ["z.x", "z.y", "r", "lambda", "D", "predicted",
                            "rel_gap"], compare_rows)
-    artifacts.append("probe_compare.csv")
+    artifacts = ["probe_compare.csv"]
 
     # four distinct amplitudes at one (center, radius) admit the algebraic
     # round-trip back to the internal energies; groups whose data is too far
@@ -401,13 +380,11 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
                                "residual"], recover_rows)
         artifacts.append("recover.csv")
 
-    _write_manifest(out_dir, "probe", artifacts,
-                    {"n_probes": len(probes), "k": k,
-                     "n_recovered": len(recover_rows),
-                     "n_recover_failed": n_recover_failed})
     print(f"probe: {len(probes)} measurements, {len(recover_rows)} "
           f"round-trip recoveries")
-    return EXIT_OK
+    return EXIT_OK, artifacts, {"n_probes": len(probes), "k": k,
+                                "n_recovered": len(recover_rows),
+                                "n_recover_failed": n_recover_failed}
 
 
 def _reconstruction_config(cfg: dict, mesh_obj: Optional[TriangleMesh],
@@ -429,38 +406,32 @@ def _reconstruction_config(cfg: dict, mesh_obj: Optional[TriangleMesh],
            for key, (name, cast) in _RECONSTRUCTION_KEYS.items()})
 
 
-def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
+def cmd_reconstruct(cfg: dict, out_dir: Path) -> Tuple[int, List[str], dict]:
     ph, mesh_obj, gamma_true, q_true = _medium(cfg)
     k1, k2 = resolve_frequencies(cfg)
     rc_cfg = _reconstruction_config(cfg, mesh_obj, ph, k1, k2)
-    artifacts = [_echo_config(out_dir, cfg)]
-    try:
-        trace = diagnostics.synthetic_run(mesh_obj, rc_cfg, (gamma_true, q_true))
-    except (SingularSystem, NonConvergence) as err:
-        return _solver_failure(out_dir, "reconstruct", err, artifacts)
-
+    trace = diagnostics.synthetic_run(mesh_obj, rc_cfg, (gamma_true, q_true))
     reconstruct.save_trace_csv(out_dir / "trace.csv", trace)
     _field_csv(out_dir / "fields_final.csv", mesh_obj,
                {"gamma": trace.final_gamma.values,
                 "q": trace.final_q.values,
                 "gamma_true": gamma_true.values,
                 "q_true": q_true.values})
-    artifacts += ["trace.csv", "fields_final.csv"]
-    _write_manifest(out_dir, "reconstruct", artifacts,
-                    {"status": trace.status, "iterations": len(trace.records),
-                     "detail": trace.detail,
-                     "n_factor": sum(r.n_factor for r in trace.records)})
     print(f"reconstruct: {trace.status} after {len(trace.records)} "
           f"iterations ({trace.detail})")
-    return EXIT_OK if trace.status == reconstruct.STATUS_CONVERGED \
-        else EXIT_NOT_CONVERGED
+    code = (EXIT_OK if trace.status == reconstruct.STATUS_CONVERGED
+            else EXIT_NOT_CONVERGED)
+    return code, ["trace.csv", "fields_final.csv"], {
+        "status": trace.status, "iterations": len(trace.records),
+        "detail": trace.detail,
+        "n_factor": sum(r.n_factor for r in trace.records)}
 
 
 def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> Tuple[int, List[str], dict]:
     freq = cfg["frequencies"]
     if freq["k1"] is not None or freq["k2"] is not None:
         raise ConfigError("the sweep is driven by frequencies.m; "
@@ -484,23 +455,19 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     jobs = min(max(1, int(jobs)), cpus)
-    artifacts = [_echo_config(out_dir, cfg)]
     sweep = diagnostics.frequency_sweep(base_cfg, exponents, mesh_points,
                                         jobs=jobs, phantom=ph)
-    for (m, n), trace in sweep.traces.items():
-        name = f"trace_m{m}_mesh{n}.csv"
-        reconstruct.save_trace_csv(out_dir / name, trace)
-        artifacts.append(name)
     diagnostics.save_sweep_summary_csv(out_dir / "sweep_summary.csv", sweep)
-    artifacts.append("sweep_summary.csv")
-
-    _write_manifest(out_dir, "sweep", artifacts,
-                    {"statuses": sweep.statuses(),
-                     "all_converged": sweep.all_converged(), "jobs": jobs})
-    for cell, trace in sweep.traces.items():
-        print(f"{diagnostics.cell_key(cell)}: {trace.status} "
+    artifacts = ["sweep_summary.csv"]
+    for (m, n), trace in sweep.traces.items():
+        artifacts.append(f"trace_m{m}_mesh{n}.csv")
+        reconstruct.save_trace_csv(out_dir / artifacts[-1], trace)
+        print(f"{diagnostics.cell_key((m, n))}: {trace.status} "
               f"({len(trace.records)} iterations)")
-    return EXIT_OK if sweep.all_converged() else EXIT_NOT_CONVERGED
+    code = EXIT_OK if sweep.all_converged() else EXIT_NOT_CONVERGED
+    return code, artifacts, {"statuses": sweep.statuses(),
+                             "all_converged": sweep.all_converged(),
+                             "jobs": jobs}
 
 
 COMMANDS = {
@@ -542,9 +509,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         apply_flag_overrides(cfg, args)
         out_dir = Path(cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.jobs)
-        return command(cfg, out_dir)
+        jobs = (args.jobs,) if args.command == "sweep" else ()
+        code, artifacts, summary = command(cfg, out_dir, *jobs)
     except (ConfigError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except (SingularSystem, NonConvergence) as err:
+        # raised only inside the command, so out_dir exists
+        error = type(err).__name__
+        print(f"solver failure ({error}): {err}", file=sys.stderr)
+        _write_json(out_dir / "error_report.json", {
+            "command": args.command, "error": error, "message": str(err)})
+        code, artifacts, summary = (EXIT_SOLVER, ["error_report.json"],
+                                    {"status": "SolverFailure"})
+    _write_json(out_dir / "config_echo.json", cfg)
+    _write_json(out_dir / "manifest.json", {
+        "command": args.command,
+        "artifacts": sorted(artifacts + ["config_echo.json"]),
+        "summary": summary})
+    return code

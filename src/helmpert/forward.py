@@ -70,11 +70,11 @@ class PerturbationProbe:
         if not isinstance(self.center, Point2):
             x, y = self.center
             object.__setattr__(self, "center", Point2(float(x), float(y)))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("probe radius must be positive")
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise ValueError("probe amplitude must be positive")
-        if self.gamma_tilde <= 0 or self.q_tilde <= 0:
+        if not (self.gamma_tilde > 0 and self.q_tilde > 0):
             raise ValueError("perturbed material values must be positive")
 
     @property
@@ -117,9 +117,11 @@ def _check_medium(mesh: TriangleMesh, gamma: CoefficientField,
         raise ValueError("coefficient fields must live on the given mesh")
 
 
-def _check_disks(mesh: TriangleMesh,
+def _check_disks(disk_radius: float,
                  probes: Sequence[PerturbationProbe]) -> None:
-    limit = DEFAULT_INTERIOR_FRACTION * mesh.radius
+    """Reject a probe disk that reaches past the interior zone, the disk of
+    DEFAULT_INTERIOR_FRACTION times the mesh radius."""
+    limit = DEFAULT_INTERIOR_FRACTION * disk_radius
     for probe in probes:
         dist = math.hypot(probe.center.x, probe.center.y)
         if dist + probe.radius > limit:
@@ -342,7 +344,7 @@ def measure_on_medium(medium: FactoredMedium,
     the two-factorization reference in tests/reference.py.
     """
     mesh, k, lu, u, v = medium.mesh, medium.k, medium.lu, medium.u, medium.v
-    _check_disks(mesh, probes)
+    _check_disks(mesh.radius, probes)
     ge = fem.element_average(mesh, medium.gamma.values)
     qe = fem.element_average(mesh, medium.q.values)
     area, b, c = mesh.geometry

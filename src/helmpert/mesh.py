@@ -94,6 +94,15 @@ class PhantomSpec:
         }
     )
 
+    def __post_init__(self):
+        # the method's hypotheses: a coercive conductivity and a positive
+        # permittivity in every region
+        for which in ("conductivity", "permittivity"):
+            for region, value in getattr(self, which).items():
+                if not 0 < value < math.inf:
+                    raise ValueError(f"phantom {which} of region {region} must "
+                                     f"be positive and finite, not {value!r}")
+
     def values(self, which: str) -> dict:
         if which not in ("conductivity", "permittivity"):
             raise ValueError(f"unknown coefficient kind {which!r}")

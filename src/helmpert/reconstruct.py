@@ -103,15 +103,13 @@ class ReconstructionConfig:
     def __post_init__(self):
         if self.k1 == self.k2:
             raise ValueError("the two frequencies must differ")
-        if self.eps_precision <= 0:
-            raise ValueError("eps_precision must be positive")
-        if self.floor_grad <= 0 or self.floor_u <= 0:
-            raise ValueError("floors must be positive")
         if self.max_outer_iterations < 1:
             raise ValueError("need at least one outer iteration")
         # a guess at or below 0 diverges on the first iteration, and a
-        # damping at or below 0 never moves the iterate toward the data
-        for name in ("gamma_guess", "q_guess", "damping"):
+        # damping at or below 0 never moves the iterate toward the data;
+        # "not > 0" also rejects a NaN tolerance, floor, guess or damping
+        for name in ("eps_precision", "floor_grad", "floor_u", "gamma_guess",
+                     "q_guess", "damping"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, not {value!r}")

@@ -34,7 +34,7 @@ def measure_probe(
     kept for diagnostics.
     """
     forward._check_medium(mesh, gamma, q, bc)
-    forward._check_disks(mesh, [probe])
+    forward._check_disks(mesh.radius, [probe])
     matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
     u, _ = fem.factor_solve(matrix, rhs)
 

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from helmpert import cli, fem
+from helmpert import cli, diagnostics, fem, forward
 from helmpert import mesh as hm
 from helmpert import reconstruct as rc
 
@@ -156,6 +156,35 @@ def test_wrong_length_config_list_rejected(tmp_path, capsys, command, doc, key):
     assert not (out / "config_echo.json").exists()
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("reconstruct", {"reconstruction": {"eps_precision": math.nan}},
+     "reconstruction.eps_precision"),
+    ("reconstruct", {"reconstruction": {"floor_u": math.inf}},
+     "reconstruction.floor_u"),
+    ("probe", {"probes": {"radii": [math.nan]},
+               "boundary": {"condition": "neumann"}}, "probes.radii[0]"),
+    ("mesh", {"mesh": {"radius": -math.inf}}, "mesh.radius"),
+], ids=["eps_precision", "floor_u", "radii", "radius"])
+def test_non_finite_config_number_rejected(tmp_path, capsys, command, doc,
+                                           key):
+    # Python's json reads NaN and Infinity: a NaN tolerance would run to the
+    # iteration cap and echo a NaN, which is not JSON
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err and "Traceback" not in err
+    assert not (out / "config_echo.json").exists()
+
+
+def test_non_finite_flag_rejected(tmp_path, capsys):
+    # flags pass the checks of the config key they set
+    out = tmp_path / "out"
+    assert run_cli("mesh", "--out", out, "--eps-precision", "nan") == 2
+    assert "reconstruction.eps_precision" in capsys.readouterr().err
+    assert not (out / "config_echo.json").exists()
+
+
 def test_fractional_max_iterations_rejected(tmp_path, capsys):
     # 2.5 iterations is not the 2 the loop would run while the echo
     # recorded 2.5
@@ -193,6 +222,21 @@ def test_unusable_guess_damping_or_frequency_rejected(tmp_path, capsys,
     assert not (out / "config_echo.json").exists()
 
 
+@pytest.mark.parametrize("command", ["forward", "reconstruct", "sweep"])
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+def test_nonpositive_phantom_value_rejected(tmp_path, capsys, command, value):
+    # the method needs a coercive conductivity: a phantom without one is a
+    # configuration error naming the region, not a grid of failed cells
+    cfg = write_config(tmp_path, {
+        "phantom": {"conductivity": {"background": value}},
+        "frequencies": {"m": [3] if command == "sweep" else 3}})
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "conductivity of region background" in err
+    assert list(out.iterdir()) == []
+
+
 def test_phantom_section_reads_back_the_default_phantom():
     assert cli.phantom_from_config(cli.default_config()) == hm.PhantomSpec()
 
@@ -227,6 +271,49 @@ def test_eps_precision_flag_lands_in_echo(tmp_path):
     assert run_cli("mesh", "--out", out, "--eps-precision", 1e-5) == 0
     echo = json.loads((out / "config_echo.json").read_text())
     assert echo["reconstruction"]["eps_precision"] == 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the run record
+
+
+# the call that does each command's work, and a config the command accepts
+COMMAND_RUNS = {
+    "mesh": (hm, "save_mesh", {}),
+    "forward": (forward, "two_frequency_data", {}),
+    "probe": (forward, "factor_medium", {"boundary": {"condition": "neumann"}}),
+    "reconstruct": (diagnostics, "synthetic_run", {}),
+    "sweep": (diagnostics, "frequency_sweep", {"frequencies": {"m": [3]}}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_RUNS)
+@pytest.mark.parametrize("error, code, record", [
+    (ValueError, 2, []),
+    (fem.SingularSystem, 3,
+     ["config_echo.json", "error_report.json", "manifest.json"]),
+], ids=["config-error", "solver-failure"])
+def test_run_record_is_written_when_the_command_returns(
+        tmp_path, monkeypatch, capsys, command, error, code, record):
+    # main writes the echo and the manifest after the command: an error the
+    # run finds leaves neither behind, and a solver failure lists only the
+    # echo and its report
+    module, name, doc = COMMAND_RUNS[command]
+
+    def fail(*args, **kwargs):
+        raise error("raised during the run")
+
+    monkeypatch.setattr(module, name, fail)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(command, "--config", cfg, "--out", out) == code
+    assert "raised during the run" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == record
+    if record:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["config_echo.json",
+                                         "error_report.json"]
+        assert manifest["command"] == command
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +364,7 @@ def test_forward_zero_frequency_flux_is_reported(tmp_path, capsys):
     assert "constant" in report["message"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["summary"]["status"] == "SolverFailure"
+    assert manifest["artifacts"] == ["config_echo.json", "error_report.json"]
     assert "solver failure" in capsys.readouterr().err
 
 
@@ -330,10 +418,17 @@ def test_probe_grid_spacing_generates_centers(tmp_path):
     assert np.all(np.hypot(xs, ys) <= 0.75 * 8.0 - 0.2)
 
 
-def test_probe_center_outside_interior_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, probe_config(centers=[[7.5, 0.0]]))
-    assert run_cli("probe", "--config", cfg, "--out", tmp_path / "out") == 2
-    assert "interior" in capsys.readouterr().err
+def test_probe_center_outside_interior_rejected(tmp_path, capsys,
+                                                factorizations):
+    # a disk of radius 0.2 at |z| = 5.9 reaches past 0.75 x 8 = 6: the
+    # config names the center before anything is factored or written
+    cfg = write_config(tmp_path, probe_config(centers=[[5.9, 0.0]]))
+    out = tmp_path / "out"
+    assert run_cli("probe", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "interior" in err and "probes.centers" in err
+    assert factorizations == []
+    assert list(out.iterdir()) == []
 
 
 def test_probe_requires_flux_boundary(tmp_path, capsys):

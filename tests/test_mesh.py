@@ -169,6 +169,17 @@ def test_coefficient_values(disk50, phantom):
         phantom.values("density")
 
 
+@pytest.mark.parametrize("which, value", [
+    ("conductivity", -1.0), ("conductivity", 0.0), ("permittivity", math.nan),
+    ("permittivity", math.inf)])
+def test_phantom_rejects_nonpositive_or_non_finite_values(which, value):
+    # the method's hypotheses: a coercive conductivity and a positive
+    # permittivity, in every region
+    values = dict(hm.PhantomSpec().values(which), lshape=value)
+    with pytest.raises(ValueError, match=f"{which} of region lshape"):
+        hm.PhantomSpec(**{which: values})
+
+
 def test_mesh_save_load_round_trip(tmp_path, disk50):
     path = tmp_path / "mesh.txt"
     hm.save_mesh(disk50, path)

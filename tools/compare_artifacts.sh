@@ -5,9 +5,12 @@
 # a 2 x 2 sweep, four configs with a null value, and four with a value of
 # the wrong JSON type: a list for reconstruction.damping, a number for
 # probes.radii, a string for mesh.radius and a boolean for
-# reconstruction.max_iterations, and three with a value no run can use: a
-# negative reconstruction.gamma_guess, a zero reconstruction.damping and a
-# negative frequencies.k1).
+# reconstruction.max_iterations, and seven with a value no run can use: a
+# negative reconstruction.gamma_guess, a zero reconstruction.damping, a
+# negative frequencies.k1, a probe disk past the interior zone, a negative
+# phantom conductivity for reconstruct and for sweep, and a NaN
+# reconstruction.eps_precision), and a solver failure: Neumann forward at
+# k1 = 0.
 #
 #   tools/compare_artifacts.sh REV
 #
@@ -44,6 +47,11 @@ runs=(
   'bad-gamma-guess reconstruct {"reconstruction": {"gamma_guess": -1.0}}'
   'zero-damping reconstruct {"reconstruction": {"damping": 0.0}}'
   'negative-k1 reconstruct {"frequencies": {"k1": -1.0, "k2": 0.1}}'
+  'outside-zone-probe probe {"boundary": {"condition": "neumann"}, "probes": {"centers": [[5.9, 0.0]]}}'
+  'negative-conductivity reconstruct {"phantom": {"conductivity": {"background": -1.0}}}'
+  'negative-conductivity-sweep sweep {"phantom": {"conductivity": {"background": -1.0}}, "frequencies": {"m": [1, 3]}, "mesh": {"n_boundary_points": [50]}}'
+  'nan-eps-precision reconstruct {"reconstruction": {"eps_precision": NaN}}'
+  'flux-zero-k1 forward {"boundary": {"condition": "neumann"}, "frequencies": {"k1": 0.0, "k2": 1.0, "m": null}}'
 )
 
 run_side() {  # side, src directory
