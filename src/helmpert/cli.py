@@ -446,6 +446,10 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> Tuple[int, List[str], dict
     # every mesh passes build_disk_mesh's checks before any cell runs
     mesh_points = [meshmod.disk_mesh_size(ph.disk_radius, n)
                    for n in _as_list(cfg["mesh"]["n_boundary_points"])]
+    for key, values in (("frequencies.m", exponents),
+                        ("mesh.n_boundary_points", mesh_points)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"config key {key} repeats a value: {values}")
     # base frequencies are placeholders: the sweep replaces them per cell
     base_cfg = _reconstruction_config(cfg, None, ph,
                                       *diagnostics.frequency_pair(1))

@@ -40,17 +40,18 @@ gets a float64 sparse LU with a symmetric minimum-degree ordering and
 supernode constants measured on these operators (LU_RELAX, LU_PANEL_SIZE).
 The band (BandOrder), or its absence, comes from a least-recently-used
 cache of the last BAND_ORDER_PATTERNS sparsity patterns.
-factor_solve is the one-shot form; solve_bvp is factor_solve(*assemble(...)).
-Factor.refined_solve solves a system near the
-factored one (or a stack of nodal blocks near copies of it) by defect
-correction on the same factor, stopping once the residual is at roundoff,
-behind the same gate, and factors the system itself only when the
-refinement misses the gate: that is how each reconstruction pass solves its
-corrector on its forward factor. Factor.refactor factors the next matrix in
-a factor's storage where both take the band of one cached order
-(BandCholesky keeps its work band and its upper factor for that), so the
-reconstruction's passes allocate no band storage after the first; the old
-factor is spent, and solving on it raises.
+solve_bvp assembles, factors and solves a boundary-value problem, and
+returns the field, its relative residual and the factor.
+Factor.refined_solve solves a system near the factored one (or a stack of
+nodal blocks near copies of it) by defect correction on the same factor,
+stopping once the residual is at roundoff, behind the same gate, and
+factors the system itself only when the refinement misses the gate: that
+is how each reconstruction pass solves its corrector on its forward factor.
+Factor.refactor factors the next matrix in a factor's storage where both
+take the band of one cached order (BandCholesky keeps its work band and its
+upper factor for that), as solve_bvp does with a factor it is given, so the
+second data solve and the reconstruction's later passes allocate no band
+storage; the old factor is spent, and solving on it raises.
 """
 
 import functools
@@ -593,7 +594,7 @@ class Factor:
         correction has stagnated at the working precision, and another
         step would cost a triangular solve and gain nothing. A result that
         misses RESIDUAL_RTOL (or is not finite) counts in fallbacks and is
-        replaced by factor_solve(matrix, rhs).
+        replaced by a gated solve on matrix's own factor.
         """
         solver = self._live_solver()
         n = self.matrix.shape[0]
@@ -620,7 +621,7 @@ class Factor:
         if rel <= RESIDUAL_RTOL:
             return _from_real_columns(x, rhs), rel
         self.fallbacks += 1
-        return factor_solve(matrix, rhs)
+        return Factor(matrix).solve(rhs)
 
 
 def _rhs_count(rhs: np.ndarray) -> int:
@@ -672,13 +673,6 @@ def residual_gate(matrix, y: np.ndarray, cols: np.ndarray, n_rhs: int,
     return rel
 
 
-def factor_solve(matrix: sp.spmatrix, rhs: np.ndarray,
-                 gate: bool = True) -> Tuple[np.ndarray, float]:
-    """One-shot Factor(matrix).solve(rhs, gate): the solution and its
-    relative residual."""
-    return Factor(matrix).solve(rhs, gate)
-
-
 def solve_bvp(
     mesh: TriangleMesh,
     gamma: CoefficientField,
@@ -686,10 +680,18 @@ def solve_bvp(
     k: float,
     bc: BoundaryCondition,
     source: Optional[ComplexField] = None,
-) -> ComplexField:
-    """Assemble with the boundary condition applied and solve, gated."""
-    x, _ = factor_solve(*assemble(mesh, gamma, q, k, bc, source))
-    return ComplexField(mesh=mesh, values=x)
+    gate: bool = True,
+    lu: Optional[Factor] = None,
+) -> Tuple[ComplexField, float, Factor]:
+    """Assemble with the boundary condition applied, factor and solve: the
+    field, its relative residual (gated when gate is set) and the factor,
+    for a nearby system's refined_solve or the next solve's lu. lu, a
+    factor the caller is done with, is refactored (Factor.refactor, in its
+    storage where both take the band of one order) and spent."""
+    matrix, rhs = assemble(mesh, gamma, q, k, bc, source)
+    lu = Factor(matrix) if lu is None else lu.refactor(matrix)
+    x, rel = lu.solve(rhs, gate)
+    return ComplexField(mesh, x), rel, lu
 
 
 def gradient(u: ComplexField) -> GradientField:

@@ -146,13 +146,14 @@ def two_frequency_data(mesh: TriangleMesh, gamma: CoefficientField,
                        q: CoefficientField, k1: float, k2: float,
                        bc: BoundaryCondition) -> tuple:
     """The fields u1 at k1 and u2 at k2 under bc, and the internal data the
-    reconstruction inverts: J = gamma |grad u1|^2 and j = q |u2|^2."""
+    reconstruction inverts: J = gamma |grad u1|^2 and j = q |u2|^2. The
+    second solve refactors the first one's factor."""
     if bc.kind == "neumann" and 0.0 in (k1, k2):
         # constants are in the nullspace of the zero-frequency flux problem
         raise fem.SingularSystem("pure flux data at k = 0 determines the "
                                  "field only up to a constant")
-    u1 = fem.solve_bvp(mesh, gamma, q, k1, bc)
-    u2 = fem.solve_bvp(mesh, gamma, q, k2, bc)
+    u1, _, lu = fem.solve_bvp(mesh, gamma, q, k1, bc)
+    u2, _, _ = fem.solve_bvp(mesh, gamma, q, k2, bc, lu=lu)
     return u1, u2, gradient_energy(u1, gamma), mass_energy(u2, q)
 
 

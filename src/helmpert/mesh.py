@@ -352,7 +352,7 @@ class TriangleMesh:
         return verts.min(axis=1), verts.max(axis=1)
 
     def node_radii(self) -> np.ndarray:
-        return np.hypot(self.nodes[:, 0], self.nodes[:, 1])
+        return _point_radii(self.nodes)
 
 
 def disk_mesh_size(radius: float, n_boundary_points) -> int:
@@ -465,6 +465,13 @@ def _in_lshape(x: np.ndarray, y: np.ndarray, phantom: PhantomSpec) -> np.ndarray
     return inside
 
 
+def _point_radii(points: np.ndarray) -> np.ndarray:
+    """Distance from the origin of each point of an (n, 2) array, by
+    math.hypot: np.hypot can differ in the last bit on the annulus circle."""
+    return np.fromiter(map(math.hypot, points[:, 0], points[:, 1]),
+                       dtype=np.float64, count=len(points))
+
+
 def _region_index(points: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
     """Index into RegionTag.ALL of each point of an (n, 2) array.
 
@@ -473,10 +480,7 @@ def _region_index(points: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
     (including points outside the disk) is near_boundary.
     """
     x, y = points[:, 0], points[:, 1]
-    # math.hypot, not np.hypot: on the annulus circle the two can differ in
-    # the last bit, which would flip a point between two regions
-    radii = np.fromiter(map(math.hypot, x, y), dtype=np.float64, count=len(x))
-    conditions = [radii > phantom.annulus_radius,
+    conditions = [_point_radii(points) > phantom.annulus_radius,
                   _in_triangle(x, y, phantom.triangle_vertices),
                   _in_ellipse(x, y, phantom),
                   _in_lshape(x, y, phantom)]

@@ -14,9 +14,10 @@ K(a) + M(c) with other coefficients, through the mesh's assembly map: the
 gradient corrector by fem.assemble_operator, the mass corrector's 2 x 2
 block system as one product whose four data columns the mesh's two-block
 Dirichlet gather turns into the eliminated system
-(fem.eliminate_dirichlet_data). Each pass factors its forward operator
-once and solves its corrector on that factor by gated defect correction
-(fem.Factor.refined_solve), which stops once the residual is at roundoff:
+(fem.eliminate_dirichlet_data). Each pass solves its forward problem by
+fem.solve_bvp, ungated (the floors and the stall detector diagnose a
+breakdown), and its corrector on the factor that call returns, by gated
+defect correction (fem.Factor.refined_solve), which stops at roundoff:
 at a high k1 the gradient corrector differs from the forward operator by a
 stiffness term small beside the mass term, and at a low k2 the mass
 corrector's blocks differ from it by mass terms scaled by k2^2. Where a
@@ -26,9 +27,9 @@ spectrum has a sign-definite forward operator, which fem.Factor factors by
 banded Cholesky on the meshes of 50, 100 and 200 boundary points; the other
 passes, mesh 400, and the corrector systems that are not sign-definite or
 too wide for the band (mesh 200's two-block system) get its sparse LU. The
-factor is passed to the corrector explicitly, and the next pass refactors
-it (fem.Factor.refactor), so one is alive at a time and the band passes
-share one band storage; IterationRecord.n_factor counts
+factor is passed to the corrector explicitly, and the next pass's
+fem.solve_bvp refactors it (fem.Factor.refactor), so one is alive at a time
+and the band passes share one band storage; IterationRecord.n_factor counts
 the factorizations of both kinds in each iteration. The mesh caches that
 the loop uses are built before its first factorization.
 Material values on the near-boundary annulus are known and reset after
@@ -202,26 +203,6 @@ def compute_q_error(
                             region_mask, "|u|^2")
 
 
-def _forward_solve_monitored(mesh: TriangleMesh, gamma: CoefficientField,
-                             q: CoefficientField, k: float,
-                             bc: BoundaryCondition,
-                             lu: Optional[fem.Factor] = None
-                             ) -> Tuple[ComplexField, float, fem.Factor]:
-    """Forward solve that reports, instead of gating on, the residual.
-
-    The outer loop has to keep iterating through the badly conditioned
-    passes a diverging run produces; breakdown is diagnosed by the floors
-    and the stall detector, not by the linear solver. The factor of the
-    Dirichlet-eliminated operator comes back for the pass's corrector: the
-    previous pass's factor lu, refactored (in its storage where both take
-    the band), or a fresh one on the first pass.
-    """
-    matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
-    lu = fem.Factor(matrix) if lu is None else lu.refactor(matrix)
-    x, rel = lu.solve(rhs, gate=False)
-    return ComplexField(mesh, x), rel, lu
-
-
 def solve_gamma_corrector(
     u0: ComplexField,
     E0: CoefficientField,
@@ -381,7 +362,8 @@ def run(
     config: ReconstructionConfig,
 ) -> ReconstructionTrace:
     """Alternating outer loop over the high- and low-frequency passes."""
-    annulus_mask = mesh.node_radii() >= config.known_annulus_radius
+    # the phantom's near-boundary nodes: its radii, its strict inequality
+    annulus_mask = mesh.node_radii() > config.known_annulus_radius
     unknown_mask = ~annulus_mask
     gamma_guess, q_guess = float(config.gamma_guess), float(config.q_guess)
     if truth is None:
@@ -415,8 +397,8 @@ def run(
             # high-frequency pass: conductivity test and update; one factor
             # serves the pass and is spent when the next pass refactors it
             rec.n_factor += 1
-            u0, rec.forward_residual_k1, lu = _forward_solve_monitored(
-                mesh, gamma0, q0, config.k1, bc, lu)
+            u0, rec.forward_residual_k1, lu = fem.solve_bvp(
+                mesh, gamma0, q0, config.k1, bc, gate=False, lu=lu)
             grad0 = fem.gradient(u0)
             rec.min_grad_sq = float(
                 grad0.node_magnitude_squared()[unknown_mask].min())
@@ -437,8 +419,8 @@ def run(
 
             # low-frequency pass: permittivity test and update
             rec.n_factor += 1
-            u0b, rec.forward_residual_k2, lu = _forward_solve_monitored(
-                mesh, gamma0, q0, config.k2, bc, lu)
+            u0b, rec.forward_residual_k2, lu = fem.solve_bvp(
+                mesh, gamma0, q0, config.k2, bc, gate=False, lu=lu)
             rec.min_u_sq = float((np.abs(u0b.values) ** 2)[unknown_mask].min())
             eps0, rec.misfit_j_linf = compute_q_error(
                 j, u0b, q0, floor_u=config.floor_u, region_mask=unknown_mask)

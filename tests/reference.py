@@ -36,7 +36,7 @@ def measure_probe(
     forward._check_medium(mesh, gamma, q, bc)
     forward._check_disks(mesh.radius, [probe])
     matrix, rhs = fem.assemble(mesh, gamma, q, k, bc)
-    u, _ = fem.factor_solve(matrix, rhs)
+    u, _ = fem.Factor(matrix).solve(rhs)
 
     ge = fem.element_average(mesh, gamma.values)
     qe = fem.element_average(mesh, q.values)
@@ -44,7 +44,7 @@ def measure_probe(
     stiff_e = ge + frac * (probe.amplitude * probe.gamma_tilde - ge)
     mass_e = -(k ** 2) * (qe + frac * (probe.amplitude * probe.q_tilde - qe))
     perturbed = fem.assemble_operator_elementwise(mesh, stiff_e, mass_e)
-    d, _ = fem.factor_solve(perturbed, (perturbed - matrix) @ u)
+    d, _ = fem.Factor(perturbed).solve((perturbed - matrix) @ u)
 
     w = fem.boundary_weights(mesh)
     raw = complex(np.sum(w * d[mesh.boundary_nodes] * np.conj(bc.data)))

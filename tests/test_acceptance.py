@@ -47,7 +47,7 @@ def manufactured_error(mesh):
     gamma = fem.CoefficientField(mesh, gam)
     q = fem.CoefficientField(mesh, qv)
     bc = fem.BoundaryCondition("dirichlet", ustar[mesh.boundary_nodes])
-    u = fem.solve_bvp(mesh, gamma, q, k, bc, source=fem.ComplexField(mesh, f))
+    u, _, _ = fem.solve_bvp(mesh, gamma, q, k, bc, source=fem.ComplexField(mesh, f))
     e = u.values - ustar
     mass = fem.assemble_operator(mesh, None, np.ones(mesh.n_nodes))
     return e, math.sqrt(float(np.real(np.conj(e) @ (mass @ e))))
@@ -59,7 +59,7 @@ def probe_setup(disk200):
     gamma = fem.CoefficientField(disk200, np.full(n, 1.0))
     q = fem.CoefficientField(disk200, np.full(n, 3.0))
     bc = fem.BoundaryCondition("neumann", forward.boundary_phase(disk200))
-    u = fem.solve_bvp(disk200, gamma, q, 0.35, bc)
+    u, _, _ = fem.solve_bvp(disk200, gamma, q, 0.35, bc)
     return gamma, q, bc, u
 
 
@@ -221,8 +221,8 @@ def test_criterion_6_invariant_suites(disk50, disk100, disk200, phantom,
     gamma_t, q_t = truth50
     bc50 = fem.BoundaryCondition(
         "dirichlet", forward.boundary_phase(disk50, "xy"))
-    u1 = fem.solve_bvp(disk50, gamma_t, q_t, K1_CONVERGENT, bc50)
-    u2 = fem.solve_bvp(disk50, gamma_t, q_t, K2_CONVERGENT, bc50)
+    u1, _, _ = fem.solve_bvp(disk50, gamma_t, q_t, K1_CONVERGENT, bc50)
+    u2, _, _ = fem.solve_bvp(disk50, gamma_t, q_t, K2_CONVERGENT, bc50)
     gamma_c, q_c, bc_c, u_c = probe_setup
     trace4 = convergent_trace[0]
     fields = [

@@ -625,6 +625,26 @@ def test_sweep_rejects_bad_settings_before_any_cell(tmp_path, capsys, doc,
     assert not (out / "sweep_summary.csv").exists()
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"frequencies": {"m": [3, 3.0]}, "mesh": {"n_boundary_points": [50]}},
+     "frequencies.m"),
+    ({"frequencies": {"m": [3]}, "mesh": {"n_boundary_points": [50, 50.0]}},
+     "mesh.n_boundary_points"),
+], ids=["m", "n_boundary_points"])
+def test_sweep_rejects_repeated_values(tmp_path, capsys, monkeypatch, doc,
+                                       key):
+    # a repeated value would run the same cell twice and write it once
+    cells = []
+    monkeypatch.setattr(diagnostics, "frequency_sweep",
+                        lambda *args, **kwargs: cells.append(args))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert cells == [] and list(out.iterdir()) == []
+
+
 def test_sweep_rejects_explicit_frequencies(tmp_path, capsys):
     cfg = write_config(tmp_path, {"frequencies": {"k1": 1.0, "k2": 2.0,
                                                   "m": None}})

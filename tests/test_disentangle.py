@@ -186,7 +186,7 @@ def test_measured_probes_round_trip_to_internal_data(disk100):
     q = constant_field(disk100, 3.0)
     k = 0.35
     bc = fem.BoundaryCondition("neumann", forward.boundary_phase(disk100, "yx"))
-    u = fem.solve_bvp(disk100, gamma, q, k, bc)
+    u, _, _ = fem.solve_bvp(disk100, gamma, q, k, bc)
     val, grad = forward.sample_field(u, (2.3, 1.1))
     J_true = float(abs(grad[0]) ** 2 + abs(grad[1]) ** 2)
     j_true = 3.0 * abs(val) ** 2

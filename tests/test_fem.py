@@ -280,7 +280,7 @@ def test_field_shape_and_finiteness_validation(disk50):
 def test_dirichlet_zero_data_gives_zero_solution(disk50, truth50):
     gamma, q = truth50
     bc = fem.BoundaryCondition("dirichlet", np.zeros(len(disk50.boundary_nodes)))
-    u = fem.solve_bvp(disk50, gamma, q, 0.5, bc)
+    u, _, _ = fem.solve_bvp(disk50, gamma, q, 0.5, bc)
     assert np.max(np.abs(u.values)) == 0.0
 
 
@@ -288,7 +288,7 @@ def test_dirichlet_constant_data_at_zero_k_is_constant(disk50, truth50):
     gamma, q = truth50
     c = 2.0 - 1.0j
     bc = fem.BoundaryCondition("dirichlet", np.full(len(disk50.boundary_nodes), c))
-    u = fem.solve_bvp(disk50, gamma, q, 0.0, bc)
+    u, _, _ = fem.solve_bvp(disk50, gamma, q, 0.0, bc)
     np.testing.assert_allclose(u.values, c, rtol=1e-12)
 
 
@@ -296,7 +296,7 @@ def test_dirichlet_data_is_baked_exactly(disk50, truth50):
     gamma, q = truth50
     data = np.exp(1j * boundary_angles(disk50))
     bc = fem.BoundaryCondition("dirichlet", data)
-    u = fem.solve_bvp(disk50, gamma, q, 1.3, bc)
+    u, _, _ = fem.solve_bvp(disk50, gamma, q, 1.3, bc)
     np.testing.assert_array_equal(u.values[disk50.boundary_nodes], data)
     assert np.max(np.abs(np.abs(data) - 1.0)) < 1e-14
 
@@ -308,9 +308,9 @@ def test_conjugated_data_gives_conjugated_solution(disk50, truth50):
                              fem.BoundaryCondition("dirichlet", data))
     asym = abs(matrix - matrix.T)
     assert asym.nnz == 0 or asym.max() < 1e-13
-    u1 = fem.solve_bvp(disk50, gamma, q, 1.3, fem.BoundaryCondition("dirichlet", data))
-    u2 = fem.solve_bvp(disk50, gamma, q, 1.3,
-                       fem.BoundaryCondition("dirichlet", np.conj(data)))
+    u1, _, _ = fem.solve_bvp(disk50, gamma, q, 1.3, fem.BoundaryCondition("dirichlet", data))
+    u2, _, _ = fem.solve_bvp(disk50, gamma, q, 1.3,
+                             fem.BoundaryCondition("dirichlet", np.conj(data)))
     np.testing.assert_allclose(u2.values, np.conj(u1.values), rtol=0.0, atol=1e-12)
 
 
@@ -318,8 +318,8 @@ def test_tiny_k_matches_zero_k(disk50):
     gamma = constant_field(disk50, 1.0)
     q = constant_field(disk50, 3.0)
     bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(disk50)))
-    u_tiny = fem.solve_bvp(disk50, gamma, q, math.pi * 1e-3, bc)
-    u_zero = fem.solve_bvp(disk50, gamma, q, 0.0, bc)
+    u_tiny, _, _ = fem.solve_bvp(disk50, gamma, q, math.pi * 1e-3, bc)
+    u_zero, _, _ = fem.solve_bvp(disk50, gamma, q, 0.0, bc)
     rel = l2_norm(disk50, u_tiny.values - u_zero.values) / l2_norm(disk50, u_zero.values)
     assert rel < 1e-4
 
@@ -331,8 +331,9 @@ def test_manufactured_dirichlet_second_order(disk50, disk100, disk200):
         u_exact = quadratic_saddle(mesh)
         source = fem.ComplexField(mesh=mesh, values=u_exact)
         bc = fem.BoundaryCondition("dirichlet", u_exact[mesh.boundary_nodes])
-        u = fem.solve_bvp(mesh, constant_field(mesh, 1.0), constant_field(mesh, 1.0),
-                          1.0, bc, source=source)
+        u, _, _ = fem.solve_bvp(mesh, constant_field(mesh, 1.0),
+                                constant_field(mesh, 1.0), 1.0, bc,
+                                source=source)
         errs.append(l2_norm(mesh, u.values - u_exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[2] > 10.0
@@ -346,7 +347,7 @@ def test_neumann_zero_flux_gives_zero_solution(disk50):
     gamma = constant_field(disk50, 1.0)
     q = constant_field(disk50, 1.0)
     bc = fem.BoundaryCondition("neumann", np.zeros(len(disk50.boundary_nodes)))
-    u = fem.solve_bvp(disk50, gamma, q, 0.5, bc)
+    u, _, _ = fem.solve_bvp(disk50, gamma, q, 0.5, bc)
     assert np.max(np.abs(u.values)) == 0.0
 
 
@@ -357,8 +358,9 @@ def test_manufactured_neumann_flux_reproduction(disk50, disk100, disk200):
         source = fem.ComplexField(mesh=mesh, values=u_exact)
         flux = (2.0 / mesh.radius) * u_exact[mesh.boundary_nodes]
         bc = fem.BoundaryCondition("neumann", flux)
-        u = fem.solve_bvp(mesh, constant_field(mesh, 1.0), constant_field(mesh, 1.0),
-                          1.0, bc, source=source)
+        u, _, _ = fem.solve_bvp(mesh, constant_field(mesh, 1.0),
+                                constant_field(mesh, 1.0), 1.0, bc,
+                                source=source)
         errs.append(l2_norm(mesh, u.values - u_exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] < 1.0
@@ -379,7 +381,7 @@ def test_incompatible_flux_at_zero_k_is_detected(disk50):
 def test_solve_identity_system_returns_rhs(disk50):
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(disk50.n_nodes) + 1j * rng.standard_normal(disk50.n_nodes)
-    x, _ = fem.factor_solve(sp.identity(disk50.n_nodes, format="csr"), rhs)
+    x, _ = fem.Factor(sp.identity(disk50.n_nodes, format="csr")).solve(rhs)
     np.testing.assert_allclose(x, rhs, rtol=1e-15, atol=0.0)
 
 
@@ -395,10 +397,10 @@ def test_factor_solve_keeps_real_systems_real(disk50, truth50):
     matrix = fem.assemble_operator(disk50, gamma.values, q.values)
     rng = np.random.default_rng(12)
     rhs = rng.standard_normal(disk50.n_nodes)
-    x, rel = fem.factor_solve(matrix, rhs)
+    x, rel = fem.Factor(matrix).solve(rhs)
     assert x.dtype == np.float64
     assert rel <= fem.RESIDUAL_RTOL
-    xc, _ = fem.factor_solve(matrix, rhs + 0j)
+    xc, _ = fem.Factor(matrix).solve(rhs + 0j)
     assert xc.dtype == np.complex128
     np.testing.assert_allclose(xc.real, x, rtol=1e-12, atol=0.0)
 
@@ -406,7 +408,7 @@ def test_factor_solve_keeps_real_systems_real(disk50, truth50):
 def test_factor_solve_singular_matrix_raises():
     matrix = sp.diags([1.0, 0.0, 1.0]).tocsr()
     with pytest.raises(fem.SingularSystem):
-        fem.factor_solve(matrix, np.ones(3))
+        fem.Factor(matrix).solve(np.ones(3))
 
 
 def test_factor_solve_gates_on_residual():
@@ -415,10 +417,10 @@ def test_factor_solve_gates_on_residual():
     idx = np.arange(12)
     matrix = sp.csr_matrix(1.0 / (idx[:, None] + idx[None, :] + 1.0))
     rhs = np.random.default_rng(0).standard_normal(12)
-    _, rel = fem.factor_solve(matrix, rhs, gate=False)
+    _, rel = fem.Factor(matrix).solve(rhs, gate=False)
     assert rel > fem.RESIDUAL_RTOL
     with pytest.raises(fem.NonConvergence) as info:
-        fem.factor_solve(matrix, rhs)
+        fem.Factor(matrix).solve(rhs)
     assert info.value.residual / info.value.rhs_norm == pytest.approx(rel)
 
 
@@ -427,7 +429,7 @@ def test_complex_rhs_solves_as_two_real_columns(disk50, truth50):
     matrix = fem.assemble_operator(disk50, gamma.values, -(0.7 ** 2) * q.values)
     rng = np.random.default_rng(13)
     rhs = rng.standard_normal(disk50.n_nodes) + 1j * rng.standard_normal(disk50.n_nodes)
-    x, rel = fem.factor_solve(matrix, rhs)
+    x, rel = fem.Factor(matrix).solve(rhs)
     assert x.dtype == np.complex128
     assert rel <= fem.RESIDUAL_RTOL
     ref = spla.splu(matrix.tocsc().astype(np.complex128)).solve(rhs)
@@ -438,7 +440,7 @@ def test_solve_bvp_factors_only_real_matrices(disk50, truth50, factorizations):
     gamma, q = truth50
     data = np.exp(1j * boundary_angles(disk50))
     for kind in ("dirichlet", "neumann"):
-        u = fem.solve_bvp(disk50, gamma, q, 0.7, fem.BoundaryCondition(kind, data))
+        u, _, _ = fem.solve_bvp(disk50, gamma, q, 0.7, fem.BoundaryCondition(kind, data))
         assert np.abs(u.values.imag).max() > 0.0
     assert [call.dtype for call in factorizations] == [np.float64, np.float64]
 
@@ -446,7 +448,7 @@ def test_solve_bvp_factors_only_real_matrices(disk50, truth50, factorizations):
 def test_factor_solve_rejects_complex_matrix():
     matrix = sp.identity(3, format="csc", dtype=np.complex128)
     with pytest.raises(TypeError):
-        fem.factor_solve(matrix, np.ones(3))
+        fem.Factor(matrix).solve(np.ones(3))
 
 
 def test_factor_block_solve_matches_column_solves(disk50, truth50):
@@ -480,7 +482,7 @@ def test_factor_block_solve_matches_column_solves(disk50, truth50):
                 alone += fem._relative_residuals(res, rhs[:, j::m], 1)
             assert measured == alone and rel == max(alone)[0]
             for j in range(m):
-                ref, _ = fem.factor_solve(matrix, block[:, j])
+                ref, _ = fem.Factor(matrix).solve(block[:, j])
                 assert np.linalg.norm(x[:, j] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -552,7 +554,7 @@ def test_refined_solve_matches_factor_solve_on_a_near_factor(disk50, truth50):
              (stacked, rng.standard_normal((2 * n, 2)) * (1 - 2j))]
     for matrix, rhs in cases:
         x, rel = near.refined_solve(matrix, rhs)
-        ref, _ = fem.factor_solve(matrix, rhs)
+        ref, _ = fem.Factor(matrix).solve(rhs)
         assert x.shape == rhs.shape and x.dtype == rhs.dtype
         assert rel <= fem.RESIDUAL_RTOL
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -566,7 +568,7 @@ def test_refined_solve_falls_back_on_a_far_factor(disk50, truth50):
     matrix = near_systems(disk50, gamma, q, 0.35)[1]
     rhs = np.random.default_rng(23).standard_normal(disk50.n_nodes) * (1 + 1j)
     x, rel = far.refined_solve(matrix, rhs)
-    ref, ref_rel = fem.factor_solve(matrix, rhs)
+    ref, ref_rel = fem.Factor(matrix).solve(rhs)
     np.testing.assert_array_equal(x, ref)
     assert rel == ref_rel <= fem.RESIDUAL_RTOL
     assert far.fallbacks == 1
@@ -770,7 +772,7 @@ def test_band_solutions_match_the_lu(disk50, disk100, disk200, exponent,
     # toward the centre to about 1.4e-8 of its maximum
     for mesh in (disk50, disk100, disk200):
         matrix, rhs = phantom_operator(mesh, math.pi * 10.0 ** exponent)
-        x, rel = fem.factor_solve(matrix, rhs)
+        x, rel = fem.Factor(matrix).solve(rhs)
         ref = fresh_lu(matrix).solve(np.column_stack([rhs.real, rhs.imag]))
         ref = ref[:, 0] + 1j * ref[:, 1]
         assert rel <= fem.RESIDUAL_RTOL
@@ -908,6 +910,27 @@ def test_refactor_off_the_band_storage_factors_afresh(disk100, disk200,
         np.testing.assert_array_equal(x, fem.Factor(matrix).solve(rhs)[0])
     kinds = [call.kind for call in factorizations]
     assert kinds == ["band", fem.LU_ORDERING] + ["band", "band"] * len(steps)
+
+
+@pytest.mark.parametrize("k, band", [(math.pi * 1e3, True), (0.35, False)],
+                         ids=["band", "lu"])
+def test_solve_bvp_refactors_the_given_factor(disk50, truth50, k, band):
+    # a reconstruction pass after a band pass below the spectrum: at m = 3's
+    # k1 the band, at k = 0.35 the LU; either way the field and residual
+    # are a fresh solve's, bit for bit, and the given factor is spent
+    gamma, q = truth50
+    bc = fem.BoundaryCondition("dirichlet", np.exp(1j * boundary_angles(disk50)))
+    _, _, old = fem.solve_bvp(disk50, gamma, q, math.pi * 1e-3, bc)
+    storage = band_storage(old)
+    u, rel, lu = fem.solve_bvp(disk50, gamma, q, k, bc, gate=False, lu=old)
+    fresh, fresh_rel, _ = fem.solve_bvp(disk50, gamma, q, k, bc, gate=False)
+    assert u.values.tobytes() == fresh.values.tobytes() and rel == fresh_rel
+    assert isinstance(lu._solver, fem.BandCholesky) is band
+    if band:
+        assert all(np.shares_memory(new, kept) for new, kept in
+                   zip(band_storage(lu), storage))
+    with pytest.raises(RuntimeError, match="spent"):
+        old.solve(np.ones(disk50.n_nodes))
 
 
 @pytest.mark.parametrize("k", [0.0, 0.35])
@@ -1064,7 +1087,7 @@ def test_resonance_shows_up_as_amplification():
 
     def response(k):
         try:
-            u = fem.solve_bvp(mesh, gamma, q, k, bc)
+            u, _, _ = fem.solve_bvp(mesh, gamma, q, k, bc)
         except (fem.NonConvergence, fem.SingularSystem):
             return math.inf
         return float(np.max(np.abs(u.values) ** 2))

@@ -196,14 +196,40 @@ def test_internal_data_is_phase_invariant(disk50, truth50):
     data = np.exp(1j * np.arctan2(disk50.nodes[disk50.boundary_nodes, 1],
                                   disk50.nodes[disk50.boundary_nodes, 0]))
     k = 0.8
-    u1 = fem.solve_bvp(disk50, gamma, q, k, fem.BoundaryCondition("dirichlet", data))
-    u2 = fem.solve_bvp(disk50, gamma, q, k,
-                       fem.BoundaryCondition("dirichlet", np.exp(0.7j) * data))
+    u1, _, _ = fem.solve_bvp(disk50, gamma, q, k, fem.BoundaryCondition("dirichlet", data))
+    u2, _, _ = fem.solve_bvp(disk50, gamma, q, k,
+                             fem.BoundaryCondition("dirichlet",
+                                                   np.exp(0.7j) * data))
     np.testing.assert_allclose(forward.gradient_energy(u2, gamma),
                                forward.gradient_energy(u1, gamma),
                                rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(forward.mass_energy(u2, q), forward.mass_energy(u1, q),
                                rtol=1e-10, atol=1e-12)
+
+
+def test_two_frequency_data_refactors_the_first_factor(disk50, truth50,
+                                                       monkeypatch):
+    # m = 3's pair, both solves on the band: the k2 solve factors in the k1
+    # solve's band storage, and the data are two fresh solves', bit for bit
+    gamma, q = truth50
+    k1, k2 = math.pi * 1e3, math.pi * 1e-3
+    bc = fem.BoundaryCondition("dirichlet", forward.boundary_phase(disk50))
+    fresh = [fem.solve_bvp(disk50, gamma, q, k, bc)[0] for k in (k1, k2)]
+    work = []
+    solve_bvp = fem.solve_bvp
+
+    def recording_solve_bvp(*args, **kwargs):
+        u, rel, lu = solve_bvp(*args, **kwargs)
+        work.append(lu._solver.work)
+        return u, rel, lu
+
+    monkeypatch.setattr(fem, "solve_bvp", recording_solve_bvp)
+    u1, u2, J, j = forward.two_frequency_data(disk50, gamma, q, k1, k2, bc)
+    assert len(work) == 2 and np.shares_memory(work[1], work[0])
+    np.testing.assert_array_equal(u1.values, fresh[0].values)
+    np.testing.assert_array_equal(u2.values, fresh[1].values)
+    np.testing.assert_array_equal(J, forward.gradient_energy(fresh[0], gamma))
+    np.testing.assert_array_equal(j, forward.mass_energy(fresh[1], q))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +255,7 @@ def test_noop_probe_measures_nothing(disk50, truth50):
     probe = forward.PerturbationProbe(center=(5.0, 0.0), radius=0.5,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
     meas = measure_probe(disk50, gamma, q, k, bc, probe)
-    u0 = fem.solve_bvp(disk50, gamma, q, k, bc)
+    u0, _, _ = fem.solve_bvp(disk50, gamma, q, k, bc)
     scale = abs(boundary_quadrature(disk50, u0.values, bc.data)) / probe.area
     assert abs(meas.D) <= 1e-8 * scale
 
@@ -244,7 +270,7 @@ def test_value_channel_probe_matches_prediction(disk100):
     probe = forward.PerturbationProbe(center=(2.3, 1.1), radius=0.2,
                                       amplitude=2.0, gamma_tilde=0.5, q_tilde=3.0)
     meas = measure_probe(disk100, gamma, q, k, bc, probe)
-    u = fem.solve_bvp(disk100, gamma, q, k, bc)
+    u, _, _ = fem.solve_bvp(disk100, gamma, q, k, bc)
     val, grad = forward.sample_field(u, (2.3, 1.1))
     pred = forward.predict_probe(1.0, 3.0, grad, val, k, probe)
     assert pred < 0.0
@@ -265,7 +291,7 @@ def test_gradient_channel_sign_follows_contrast(disk100, gamma_tilde, sign):
                                       amplitude=1.0, gamma_tilde=gamma_tilde,
                                       q_tilde=3.0)
     meas = measure_probe(disk100, gamma, q, k, bc, probe)
-    u = fem.solve_bvp(disk100, gamma, q, k, bc)
+    u, _, _ = fem.solve_bvp(disk100, gamma, q, k, bc)
     val, grad = forward.sample_field(u, (2.3, 1.1))
     pred = forward.predict_probe(1.0, 3.0, grad, val, k, probe)
     assert sign * meas.D > 0.0
@@ -336,7 +362,7 @@ def test_probe_sweep_noop_probe_measures_nothing(disk50, truth50):
     probe = forward.PerturbationProbe(center=(5.0, 0.0), radius=0.5,
                                       amplitude=1.0, gamma_tilde=1.0, q_tilde=3.0)
     (meas,) = forward.probe_sweep(disk50, gamma, q, k, bc, [probe])
-    u0 = fem.solve_bvp(disk50, gamma, q, k, bc)
+    u0, _, _ = fem.solve_bvp(disk50, gamma, q, k, bc)
     scale = abs(boundary_quadrature(disk50, u0.values, bc.data)) / probe.area
     assert abs(meas.D) <= 1e-8 * scale
 
@@ -459,6 +485,6 @@ def test_boundary_phase_conventions(disk50):
 
 def test_solve_bvp_default_phantom_finite(disk50, truth50):
     gamma, q = truth50
-    u = fem.solve_bvp(disk50, gamma, q, math.pi * 10.0, phase_bc(disk50))
+    u, _, _ = fem.solve_bvp(disk50, gamma, q, math.pi * 10.0, phase_bc(disk50))
     assert np.all(np.isfinite(u.values))
     assert np.max(np.abs(u.values)) > 0.0

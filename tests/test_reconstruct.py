@@ -24,15 +24,15 @@ def phase_dirichlet(mesh):
 
 def forward_pass(mesh, gamma, q, k):
     """A pass's forward field and the factor its corrector is solved on."""
-    u0, _, lu = rc._forward_solve_monitored(mesh, gamma, q, k,
-                                            phase_dirichlet(mesh))
+    u0, _, lu = fem.solve_bvp(mesh, gamma, q, k, phase_dirichlet(mesh),
+                              gate=False)
     return u0, lu
 
 
 def synthetic_data(mesh, gamma, q, k1, k2):
     bc = phase_dirichlet(mesh)
-    u1 = fem.solve_bvp(mesh, gamma, q, k1, bc)
-    u2 = fem.solve_bvp(mesh, gamma, q, k2, bc)
+    u1, _, _ = fem.solve_bvp(mesh, gamma, q, k1, bc)
+    u2, _, _ = fem.solve_bvp(mesh, gamma, q, k2, bc)
     J = gamma.values * fem.gradient(u1).node_magnitude_squared()
     j = q.values * np.abs(u2.values) ** 2
     return J, j
@@ -70,7 +70,7 @@ def test_config_validation():
 
 def test_gamma_misfit_vanishes_on_truth(disk50, truth50):
     gamma, q = truth50
-    u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
+    u0, _, _ = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     J = gamma.values * fem.gradient(u0).node_magnitude_squared()
     E0, linf = rc.compute_gamma_error(J, fem.gradient(u0), gamma)
     assert linf < 1e-12
@@ -79,7 +79,7 @@ def test_gamma_misfit_vanishes_on_truth(disk50, truth50):
 
 def test_gamma_misfit_of_constant_guess_is_the_contrast(disk50, truth50):
     gamma, q = truth50
-    u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
+    u0, _, _ = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     J = gamma.values * fem.gradient(u0).node_magnitude_squared()
     guess = constant_field(disk50, 3.5)
     E0, linf = rc.compute_gamma_error(J, fem.gradient(u0), guess)
@@ -89,7 +89,7 @@ def test_gamma_misfit_of_constant_guess_is_the_contrast(disk50, truth50):
 
 def test_gamma_misfit_is_linear_in_data(disk50, truth50):
     gamma, q = truth50
-    u0 = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
+    u0, _, _ = fem.solve_bvp(disk50, gamma, q, K1_DEFAULT, phase_dirichlet(disk50))
     grad_sq = fem.gradient(u0).node_magnitude_squared()
     J = gamma.values * grad_sq
     E1, _ = rc.compute_gamma_error(J, fem.gradient(u0), gamma)
@@ -139,7 +139,7 @@ def test_gamma_corrector_of_zero_misfit_is_zero(disk50, truth50):
 
 def test_gamma_corrector_conjugation(disk50, truth50):
     gamma, q = truth50
-    u0 = fem.solve_bvp(disk50, gamma, q, K2_DEFAULT, phase_dirichlet(disk50))
+    u0, _, _ = fem.solve_bvp(disk50, gamma, q, K2_DEFAULT, phase_dirichlet(disk50))
     _, lu = forward_pass(disk50, gamma, q, K1_DEFAULT)
     rng = np.random.default_rng(2)
     E0 = fem.CoefficientField(disk50, rng.uniform(-0.3, 0.3, disk50.n_nodes))
@@ -174,8 +174,8 @@ def test_gamma_corrector_matches_element_loop(disk50, truth50):
     k = 0.35
     u0, lu = forward_pass(disk50, gamma, q, k)
     E0 = random_misfit(disk50, 3, 0.3)
-    ref, _ = fem.factor_solve(*gamma_corrector_system(disk50, u0, E0, gamma,
-                                                      q, k))
+    matrix, rhs = gamma_corrector_system(disk50, u0, E0, gamma, q, k)
+    ref, _ = fem.Factor(matrix).solve(rhs)
     got = rc.solve_gamma_corrector(u0, E0, gamma, q, k, lu).values
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -193,7 +193,8 @@ def test_gamma_corrector_falls_back_on_a_far_factor(disk50, truth50):
     negated = fem.assemble_operator(disk50, E0.values - gamma.values,
                                     -(k ** 2) * q.values)
     load = -(fem.assemble_operator(disk50, E0.values, None) @ u0.values)
-    ref, _ = fem.factor_solve(*fem.eliminate_dirichlet(disk50, negated, load))
+    matrix, rhs = fem.eliminate_dirichlet(disk50, negated, load)
+    ref, _ = fem.Factor(matrix).solve(rhs)
     np.testing.assert_array_equal(got, ref)
     matrix, rhs = gamma_corrector_system(disk50, u0, E0, gamma, q, k)
     assert fem.residual_gate(matrix, np.column_stack([got.real, got.imag]),
@@ -219,7 +220,8 @@ def q_corrector_by_kind(mesh, u0, eps0, j, gamma, q, k):
     ones = np.ones(mesh.n_nodes)
     rhs = k ** 2 * np.concatenate([mass(ones) @ (eps0.values * re),
                                    mass(ones) @ (eps0.values * im)])
-    sol, _ = fem.factor_solve(*eliminate_by_products(mesh, matrix, rhs))
+    matrix, rhs = eliminate_by_products(mesh, matrix, rhs)
+    sol, _ = fem.Factor(matrix).solve(rhs)
     return sol[:mesh.n_nodes] + 1j * sol[mesh.n_nodes:]
 
 
@@ -241,8 +243,8 @@ def test_correctors_on_their_pass_factor_match_a_fresh_factorization(
     gamma, q = truth50
     u0, lu = forward_pass(disk50, gamma, q, K1_DEFAULT)
     E0 = random_misfit(disk50, 3, 0.3)
-    ref, _ = fem.factor_solve(*gamma_corrector_system(disk50, u0, E0, gamma,
-                                                      q, K1_DEFAULT))
+    matrix, rhs = gamma_corrector_system(disk50, u0, E0, gamma, q, K1_DEFAULT)
+    ref, _ = fem.Factor(matrix).solve(rhs)
     got = rc.solve_gamma_corrector(u0, E0, gamma, q, K1_DEFAULT, lu).values
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
     assert lu.fallbacks == 0
@@ -392,7 +394,7 @@ def test_update_gamma_annulus_reset_and_clamp(disk50, truth50):
     gamma, _ = truth50
     x, y = disk50.nodes[:, 0], disk50.nodes[:, 1]
     u0 = fem.ComplexField(disk50, x + 1j * y)
-    annulus = disk50.node_radii() >= 6.0
+    annulus = disk50.node_radii() > 6.0
     new, clamped = rc.update_gamma(np.zeros(disk50.n_nodes), fem.gradient(u0),
                                    None, constant_field(disk50, 1.0),
                                    annulus_mask=annulus,
@@ -439,7 +441,7 @@ def test_run_default_phantom_converges(disk50, truth50, truth_data50):
     assert last.gamma_err_l2 < 0.05
     assert last.q_err_l2 < 0.1
     # the known annulus is pinned to the truth, exactly
-    annulus = disk50.node_radii() >= cfg.known_annulus_radius
+    annulus = disk50.node_radii() > cfg.known_annulus_radius
     np.testing.assert_array_equal(trace.final_gamma.values[annulus],
                                   gamma.values[annulus])
     np.testing.assert_array_equal(trace.final_q.values[annulus],
@@ -449,6 +451,26 @@ def test_run_default_phantom_converges(disk50, truth50, truth_data50):
         assert math.isfinite(rec.forward_residual_k2)
         assert rec.forward_residual_k1 < 1e-8
         assert rec.forward_residual_k2 < 1e-8
+
+
+def test_run_knows_exactly_the_phantoms_near_boundary_nodes(phantom):
+    # mesh 52 has a ring of nodes on the annulus circle r = 6, where np.hypot
+    # and math.hypot can differ in the last bit. A precision target every
+    # misfit meets stops the run before its first update, so the final
+    # fields are the start: the truth on the known nodes, the guess
+    # elsewhere (no region of the phantom holds a guess's value)
+    mesh = hm.build_disk_mesh(phantom.disk_radius, 52)
+    radii = mesh.node_radii()
+    assert np.count_nonzero(np.abs(radii - phantom.annulus_radius) < 1e-12)
+    cfg = rc.ReconstructionConfig(k1=K1_DEFAULT, k2=K2_DEFAULT,
+                                  eps_precision=1e300)
+    trace = diagnostics.synthetic_run(mesh, cfg)
+    assert (trace.status, len(trace.records)) == (rc.STATUS_CONVERGED, 1)
+    near = hm.classify_nodes(mesh, phantom) == hm.RegionTag.NEAR_BOUNDARY
+    np.testing.assert_array_equal(trace.final_gamma.values != cfg.gamma_guess,
+                                  near)
+    np.testing.assert_array_equal(trace.final_q.values != cfg.q_guess, near)
+    np.testing.assert_array_equal(radii > cfg.known_annulus_radius, near)
 
 
 def test_run_unresolved_wavelength_diverges(disk50, truth50):

@@ -9,8 +9,10 @@
 # negative reconstruction.gamma_guess, a zero reconstruction.damping, a
 # negative frequencies.k1, a probe disk past the interior zone, a negative
 # phantom conductivity for reconstruct and for sweep, and a NaN
-# reconstruction.eps_precision), and a solver failure: Neumann forward at
-# k1 = 0.
+# reconstruction.eps_precision), a solver failure: Neumann forward at
+# k1 = 0, a reconstruct on mesh 52 (a ring of its nodes lies on the known
+# annulus circle r = 6), and a sweep that repeats a frequencies.m and a
+# mesh.n_boundary_points value.
 #
 #   tools/compare_artifacts.sh REV
 #
@@ -52,6 +54,8 @@ runs=(
   'negative-conductivity-sweep sweep {"phantom": {"conductivity": {"background": -1.0}}, "frequencies": {"m": [1, 3]}, "mesh": {"n_boundary_points": [50]}}'
   'nan-eps-precision reconstruct {"reconstruction": {"eps_precision": NaN}}'
   'flux-zero-k1 forward {"boundary": {"condition": "neumann"}, "frequencies": {"k1": 0.0, "k2": 1.0, "m": null}}'
+  'reconstruct-m52 reconstruct {"mesh": {"n_boundary_points": 52}}'
+  'repeated-values sweep {"frequencies": {"m": [3, 3]}, "mesh": {"n_boundary_points": [30, 30]}}'
 )
 
 run_side() {  # side, src directory
@@ -94,7 +98,7 @@ for entry in "${runs[@]}"; do
   else
     differ=1
     echo "DIFFERS  $name"
-    sed "s|$work/||g" "$work/$name.diff" | head -n 40
+    head -n 40 "$work/$name.diff" | sed "s|$work/||g"
   fi
 done
 if [ "$differ" -eq 0 ]; then
