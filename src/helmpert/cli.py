@@ -13,6 +13,7 @@ solver breakdown (reported in a structured error file).
 """
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -29,7 +30,7 @@ from . import diagnostics, disentangle, forward
 from . import mesh as meshmod
 from . import reconstruct
 from .fem import (BoundaryCondition, CoefficientField, ComplexField,
-                  NonConvergence, SingularSystem)
+                  NonConvergence, SingularSystem, usable_wavenumber)
 from .forward import PerturbationProbe
 from .mesh import PhantomSpec, TriangleMesh
 
@@ -188,20 +189,32 @@ def _single(cfg: dict, section: str, key: str):
     return value
 
 
+def _frequency_pair(m) -> Tuple[float, float]:
+    """diagnostics.frequency_pair(m); a ConfigError naming frequencies.m
+    where it cannot form the pair or a frequency's square overflows."""
+    with contextlib.suppress(OverflowError):  # 10.0 ** m beyond the doubles
+        k1, k2 = diagnostics.frequency_pair(float(m))
+        if usable_wavenumber(k1) and usable_wavenumber(k2):
+            return k1, k2
+    raise ConfigError("config key frequencies.m must give frequencies "
+                      f"pi*10^m and pi*10^-m with finite squares, not {m!r}")
+
+
 def resolve_frequencies(cfg: dict) -> Tuple[float, float]:
     k1, k2 = cfg["frequencies"]["k1"], cfg["frequencies"]["k2"]
     if k1 is not None or k2 is not None:
         if k1 is None or k2 is None:
             raise ConfigError("frequencies.k1 and frequencies.k2 must be set together")
         for key, k in (("k1", k1), ("k2", k2)):
-            if not k >= 0:
-                raise ConfigError(f"config key frequencies.{key} must be "
-                                  f"nonnegative, not {k!r}")
+            if not usable_wavenumber(k):
+                need = "be nonnegative" if k < 0 else "have a finite square"
+                raise ConfigError(f"config key frequencies.{key} must {need}, "
+                                  f"not {k!r}")
         return float(k1), float(k2)
     m = _single(cfg, "frequencies", "m")
     if m is None:
         raise ConfigError("set frequencies.k1/k2 or the exponent frequencies.m")
-    return diagnostics.frequency_pair(float(m))
+    return _frequency_pair(m)
 
 
 def _floats(value):
@@ -334,19 +347,19 @@ def cmd_probe(cfg: dict, out_dir: Path) -> Tuple[int, List[str], dict]:
     measurements = forward.measure_on_medium(medium, probes)
     u = ComplexField(mesh_obj, medium.u)
 
-    samples = {z: forward.sample_field(u, (z.x, z.y))
+    samples = {z: forward.sample_field(u, z)
                for z in {p.center for p in probes}}
     compare_rows = []
     for meas in measurements:
         z = meas.probe.center
-        tag = meshmod.classify_point((z.x, z.y), ph)
+        tag = meshmod.classify_point(z, ph)
         val, grad = samples[z]
         predicted = forward.predict_probe(ph.conductivity[tag],
                                           ph.permittivity[tag], grad, val,
                                           k, meas.probe)
         gap = abs(meas.D - predicted) / max(abs(predicted),
                                             np.finfo(float).tiny)
-        compare_rows.append([z.x, z.y, meas.probe.radius,
+        compare_rows.append([*z, meas.probe.radius,
                              meas.probe.amplitude, meas.D, predicted, gap])
     reconstruct.write_csv(out_dir / "probe_compare.csv",
                           ["z.x", "z.y", "r", "lambda", "D", "predicted",
@@ -361,9 +374,8 @@ def cmd_probe(cfg: dict, out_dir: Path) -> Tuple[int, List[str], dict]:
     if len({p.amplitude for p in probes}) == 4:
         groups: Dict[Tuple[float, float, float], list] = {}
         for meas in measurements:
-            z = meas.probe.center
-            groups.setdefault((z.x, z.y, meas.probe.radius), []).append(
-                (meas.probe.amplitude, meas.D))
+            groups.setdefault((*meas.probe.center, meas.probe.radius),
+                              []).append((meas.probe.amplitude, meas.D))
         for (zx, zy, r), pairs in sorted(groups.items()):
             try:
                 point = disentangle.recover(pairs)
@@ -439,6 +451,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> Tuple[int, List[str], dict
     if freq["m"] is None:
         raise ConfigError("the sweep needs frequencies.m")
     exponents = diagnostics.whole_numbers(_as_list(freq["m"]), "frequencies.m")
+    for m in exponents:  # every cell's pair is usable before any cell runs
+        _frequency_pair(m)
     if cfg["boundary"]["profile"] != "phase":
         raise ConfigError("the sweep uses the phase boundary profile on "
                           "every mesh")
@@ -459,18 +473,19 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int) -> Tuple[int, List[str], dict
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     jobs = min(max(1, int(jobs)), cpus)
-    sweep = diagnostics.frequency_sweep(base_cfg, exponents, mesh_points,
-                                        jobs=jobs, phantom=ph)
-    diagnostics.save_sweep_summary_csv(out_dir / "sweep_summary.csv", sweep)
+    traces = diagnostics.frequency_sweep(base_cfg, exponents, mesh_points,
+                                         jobs=jobs, phantom=ph)
+    diagnostics.save_sweep_summary_csv(out_dir / "sweep_summary.csv", traces)
     artifacts = ["sweep_summary.csv"]
-    for (m, n), trace in sweep.traces.items():
+    for (m, n), trace in traces.items():
         artifacts.append(f"trace_m{m}_mesh{n}.csv")
         reconstruct.save_trace_csv(out_dir / artifacts[-1], trace)
         print(f"{diagnostics.cell_key((m, n))}: {trace.status} "
               f"({len(trace.records)} iterations)")
-    code = EXIT_OK if sweep.all_converged() else EXIT_NOT_CONVERGED
-    return code, artifacts, {"statuses": sweep.statuses(),
-                             "all_converged": sweep.all_converged(),
+    statuses = {diagnostics.cell_key(c): t.status for c, t in traces.items()}
+    converged = all(s == reconstruct.STATUS_CONVERGED for s in statuses.values())
+    code = EXIT_OK if converged else EXIT_NOT_CONVERGED
+    return code, artifacts, {"statuses": statuses, "all_converged": converged,
                              "jobs": jobs}
 
 

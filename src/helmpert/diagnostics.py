@@ -1,8 +1,8 @@
 """Synthetic runs and the frequency/mesh sweep.
 
 A sweep reruns the two-frequency reconstruction over a grid of frequency
-exponents and mesh resolutions and keeps each cell's ReconstructionTrace, the
-same record the reconstruct command writes with reconstruct.save_trace_csv.
+exponents and mesh resolutions and returns each cell's ReconstructionTrace,
+keyed by (m, mesh points): the record reconstruct.save_trace_csv writes.
 A failed cell is a trace with status Failed, the error in its detail and no
 records; it never aborts the grid.
 """
@@ -10,16 +10,15 @@ records; it never aborts the grid.
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import forward
 from . import mesh as meshmod
 from .fem import CoefficientField
 from .mesh import PhantomSpec, TriangleMesh
-from .reconstruct import (STATUS_CONVERGED, IterationRecord,
-                          ReconstructionConfig, ReconstructionTrace,
-                          dirichlet_condition, run, write_csv)
+from .reconstruct import (IterationRecord, ReconstructionConfig,
+                          ReconstructionTrace, dirichlet_condition, run,
+                          write_csv)
 
 
 def true_coefficients(mesh: TriangleMesh, phantom: PhantomSpec
@@ -48,24 +47,12 @@ def synthetic_run(mesh: TriangleMesh, config: ReconstructionConfig,
 STATUS_FAILED = "Failed"
 
 Cell = Tuple[int, int]  # (frequency exponent m, mesh boundary points)
+Sweep = Dict[Cell, ReconstructionTrace]  # a frequency_sweep result
 
 
 def cell_key(cell: Cell) -> str:
     """The cell's name in the summary, the manifest and the printed lines."""
     return f"m={cell[0]};mesh={cell[1]}"
-
-
-@dataclass
-class SweepResult:
-    """Each cell's trace, keyed and ordered by (exponent, mesh resolution)."""
-
-    traces: Dict[Cell, ReconstructionTrace]
-
-    def statuses(self) -> Dict[str, str]:
-        return {cell_key(c): t.status for c, t in self.traces.items()}
-
-    def all_converged(self) -> bool:
-        return all(t.status == STATUS_CONVERGED for t in self.traces.values())
 
 
 def frequency_pair(m: float) -> Tuple[float, float]:
@@ -87,7 +74,7 @@ def frequency_sweep(
     mesh_points: Sequence[int],
     jobs: int = 1,
     phantom: Optional[PhantomSpec] = None,
-) -> SweepResult:
+) -> Sweep:
     """Reconstruction grid over the pairs frequency_pair(m) and mesh sizes.
 
     Cells run independently (in parallel when ``jobs`` > 1); the returned
@@ -114,13 +101,13 @@ def frequency_sweep(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             traces = list(pool.map(run_cell, cells))
     results = dict(zip(cells, traces))
-    return SweepResult(traces={c: results[c] for c in sorted(results)})
+    return {c: results[c] for c in sorted(results)}
 
 
-def save_sweep_summary_csv(path, sweep: SweepResult) -> None:
+def save_sweep_summary_csv(path, traces: Sweep) -> None:
     """One row per cell: status, iteration count, and final misfits."""
     rows = []
-    for (m, n), trace in sweep.traces.items():
+    for (m, n), trace in traces.items():
         # a failed cell has no records: its final misfits are NaN
         last = trace.records[-1] if trace.records else IterationRecord(0)
         rows.append([cell_key((m, n)), m, n, trace.status, len(trace.records),

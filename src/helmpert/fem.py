@@ -240,6 +240,11 @@ def masked_field_norms(mesh: TriangleMesh, values: np.ndarray,
     return linf, float(weights @ v), float(math.sqrt(weights @ (v * v)))
 
 
+def usable_wavenumber(k: float) -> bool:
+    """Whether k >= 0 and k^2, the mass term's factor, is a finite double."""
+    return k >= 0 and math.isfinite(float(k) * float(k))
+
+
 def assemble(
     mesh: TriangleMesh,
     gamma: CoefficientField,
@@ -254,8 +259,8 @@ def assemble(
         raise ValueError("coefficient fields must live on the given mesh")
     if np.min(gamma.values) <= 0 or np.min(q.values) <= 0:
         raise ValueError("gamma and q must be strictly positive")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not usable_wavenumber(k):
+        raise ValueError(f"k must be nonnegative with a finite square, not {k!r}")
     bnodes = mesh.boundary_nodes
     if bc.data.shape != (len(bnodes),):
         raise ValueError("boundary data must match the boundary node count")

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fem, kernels
 from .fem import BoundaryCondition, CoefficientField, ComplexField
-from .mesh import Point2, TriangleMesh
+from .mesh import TriangleMesh
 
 # fraction of the mesh radius treated as the known-material zone; probes must
 # keep their whole disk strictly inside the complement
@@ -58,18 +58,20 @@ LOCATE_BOX_PAD = 1e-9
 
 @dataclass(frozen=True)
 class PerturbationProbe:
-    """One localized experiment: disk, amplitude, and inclusion values."""
+    """One localized experiment: disk, amplitude, and inclusion values;
+    the center is a pair of finite floats (x, y)."""
 
-    center: Point2
+    center: Tuple[float, float]
     radius: float
     amplitude: float
     gamma_tilde: float
     q_tilde: float
 
     def __post_init__(self):
-        if not isinstance(self.center, Point2):
-            x, y = self.center
-            object.__setattr__(self, "center", Point2(float(x), float(y)))
+        x, y = map(float, self.center)
+        if not (math.isfinite(x) and math.isfinite(y)):  # NaN passes _check_disks
+            raise ValueError(f"probe center must be finite, not {(x, y)!r}")
+        object.__setattr__(self, "center", (x, y))
         if not self.radius > 0:
             raise ValueError("probe radius must be positive")
         if not self.amplitude > 0:
@@ -123,7 +125,7 @@ def _check_disks(disk_radius: float,
     DEFAULT_INTERIOR_FRACTION times the mesh radius."""
     limit = DEFAULT_INTERIOR_FRACTION * disk_radius
     for probe in probes:
-        dist = math.hypot(probe.center.x, probe.center.y)
+        dist = math.hypot(*probe.center)
         if dist + probe.radius > limit:
             raise ValueError(
                 f"probe disk (|z|={dist:.3f}, r={probe.radius:.3f}) reaches past "
@@ -199,7 +201,7 @@ def probe_element_fractions(mesh: TriangleMesh,
     """Covered-area fraction of each element under the probe disk."""
     area, _, _ = mesh.geometry
     lo, hi = mesh.element_boxes
-    zx, zy = probe.center.x, probe.center.y
+    zx, zy = probe.center
     # candidate prefilter: the disk must meet the triangle bounding box
     near = ((lo[:, 0] - probe.radius <= zx) & (zx <= hi[:, 0] + probe.radius)
             & (lo[:, 1] - probe.radius <= zy) & (zy <= hi[:, 1] + probe.radius))
@@ -349,7 +351,7 @@ def measure_on_medium(medium: FactoredMedium,
     ge = fem.element_average(mesh, medium.gamma.values)
     qe = fem.element_average(mesh, medium.q.values)
     area, b, c = mesh.geometry
-    disks: Dict[Tuple[Point2, float], List[int]] = {}
+    disks: Dict[Tuple[Tuple[float, float], float], List[int]] = {}
     for i, probe in enumerate(probes):
         disks.setdefault((probe.center, probe.radius), []).append(i)
 

@@ -27,19 +27,6 @@ MIN_BOUNDARY_POINTS = 16
 MESH_FORMAT_HEADER = "helmpert-mesh 1"
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-
-def _as_xy(p) -> Tuple[float, float]:
-    if isinstance(p, Point2):
-        return p.x, p.y
-    x, y = p
-    return float(x), float(y)
-
-
 class RegionTag:
     """Material region labels for phantom classification; they are also the
     region keys of a config's phantom conductivity and permittivity."""
@@ -492,14 +479,9 @@ def _region_index(points: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
 
 
 def classify_point(p, phantom: PhantomSpec) -> str:
-    """Material region tag of one point (see _region_index)."""
-    return RegionTag.ALL[int(_region_index(np.array([_as_xy(p)]), phantom)[0])]
-
-
-def classify_nodes(mesh: TriangleMesh, phantom: PhantomSpec) -> np.ndarray:
-    """Region tag of every node, as an object array of RegionTag strings."""
-    tags = np.array(RegionTag.ALL, dtype=object)
-    return tags[_region_index(mesh.nodes, phantom)]
+    """Material region tag of the point p = (x, y) (see _region_index)."""
+    points = np.array([p], dtype=np.float64)
+    return RegionTag.ALL[int(_region_index(points, phantom)[0])]
 
 
 def coefficient_from_phantom(mesh: TriangleMesh, phantom: PhantomSpec, which: str):

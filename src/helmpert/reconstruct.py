@@ -102,10 +102,17 @@ class ReconstructionConfig:
     damping: float = 1.0
 
     def __post_init__(self):
+        for name in ("k1", "k2"):
+            if not fem.usable_wavenumber(getattr(self, name)):
+                raise ValueError(f"{name} must be nonnegative with a finite "
+                                 f"square, not {getattr(self, name)!r}")
         if self.k1 == self.k2:
             raise ValueError("the two frequencies must differ")
-        if self.max_outer_iterations < 1:
-            raise ValueError("need at least one outer iteration")
+        n = self.max_outer_iterations
+        if not (float(n).is_integer() and n >= 1):
+            raise ValueError("max_outer_iterations must be a whole number of "
+                             f"at least 1, not {n!r}")
+        self.max_outer_iterations = int(n)
         # a guess at or below 0 diverges on the first iteration, and a
         # damping at or below 0 never moves the iterate toward the data;
         # "not > 0" also rejects a NaN tolerance, floor, guess or damping

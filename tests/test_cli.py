@@ -207,13 +207,19 @@ def test_fractional_max_iterations_rejected(tmp_path, capsys):
     ("forward", {"frequencies": {"k1": 0.35, "k2": -0.1}}, "frequencies.k2"),
     ("probe", {"frequencies": {"k1": -0.35, "k2": 0.1},
                "boundary": {"condition": "neumann"}}, "frequencies.k1"),
+    ("reconstruct", {"frequencies": {"m": 200}}, "frequencies.m"),
+    ("forward", {"frequencies": {"k1": 1e200, "k2": 0.1}}, "frequencies.k1"),
+    ("sweep", {"frequencies": {"m": [3, 400]}}, "frequencies.m"),
 ], ids=["gamma_guess", "q_guess", "zero-damping", "negative-damping",
-        "sweep-gamma_guess", "reconstruct-k1", "forward-k2", "probe-k1"])
+        "sweep-gamma_guess", "reconstruct-k1", "forward-k2", "probe-k1",
+        "reconstruct-m200", "forward-k1-overflow", "sweep-m400"])
 def test_unusable_guess_damping_or_frequency_rejected(tmp_path, capsys,
                                                       command, doc, key):
     # a guess or damping at or below 0 cannot reconstruct (a run diverges
-    # at once or stalls), and a negative frequency is no frequency: each is
-    # a configuration error naming its key before anything is written
+    # at once or stalls), and a negative frequency is no frequency, nor one
+    # whose square overflows (pi*10^m squared passes the largest double
+    # from m = 154 on): each is a configuration error naming its key before
+    # anything is written
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert run_cli(command, "--config", cfg, "--out", out) == 2

@@ -76,40 +76,46 @@ def test_extrema_series_on_a_diverging_run(disk50):
 # sweeps
 
 
+def statuses(traces):
+    return {diag.cell_key(cell): t.status for cell, t in traces.items()}
+
+
+def all_converged(traces):
+    return all(t.status == rc.STATUS_CONVERGED for t in traces.values())
+
+
 def test_frequency_sweep_known_cells(disk50):
-    sweep = diag.frequency_sweep(base_config(), exponents=[1, 3],
-                                 mesh_points=[50])
-    statuses = sweep.statuses()
-    assert statuses["m=3;mesh=50"] == rc.STATUS_CONVERGED
-    assert statuses["m=1;mesh=50"] == rc.STATUS_DIVERGED
-    assert not sweep.all_converged()
-    assert list(sweep.traces) == [(1, 50), (3, 50)]
-    trace = sweep.traces[(3, 50)]
+    traces = diag.frequency_sweep(base_config(), exponents=[1, 3],
+                                  mesh_points=[50])
+    assert statuses(traces)["m=3;mesh=50"] == rc.STATUS_CONVERGED
+    assert statuses(traces)["m=1;mesh=50"] == rc.STATUS_DIVERGED
+    assert not all_converged(traces)
+    assert list(traces) == [(1, 50), (3, 50)]
+    trace = traces[(3, 50)]
     assert trace.records[-1].misfit_J_linf < 1e-3
     assert [r.iteration for r in trace.records] == \
         list(range(1, len(trace.records) + 1))
 
 
 def test_frequency_sweep_empty_grid():
-    sweep = diag.frequency_sweep(base_config(), exponents=[], mesh_points=[50])
-    assert sweep.traces == {}
-    assert sweep.all_converged()  # vacuously
+    traces = diag.frequency_sweep(base_config(), exponents=[], mesh_points=[50])
+    assert traces == {}
+    assert all_converged(traces)  # vacuously
 
 
 def test_frequency_sweep_records_failures_without_aborting(tmp_path):
     # mesh_points=8 is below the mesh builder's minimum: that cell fails,
     # the valid cell still completes.
-    sweep = diag.frequency_sweep(base_config(), exponents=[3],
-                                 mesh_points=[8, 50])
-    statuses = sweep.statuses()
-    assert statuses["m=3;mesh=8"] == diag.STATUS_FAILED
-    assert statuses["m=3;mesh=50"] == rc.STATUS_CONVERGED
-    failed = sweep.traces[(3, 8)]
+    traces = diag.frequency_sweep(base_config(), exponents=[3],
+                                  mesh_points=[8, 50])
+    assert statuses(traces)["m=3;mesh=8"] == diag.STATUS_FAILED
+    assert statuses(traces)["m=3;mesh=50"] == rc.STATUS_CONVERGED
+    failed = traces[(3, 8)]
     assert "ValueError" in failed.detail
     assert failed.records == []
     # the summary row of a cell without records
     path = tmp_path / "summary.csv"
-    diag.save_sweep_summary_csv(path, sweep)
+    diag.save_sweep_summary_csv(path, traces)
     row = path.read_text().splitlines()[1].split(",")
     assert row[:7] == ["m=3;mesh=8", "3", "8", diag.STATUS_FAILED, "0",
                        "nan", "nan"]
@@ -132,21 +138,21 @@ def test_frequency_sweep_thread_determinism(tmp_path):
                                   mesh_points=[50], jobs=1)
     threaded = diag.frequency_sweep(base_config(), exponents=[1, 3],
                                     mesh_points=[50], jobs=2)
-    assert list(serial.traces) == list(threaded.traces)
+    assert list(serial) == list(threaded)
     p1, p2 = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    for cell in serial.traces:
-        rc.save_trace_csv(p1, serial.traces[cell])
-        rc.save_trace_csv(p2, threaded.traces[cell])
+    for cell in serial:
+        rc.save_trace_csv(p1, serial[cell])
+        rc.save_trace_csv(p2, threaded[cell])
         assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_save_sweep_summary_csv(tmp_path):
-    sweep = diag.frequency_sweep(base_config(), exponents=[1, 3],
-                                 mesh_points=[50])
+    traces = diag.frequency_sweep(base_config(), exponents=[1, 3],
+                                  mesh_points=[50])
     path = tmp_path / "summary.csv"
-    diag.save_sweep_summary_csv(path, sweep)
+    diag.save_sweep_summary_csv(path, traces)
     lines = path.read_text().splitlines()
-    assert len(lines) == 1 + len(sweep.traces)
+    assert len(lines) == 1 + len(traces)
     assert lines[0].startswith("config,m,mesh_points,status")
     assert "m=1;mesh=50" in lines[1] and "Diverged" in lines[1]
     assert "m=3;mesh=50" in lines[2] and "Converged" in lines[2]

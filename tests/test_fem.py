@@ -252,8 +252,10 @@ def test_assemble_rejects_bad_inputs(disk50, truth50):
             fem.assemble(disk50, zero_gamma, q, 1.0, bc)
         with pytest.raises(ValueError):
             fem.assemble(disk50, gamma, neg_q, 1.0, bc)
-        with pytest.raises(ValueError):
-            fem.assemble(disk50, gamma, q, -0.5, bc)
+        # a negative or non-finite k, or one whose square overflows
+        for k in (-0.5, math.nan, math.inf, 1e200):
+            with pytest.raises(ValueError):
+                fem.assemble(disk50, gamma, q, k, bc)
         with pytest.raises(ValueError):
             fem.assemble(other, gamma, q, 1.0, bc)
         with pytest.raises(ValueError):

@@ -148,8 +148,14 @@ def test_probe_element_fractions_cover_disk_area(disk50):
 def test_probe_validation():
     probe = forward.PerturbationProbe(center=(1.0, 2.0), radius=0.5,
                                       amplitude=2.0, gamma_tilde=0.5, q_tilde=3.0)
-    assert isinstance(probe.center, hm.Point2)
+    assert probe.center == (1.0, 2.0)
+    assert all(type(c) is float for c in probe.center)
     assert probe.area == pytest.approx(math.pi * 0.25)
+    # a NaN center passes every distance check of the interior zone
+    for center in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="center"):
+            forward.PerturbationProbe(center=center, radius=0.5, amplitude=1.0,
+                                      gamma_tilde=1.0, q_tilde=1.0)
     with pytest.raises(ValueError):
         forward.PerturbationProbe(center=(0, 0), radius=0.0, amplitude=1.0,
                                   gamma_tilde=1.0, q_tilde=1.0)

@@ -58,6 +58,14 @@ def test_config_validation():
         rc.ReconstructionConfig(k1=1.0, k2=2.0, floor_u=-1e-12)
     with pytest.raises(ValueError):
         rc.ReconstructionConfig(k1=1.0, k2=2.0, max_outer_iterations=0)
+    with pytest.raises(ValueError, match="max_outer_iterations"):
+        rc.ReconstructionConfig(k1=1.0, k2=2.0, max_outer_iterations=2.5)
+    # a negative or non-finite frequency, or one whose square overflows
+    for bad in (-1.0, math.nan, math.inf, 1e200):
+        with pytest.raises(ValueError, match="k1"):
+            rc.ReconstructionConfig(k1=bad, k2=2.0)
+        with pytest.raises(ValueError, match="k2"):
+            rc.ReconstructionConfig(k1=1.0, k2=bad)
     with pytest.raises(ValueError):
         rc.ReconstructionConfig(
             k1=1.0, k2=2.0,
@@ -466,7 +474,8 @@ def test_run_knows_exactly_the_phantoms_near_boundary_nodes(phantom):
                                   eps_precision=1e300)
     trace = diagnostics.synthetic_run(mesh, cfg)
     assert (trace.status, len(trace.records)) == (rc.STATUS_CONVERGED, 1)
-    near = hm.classify_nodes(mesh, phantom) == hm.RegionTag.NEAR_BOUNDARY
+    near = np.array([hm.classify_point(p, phantom) == hm.RegionTag.NEAR_BOUNDARY
+                     for p in mesh.nodes])
     np.testing.assert_array_equal(trace.final_gamma.values != cfg.gamma_guess,
                                   near)
     np.testing.assert_array_equal(trace.final_q.values != cfg.q_guess, near)

@@ -11,8 +11,10 @@
 # phantom conductivity for reconstruct and for sweep, and a NaN
 # reconstruction.eps_precision), a solver failure: Neumann forward at
 # k1 = 0, a reconstruct on mesh 52 (a ring of its nodes lies on the known
-# annulus circle r = 6), and a sweep that repeats a frequencies.m and a
-# mesh.n_boundary_points value.
+# annulus circle r = 6), a sweep that repeats a frequencies.m and a
+# mesh.n_boundary_points value, and three frequencies whose squares overflow
+# a double: a reconstruct at frequencies.m = 200, a forward at
+# frequencies.k1 = 1e200 and a sweep over frequencies.m = [3, 400].
 #
 #   tools/compare_artifacts.sh REV
 #
@@ -56,6 +58,9 @@ runs=(
   'flux-zero-k1 forward {"boundary": {"condition": "neumann"}, "frequencies": {"k1": 0.0, "k2": 1.0, "m": null}}'
   'reconstruct-m52 reconstruct {"mesh": {"n_boundary_points": 52}}'
   'repeated-values sweep {"frequencies": {"m": [3, 3]}, "mesh": {"n_boundary_points": [30, 30]}}'
+  'overflow-m200 reconstruct {"frequencies": {"m": 200}}'
+  'overflow-k1 forward {"frequencies": {"k1": 1e200, "k2": 0.1}}'
+  'overflow-sweep-m400 sweep {"frequencies": {"m": [3, 400]}}'
 )
 
 run_side() {  # side, src directory
